@@ -375,10 +375,10 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> Homolog
 
 
 def reduced_images(source: HomologyPresentation, target: HomologyPresentation,
-                   matrix: IntMatrix) -> list:
-    """Images of the source generators under a chain map, in target
-    coordinates."""
-    return [target.reduce(matrix.apply(g)) for g in source.generators]
+                   chain_map) -> list:
+    """Images of the source generators under a chain map (a function on
+    coordinate vectors), in target coordinates."""
+    return [target.reduce(chain_map(g)) for g in source.generators]
 
 
 def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
@@ -404,13 +404,13 @@ def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
 
 def is_transition_isomorphism(source: HomologyPresentation,
                               target: HomologyPresentation,
-                              matrix: IntMatrix) -> bool:
+                              chain_map) -> bool:
     """Isomorphism test for a map of finitely generated abelian groups:
     abstract equality plus surjectivity suffices (such groups are Hopfian,
     so a surjective self-shape map is injective)."""
     if source.group != target.group:
         return False
-    return is_surjective_on_classes(target, reduced_images(source, target, matrix))
+    return is_surjective_on_classes(target, reduced_images(source, target, chain_map))
 
 
 # --------------------------------------------------------------------------
@@ -439,35 +439,40 @@ class StageComplex:
         return self._matrices[n]
 
 
-def _inclusion_matrix(small: tuple, big: tuple) -> IntMatrix:
-    """Basis inclusion as a matrix (rows: big, cols: small)."""
-    index = {c: i for i, c in enumerate(big)}
-    data = [[0] * len(small) for _ in range(len(big))]
-    for j, c in enumerate(small):
-        i = index.get(c)
-        if i is None:
-            raise MatrixError(f"{c} missing from the larger basis")
-        data[i][j] = 1
-    return IntMatrix(len(big), len(small), tuple(tuple(r) for r in data))
+def _cell_map(source: tuple, target: tuple, total: bool) -> tuple:
+    """A stage transition on one basis: for each source cell its index in
+    the target basis, or None where the cell maps to zero.  An inclusion is
+    total; a projection modulo the frontier sends the cells it drops to
+    zero."""
+    index = {c: i for i, c in enumerate(target)}
+    cells = tuple(index.get(c) for c in source)
+    if total and None in cells:
+        raise MatrixError(f"{source[cells.index(None)]} missing from the larger basis")
+    return cells
 
 
-def _projection_matrix(big: tuple, small: tuple) -> IntMatrix:
-    """Basis projection as a matrix (rows: small, cols: big); cells outside
-    the smaller basis map to zero."""
-    index = {c: i for i, c in enumerate(small)}
-    data = [[0] * len(big) for _ in range(len(small))]
-    for j, c in enumerate(big):
-        i = index.get(c)
+def _push(cells: tuple, size: int, vector) -> tuple:
+    """A chain along the cell map (scatter-add into a basis of ``size``)."""
+    out = [0] * size
+    for i, a in zip(cells, vector):
         if i is not None:
-            data[i][j] = 1
-    return IntMatrix(len(small), len(big), tuple(tuple(r) for r in data))
+            out[i] += a
+    return tuple(out)
 
 
-def _check_chain_map(matrix_n, matrix_n_minus_1, d_source, d_target, context):
-    lhs = d_target @ matrix_n
-    rhs = matrix_n_minus_1 @ d_source
-    if lhs.data != rhs.data:
-        raise MatrixError(f"{context}: transition does not commute with the boundary")
+def _pull(cells: tuple, vector) -> tuple:
+    """A cochain back along the cell map (gather)."""
+    return tuple(0 if i is None else vector[i] for i in cells)
+
+
+def _check_chain_map(cells, cells_below, d_source, d_target, context):
+    """Each source boundary column, pushed along the degree-below map, must
+    be the target boundary column at the cell's image (zero if none)."""
+    zero = (0,) * d_target.rows
+    for j, i in enumerate(cells):
+        image = zero if i is None else d_target.col(i)
+        if _push(cells_below, d_target.rows, d_source.col(j)) != image:
+            raise MatrixError(f"{context}: transition does not commute with the boundary")
 
 
 # --------------------------------------------------------------------------
@@ -573,13 +578,14 @@ def _stage_for(space, depth: int, relative: bool) -> StageComplex:
 
 
 def _run_system(space, space_label, theory, coeff, max_degree, window,
-                max_depth, relative, dual, forward):
+                max_depth, relative, dual):
     """Shared limit/colimit engine over exhaustion stages.
 
-    ``relative`` uses stage-relative complexes (chains mod frontier);
-    ``dual`` presents cohomology of the stage (co)chain complexes;
-    ``forward`` means transitions point from stage i to stage i+1 (colimit
-    direction), otherwise from i+1 down to i (limit direction).
+    ``relative`` uses stage-relative complexes (chains mod frontier), whose
+    chain maps project stage i+1 onto stage i; otherwise stage i includes
+    into stage i+1.  ``dual`` presents cohomology of the stage (co)chain
+    complexes, which reverses the map on classes.  So the classes move from
+    stage i to i+1 (a colimit) exactly when ``relative == dual``.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -599,31 +605,21 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
             presentations[i] = _finite_presentations(stages[i], degrees, dual)
         return stages[i]
 
-    def transition(i, n):
-        """Chain-level transition matrix in degree n for stage pair (i, i+1)."""
-        lo, hi = stage(i), stage(i + 1)
-        if relative:
-            main = _projection_matrix(hi.basis(n), lo.basis(n))
-            below = _projection_matrix(hi.basis(n - 1), lo.basis(n - 1))
-            _check_chain_map(main, below, hi.boundary(n), lo.boundary(n),
-                             f"{theory} degree {n} stages {i}<-{i + 1}")
-        else:
-            main = _inclusion_matrix(lo.basis(n), hi.basis(n))
-            below = _inclusion_matrix(lo.basis(n - 1), hi.basis(n - 1))
-            _check_chain_map(main, below, lo.boundary(n), hi.boundary(n),
-                             f"{theory} degree {n} stages {i}->{i + 1}")
-        if dual:
-            main = main.transpose()
-        return main
-
     def transition_is_iso(i, n):
-        m = transition(i, n)
-        to_later = forward  # colimit: source is the earlier stage
-        if to_later:
-            src, tgt = presentations[i][n], presentations[i + 1][n]
-        else:
-            src, tgt = presentations[i + 1][n], presentations[i][n]
-        return is_transition_isomorphism(src, tgt, m)
+        """Whether the degree-n transition between stages i and i+1 is an
+        isomorphism on classes, after checking it is a chain map."""
+        a, b = (i + 1, i) if relative else (i, i + 1)  # chain-level direction
+        source, target = stage(a), stage(b)
+        cells = _cell_map(source.basis(n), target.basis(n), total=not relative)
+        below = _cell_map(source.basis(n - 1), target.basis(n - 1), total=not relative)
+        _check_chain_map(cells, below, source.boundary(n), target.boundary(n),
+                         f"{theory} degree {n} stages {i}{'<-' if relative else '->'}{i + 1}")
+        if dual:
+            return is_transition_isomorphism(presentations[b][n], presentations[a][n],
+                                             lambda v: _pull(cells, v))
+        size = len(target.basis(n))
+        return is_transition_isomorphism(presentations[a][n], presentations[b][n],
+                                         lambda v: _push(cells, size, v))
 
     stabilized = {}
     quiet = {n: 0 for n in degrees}
@@ -666,7 +662,7 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
         f"{window} consecutive stages; the periodic presentation is assumed "
         "to keep them isomorphisms beyond the probed depth"
     ]
-    if not forward:
+    if relative != dual:
         caveats.append(
             "limit computed as the stable value; the derived limit vanishes "
             "because the probed transitions are isomorphisms (Mittag-Leffler)"
@@ -697,16 +693,33 @@ def _run_finite(space, space_label, theory, coeff, max_degree, dual):
     )
 
 
-def homology(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
-             window: int = 3, max_depth: int = 12) -> TheoryResult:
-    """Ordinary homology; on an exhaustion, the colimit over the stages."""
+# tag -> (relative, dual, caveat on a finite complex)
+_THEORIES = {
+    "H": (False, False, None),
+    "H_BM": (True, False, "finite complex: Borel–Moore equals ordinary homology"),
+    "H_co": (False, True, None),
+    "H_c": (True, True, "finite complex: compact support is automatic"),
+}
+
+
+def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
+    relative, dual, finite_caveat = _THEORIES[tag]
     label = _space_label(space, "space")
     if max_degree is None:
         max_degree = _default_max_degree(space)
     if isinstance(space, FiniteSimplicialSet):
-        return _run_finite(space, label, "H", coeff, max_degree, dual=False)
-    return _run_system(space, label, "H", coeff, max_degree, window, max_depth,
-                       relative=False, dual=False, forward=True)
+        result = _run_finite(space, label, tag, coeff, max_degree, dual)
+        if finite_caveat:
+            result.caveats.append(finite_caveat)
+        return result
+    return _run_system(space, label, tag, coeff, max_degree, window, max_depth,
+                       relative, dual)
+
+
+def homology(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
+             window: int = 3, max_depth: int = 12) -> TheoryResult:
+    """Ordinary homology; on an exhaustion, the colimit over the stages."""
+    return _theory("H", space, coeff, max_degree, window, max_depth)
 
 
 def bm_homology(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
@@ -716,27 +729,13 @@ def bm_homology(space, coeff: Coefficients = INTEGER, max_degree: int | None = N
     On a finite complex this coincides with ordinary homology (the frontier
     is empty); the result is tagged H_BM either way.
     """
-    label = _space_label(space, "space")
-    if max_degree is None:
-        max_degree = _default_max_degree(space)
-    if isinstance(space, FiniteSimplicialSet):
-        result = _run_finite(space, label, "H_BM", coeff, max_degree, dual=False)
-        result.caveats.append("finite complex: Borel–Moore equals ordinary homology")
-        return result
-    return _run_system(space, label, "H_BM", coeff, max_degree, window, max_depth,
-                       relative=True, dual=False, forward=False)
+    return _theory("H_BM", space, coeff, max_degree, window, max_depth)
 
 
 def cohomology(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
                window: int = 3, max_depth: int = 12) -> TheoryResult:
     """Ordinary cohomology; on an exhaustion, the limit along restrictions."""
-    label = _space_label(space, "space")
-    if max_degree is None:
-        max_degree = _default_max_degree(space)
-    if isinstance(space, FiniteSimplicialSet):
-        return _run_finite(space, label, "H_co", coeff, max_degree, dual=True)
-    return _run_system(space, label, "H_co", coeff, max_degree, window, max_depth,
-                       relative=False, dual=True, forward=False)
+    return _theory("H_co", space, coeff, max_degree, window, max_depth)
 
 
 def cohomology_c(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
@@ -746,15 +745,7 @@ def cohomology_c(space, coeff: Coefficients = INTEGER, max_degree: int | None = 
 
     Finite complexes give ordinary cohomology.
     """
-    label = _space_label(space, "space")
-    if max_degree is None:
-        max_degree = _default_max_degree(space)
-    if isinstance(space, FiniteSimplicialSet):
-        result = _run_finite(space, label, "H_c", coeff, max_degree, dual=True)
-        result.caveats.append("finite complex: compact support is automatic")
-        return result
-    return _run_system(space, label, "H_c", coeff, max_degree, window, max_depth,
-                       relative=True, dual=True, forward=True)
+    return _theory("H_c", space, coeff, max_degree, window, max_depth)
 
 
 THEORY_DRIVERS = {
@@ -990,16 +981,8 @@ def induced_on_homology(f: SimplicialMap, degree: int):
     tgt = StageComplex(f.target, frozenset())
     ps = present_homology(src.boundary(degree), src.boundary(degree + 1))
     pt = present_homology(tgt.boundary(degree), tgt.boundary(degree + 1))
-    tgt_index = {c: i for i, c in enumerate(tgt.basis(degree))}
-    cols = []
-    for cell in src.basis(degree):
-        col = [0] * len(tgt.basis(degree))
-        img = f.eval(f.source.simplex(cell))
-        if img.is_nondegenerate:
-            col[tgt_index[img.core]] += 1
-        cols.append(col)
-    m = IntMatrix(
-        len(tgt.basis(degree)), len(cols),
-        tuple(tuple(col[r] for col in cols) for r in range(len(tgt.basis(degree)))),
-    )
-    return ps, pt, reduced_images(ps, pt, m)
+    index = {c: i for i, c in enumerate(tgt.basis(degree))}
+    images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))
+    cells = tuple(index[img.core] if img.is_nondegenerate else None for img in images)
+    size = len(tgt.basis(degree))
+    return ps, pt, reduced_images(ps, pt, lambda v: _push(cells, size, v))

@@ -72,6 +72,16 @@ def _env_max_depth(default: int = 12) -> int:
     return value
 
 
+def _check_bounds(args):
+    """Out-of-range numeric flags are usage errors, like a bad
+    CTLHOM_MAX_DEPTH."""
+    for flag, low in (("window", 1), ("max_depth", 1), ("degree", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise CoefficientError(
+                f"--{flag.replace('_', '-')} must be at least {low}")
+
+
 def _emit(doc: dict, as_json: bool, lines):
     if as_json:
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -303,6 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         if args.command == "spaces":
             return _cmd_spaces(args)
         if args.command in _COMMAND_THEORIES:

@@ -80,22 +80,6 @@ class IntMatrix:
             ),
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatrixError("shape mismatch in addition")
-        return IntMatrix(
-            self.rows, self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.data, other.data)
-            ),
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(
-            self.rows, self.cols, tuple(tuple(-v for v in r) for r in self.data)
-        )
-
     def apply(self, vector) -> tuple:
         """Matrix times column vector, as a tuple."""
         vec = tuple(int(v) for v in vector)
@@ -105,14 +89,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.data for v in row)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise MatrixError("row mismatch in hstack")
-        return IntMatrix(
-            self.rows, self.cols + other.cols,
-            tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-        )
 
     def submatrix(self, row_range, col_range) -> "IntMatrix":
         rs = list(row_range)

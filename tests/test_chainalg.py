@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctlhom import chainalg
 from ctlhom.chainalg import (
     INTEGER,
     RATIONAL,
+    THEORY_DRIVERS,
     AbelianGroup,
     Chain,
     Cochain,
     CoefficientError,
     NonStabilizationError,
+    StageComplex,
     TRIVIAL_GROUP,
     bm_homology,
     boundary,
@@ -275,6 +278,42 @@ def test_window_and_depth_are_respected():
     with pytest.raises(NonStabilizationError):
         bm_homology(line(), max_depth=2)  # window 3 cannot close by depth 2
     assert bm_homology(line(), window=2, max_depth=4).group(1) == AbelianGroup(1)
+
+
+def test_transition_check_rejects_a_non_chain_map(monkeypatch):
+    # stage 2 of the line gets its edge boundaries rotated: still ∂∂ = 0,
+    # but the transitions into and out of stage 2 are no chain maps
+    original = chainalg._stage_for
+
+    def skewed(space, depth, relative):
+        stage = original(space, depth, relative)
+        if depth == 2:
+            d1 = stage.boundary(1)
+            stage._matrices[1] = IntMatrix(
+                d1.rows, d1.cols, tuple(row[1:] + row[:1] for row in d1.data))
+        return stage
+
+    monkeypatch.setattr(chainalg, "_stage_for", skewed)
+    for driver in THEORY_DRIVERS.values():
+        with pytest.raises(MatrixError, match="transition does not commute with the boundary"):
+            driver(line())
+
+
+def test_inclusion_needs_every_cell_in_the_larger_stage(monkeypatch):
+    # stage 2 drops a vertex that stage 1 has: there is no inclusion
+    original = chainalg._stage_for
+
+    def shrunk(space, depth, relative):
+        stage = original(space, depth, relative)
+        if depth == 2:
+            vertex = original(space, 1, relative).basis(0)[0]
+            stage = StageComplex(stage.complex, stage.excluded | {vertex})
+        return stage
+
+    monkeypatch.setattr(chainalg, "_stage_for", shrunk)
+    for driver in (homology, cohomology):
+        with pytest.raises(MatrixError, match="missing from the larger basis"):
+            driver(line())
 
 
 # --------------------------------------------------- chains and the pairing

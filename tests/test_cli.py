@@ -127,6 +127,20 @@ def test_bad_max_carrier_is_a_usage_error(capsys):
     assert run(capsys, "laws", "--max-carrier", "9")[0] == 2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["homology", "line", "--window", "0"], "--window"),
+    (["pairing", "line", "--degree", "1", "--window", "0"], "--window"),
+    (["pairing", "torus", "--degree=-1"], "--degree"),
+    (["bm-homology", "line", "--max-depth", "0"], "--max-depth"),
+    (["pairing", "line", "--degree", "1", "--max-depth", "0"], "--max-depth"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv, flag):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {flag} must be at least")
+
+
 def test_non_stabilization_exit(capsys, tmp_path):
     path = tmp_path / "balloon.json"
     save_space(balloon_ray(), str(path))
