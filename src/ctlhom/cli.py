@@ -75,7 +75,8 @@ def _env_max_depth(default: int = 12) -> int:
 def _check_bounds(args):
     """Out-of-range numeric flags are usage errors, like a bad
     CTLHOM_MAX_DEPTH."""
-    for flag, low in (("window", 1), ("max_depth", 1), ("degree", 0)):
+    for flag, low in (("window", 1), ("max_depth", 1), ("degree", 0),
+                      ("max_dim", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise CoefficientError(

@@ -26,7 +26,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise MatrixError("negative matrix shape")
-        data = tuple(tuple(int(v) for v in row) for row in self.data)
+        data = tuple(tuple(map(int, row)) for row in self.data)
         if len(data) != self.rows or any(len(r) != self.cols for r in data):
             raise MatrixError(
                 f"data shape does not match {self.rows}x{self.cols}"
@@ -71,14 +71,17 @@ class IntMatrix:
             raise MatrixError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ot = other.transpose()
-        return IntMatrix(
-            self.rows, other.cols,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot.data)
-                for row in self.data
-            ),
-        )
+        # each left row is a sum of a * (right row k) over its nonzeros a
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for a, nonzeros in zip(row, right):
+                if a:
+                    for j, b in nonzeros:
+                        acc[j] += a * b
+            out.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vector) -> tuple:
         """Matrix times column vector, as a tuple."""
@@ -159,72 +162,155 @@ class SmithDecomposition:
 
 
 class _Worker:
-    """Mutable row-major workspace tracking transforms alongside the matrix.
+    """Sparse workspace tracking transforms alongside the matrix.
 
-    Each elementary operation on the matrix applies the matching operation
-    to U (row ops) or V (column ops) and the *inverse* operation to u_inv /
-    v_inv, so the inverses are certificates rather than recomputations.
+    The matrix is kept as rows of ``{col: value}`` plus ``index[col]``, the
+    set of rows that are nonzero in that column.  Each elementary operation
+    on the matrix applies the matching operation to U (row ops) or V (column
+    ops) and the *inverse* operation to U^-1 / V^-1, so the inverses are
+    certificates rather than recomputations.  U and V^-1 are stored by rows
+    and U^-1 and V by columns: every operation then adds or swaps whole
+    sparse vectors.
     """
 
     def __init__(self, m: IntMatrix):
-        self.a = [list(r) for r in m.data]
         self.rows = m.rows
         self.cols = m.cols
-        self.u = [list(r) for r in IntMatrix.identity(m.rows).data]
-        self.ui = [list(r) for r in IntMatrix.identity(m.rows).data]
-        self.v = [list(r) for r in IntMatrix.identity(m.cols).data]
-        self.vi = [list(r) for r in IntMatrix.identity(m.cols).data]
+        self.a = [{j: x for j, x in enumerate(r) if x} for r in m.data]
+        self.index = [set() for _ in range(m.cols)]
+        for i, row in enumerate(self.a):
+            for j in row:
+                self.index[j].add(i)
+        self.u = [{i: 1} for i in range(m.rows)]
+        self.ui_cols = [{i: 1} for i in range(m.rows)]
+        self.v_cols = [{j: 1} for j in range(m.cols)]
+        self.vi = [{j: 1} for j in range(m.cols)]
 
-    # row ops: left multiplication.  inverse accumulates on the right of ui.
+    # row ops: left multiplication; the inverse accumulates right of U^-1.
     def swap_rows(self, i, j):
         if i == j:
             return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
+        a = self.a
+        # a column holding exactly one of the two rows now holds the other
+        for c in a[i].keys() ^ a[j].keys():
+            self.index[c] ^= {i, j}
+        a[i], a[j] = a[j], a[i]
         self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.ui:
-            r[i], r[j] = r[j], r[i]
+        self.ui_cols[i], self.ui_cols[j] = self.ui_cols[j], self.ui_cols[i]
 
     def add_row(self, src, dst, k):
         """row[dst] += k * row[src]"""
         if k == 0:
             return
-        self.a[dst] = [x + k * y for x, y in zip(self.a[dst], self.a[src])]
-        self.u[dst] = [x + k * y for x, y in zip(self.u[dst], self.u[src])]
-        for r in self.ui:
-            r[src] -= k * r[dst]
+        row = self.a[dst]
+        for c, y in self.a[src].items():
+            x = row.get(c, 0) + k * y
+            if x:
+                row[c] = x
+                self.index[c].add(dst)
+            else:
+                del row[c]
+                self.index[c].discard(dst)
+        _add_scaled(self.u[dst], self.u[src], k)
+        _add_scaled(self.ui_cols[src], self.ui_cols[dst], -k)
 
     def negate_row(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in self.ui:
-            r[i] = -r[i]
+        for vec in (self.a[i], self.u[i], self.ui_cols[i]):
+            for c in vec:
+                vec[c] = -vec[c]
 
-    # column ops: right multiplication.  inverse accumulates on the left of vi.
+    # column ops: right multiplication; the inverse accumulates left of V^-1.
     def swap_cols(self, i, j):
         if i == j:
             return
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
+        index = self.index
+        for r in index[i] | index[j]:
+            row = self.a[r]
+            x = row.pop(i, 0)
+            y = row.pop(j, 0)
+            if y:
+                row[i] = y
+            if x:
+                row[j] = x
+        index[i], index[j] = index[j], index[i]
+        self.v_cols[i], self.v_cols[j] = self.v_cols[j], self.v_cols[i]
         self.vi[i], self.vi[j] = self.vi[j], self.vi[i]
 
     def add_col(self, src, dst, k):
         """col[dst] += k * col[src]"""
         if k == 0:
             return
-        for r in self.a:
-            r[dst] += k * r[src]
-        for r in self.v:
-            r[dst] += k * r[src]
-        self.vi[src] = [x - k * y for x, y in zip(self.vi[src], self.vi[dst])]
+        rows = self.index[dst]
+        for r in self.index[src]:
+            row = self.a[r]
+            x = row.get(dst, 0) + k * row[src]
+            if x:
+                row[dst] = x
+                rows.add(r)
+            else:
+                del row[dst]
+                rows.discard(r)
+        _add_scaled(self.v_cols[dst], self.v_cols[src], k)
+        _add_scaled(self.vi[src], self.vi[dst], -k)
 
-    def negate_col(self, i):
-        for r in self.a:
-            r[i] = -r[i]
-        for r in self.v:
-            r[i] = -r[i]
-        self.vi[i] = [-x for x in self.vi[i]]
+    def clear_column(self, t) -> bool:
+        """Reduce column t below the pivot by division with remainder, in
+        ascending row order.  True when a remainder was swapped up into the
+        pivot, so the column needs another pass."""
+        dirty = False
+        # only rows t and i change while row i is handled, so later rows
+        # keep the entries they had when the pass began
+        for i in sorted(i for i in self.index[t] if i > t):
+            q = self.a[i][t] // self.a[t][t]
+            self.add_row(t, i, -q)
+            if t in self.a[i]:
+                # remainder smaller than pivot: swap it up and restart
+                self.swap_rows(t, i)
+                dirty = True
+        return dirty
+
+    def clear_row(self, t) -> bool:
+        """The same for row t right of the pivot, by column operations."""
+        dirty = False
+        for j in sorted(j for j in self.a[t] if j > t):
+            q = self.a[t][j] // self.a[t][t]
+            self.add_col(t, j, -q)
+            if j in self.a[t]:
+                self.swap_cols(t, j)
+                dirty = True
+        return dirty
+
+    def clear(self, t, column_first: bool):
+        """Clear row and column t until neither pass swaps a remainder in."""
+        first, second = ((self.clear_column, self.clear_row) if column_first
+                         else (self.clear_row, self.clear_column))
+        while True:
+            if first(t):
+                continue
+            if not second(t):
+                return
+
+
+def _add_scaled(dst: dict, src: dict, k: int):
+    """dst += k * src on sparse vectors, dropping entries that cancel."""
+    for c, y in src.items():
+        x = dst.get(c, 0) + k * y
+        if x:
+            dst[c] = x
+        else:
+            del dst[c]
+
+
+def _dense(n: int, m: int, vectors, by_rows: bool) -> IntMatrix:
+    """The n x m matrix whose rows (or columns) are the sparse ``vectors``."""
+    data = [[0] * m for _ in range(n)]
+    for k, vec in enumerate(vectors):
+        for c, x in vec.items():
+            if by_rows:
+                data[k][c] = x
+            else:
+                data[c][k] = x
+    return IntMatrix(n, m, tuple(map(tuple, data)))
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
@@ -234,7 +320,7 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     block (preferring ±1), clear its row and column by division with
     remainder, fix any divisibility failure by folding the offending row into
     the pivot row, then recurse into the next block.  Runs in exact integer
-    arithmetic throughout.
+    arithmetic throughout, touching only nonzero entries.
     """
     w = _Worker(m)
     limit = min(w.rows, w.cols)
@@ -246,95 +332,55 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
         pi, pj = pivot
         w.swap_rows(t, pi)
         w.swap_cols(t, pj)
-        while True:
-            # clear column t below/above the pivot
-            dirty = False
-            for i in range(t + 1, w.rows):
-                if w.a[i][t] != 0:
-                    q = w.a[i][t] // w.a[t][t]
-                    w.add_row(t, i, -q)
-                    if w.a[i][t] != 0:
-                        # remainder smaller than pivot: swap it up and restart
-                        w.swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, w.cols):
-                if w.a[t][j] != 0:
-                    q = w.a[t][j] // w.a[t][t]
-                    w.add_col(t, j, -q)
-                    if w.a[t][j] != 0:
-                        w.swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            break
+        w.clear(t, column_first=True)
         if w.a[t][t] < 0:
             w.negate_row(t)
         # divisibility sweep: the pivot must divide every later entry
         offender = _divisibility_offender(w, t)
         while offender is not None:
-            oi, _ = offender
-            w.add_row(oi, t, 1)
+            w.add_row(offender, t, 1)
             # re-clear; the recursive structure keeps this terminating because
             # gcd of the block strictly divides the old pivot
-            while True:
-                dirty = False
-                for j in range(t + 1, w.cols):
-                    if w.a[t][j] != 0:
-                        q = w.a[t][j] // w.a[t][t]
-                        w.add_col(t, j, -q)
-                        if w.a[t][j] != 0:
-                            w.swap_cols(t, j)
-                            dirty = True
-                if dirty:
-                    continue
-                for i in range(t + 1, w.rows):
-                    if w.a[i][t] != 0:
-                        q = w.a[i][t] // w.a[t][t]
-                        w.add_row(t, i, -q)
-                        if w.a[i][t] != 0:
-                            w.swap_rows(t, i)
-                            dirty = True
-                if not dirty:
-                    break
+            w.clear(t, column_first=False)
             if w.a[t][t] < 0:
                 w.negate_row(t)
             offender = _divisibility_offender(w, t)
         t += 1
-    diag = IntMatrix(
-        w.rows, w.cols, tuple(tuple(r) for r in w.a)
-    )
+    rows, cols = w.rows, w.cols
     return SmithDecomposition(
         matrix=m,
-        diagonal=diag,
-        u=IntMatrix(w.rows, w.rows, tuple(tuple(r) for r in w.u)),
-        u_inv=IntMatrix(w.rows, w.rows, tuple(tuple(r) for r in w.ui)),
-        v=IntMatrix(w.cols, w.cols, tuple(tuple(r) for r in w.v)),
-        v_inv=IntMatrix(w.cols, w.cols, tuple(tuple(r) for r in w.vi)),
+        diagonal=_dense(rows, cols, w.a, by_rows=True),
+        u=_dense(rows, rows, w.u, by_rows=True),
+        u_inv=_dense(rows, rows, w.ui_cols, by_rows=False),
+        v=_dense(cols, cols, w.v_cols, by_rows=False),
+        v_inv=_dense(cols, cols, w.vi, by_rows=True),
     )
 
 
 def _find_pivot(w: _Worker, t: int):
-    """Least |entry| in the block from (t, t), preferring a ±1 outright."""
+    """Least |entry| in the block from (t, t), preferring a ±1 outright;
+    ties go to the first entry in row-major order."""
     best = None
     best_val = None
     for i in range(t, w.rows):
-        for j in range(t, w.cols):
-            v = abs(w.a[i][j])
-            if v == 0:
-                continue
-            if v == 1:
-                return (i, j)
-            if best_val is None or v < best_val:
-                best, best_val = (i, j), v
+        row_best = min(((abs(x), j) for j, x in w.a[i].items() if j >= t),
+                       default=None)
+        if row_best is None:
+            continue
+        v, j = row_best
+        if v == 1:
+            return (i, j)
+        if best_val is None or v < best_val:
+            best, best_val = (i, j), v
     return best
 
 
 def _divisibility_offender(w: _Worker, t: int):
+    """First row below t with an entry the pivot does not divide."""
     d = w.a[t][t]
+    if d == 1:
+        return None
     for i in range(t + 1, w.rows):
-        for j in range(t + 1, w.cols):
-            if w.a[i][j] % d != 0:
-                return (i, j)
+        if any(x % d for j, x in w.a[i].items() if j > t):
+            return i
     return None

@@ -50,7 +50,13 @@ from ctlhom.corpus import (
     torus,
 )
 from ctlhom.ctlset import ControlError
-from ctlhom.sset import Cell, Simplex, SimplicialMap, standard_simplex
+from ctlhom.sset import (
+    Cell,
+    FiniteSimplicialSet,
+    Simplex,
+    SimplicialMap,
+    standard_simplex,
+)
 from ctlhom.snf import IntMatrix, MatrixError
 
 
@@ -248,6 +254,15 @@ def test_theories_of_the_line():
     assert cohomology(line()).group(0) == AbelianGroup(1)
 
 
+@pytest.mark.parametrize("driver,is_limit", [
+    (homology, False), (bm_homology, True), (cohomology, True),
+    (cohomology_c, False),
+])
+def test_only_limits_carry_the_mittag_leffler_caveat(driver, is_limit):
+    caveats = driver(line()).caveats
+    assert any("Mittag-Leffler" in c for c in caveats) == is_limit
+
+
 def test_theories_of_plane_and_cylinder():
     bm = bm_homology(plane())
     assert [bm.group(n) for n in (0, 1, 2)] \
@@ -434,3 +449,21 @@ def test_collapse_induces_iso_on_h0():
     source, target, images = induced_on_homology(collapse, 0)
     assert source.group == target.group == AbelianGroup(1)
     assert images in ([(1,)], [(-1,)])
+
+
+def test_double_cover_of_the_circle_induces_two():
+    """Both edges of a two-edge circle land on the one loop, so the chain
+    map must add them: H_1 goes to 2 times the generator."""
+    a, b = Simplex((), Cell(0, "a")), Simplex((), Cell(0, "b"))
+    two_edges = FiniteSimplicialSet(
+        {0: ["a", "b"], 1: ["x", "y"]},
+        {(1, "x"): (b, a), (1, "y"): (a, b)},
+        name="circle2",
+    )
+    loop = circle()
+    v, e = Simplex((), Cell(0, "v")), Simplex((), Cell(1, "e"))
+    cover = SimplicialMap(two_edges, loop, {
+        Cell(0, "a"): v, Cell(0, "b"): v, Cell(1, "x"): e, Cell(1, "y"): e})
+    source, target, images = induced_on_homology(cover, 1)
+    assert source.group == target.group == AbelianGroup(1)
+    assert images in ([(2,)], [(-2,)])

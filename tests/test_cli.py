@@ -133,6 +133,7 @@ def test_bad_max_carrier_is_a_usage_error(capsys):
     (["pairing", "torus", "--degree=-1"], "--degree"),
     (["bm-homology", "line", "--max-depth", "0"], "--max-depth"),
     (["pairing", "line", "--degree", "1", "--max-depth", "0"], "--max-depth"),
+    (["homology", "line", "--max-dim=-1"], "--max-dim"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv, flag):
     code = cli.main(argv)

@@ -1,7 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctlhom.chainalg import boundary_matrix
+from ctlhom.corpus import torus
 from ctlhom.snf import IntMatrix, MatrixError, smith_normal_form
+
+GOLDEN = json.loads((Path(__file__).parent / "snf_golden.json").read_text())
 
 
 @st.composite
@@ -12,6 +19,22 @@ def int_matrices(draw, max_size=5, max_entry=9):
         tuple(draw(st.integers(-max_entry, max_entry)) for _ in range(cols))
         for _ in range(rows)
     )
+    return IntMatrix(rows, cols, data)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_size=14, max_entry=9, max_density=0.3):
+    """Matrices with at most ``max_density`` of their entries nonzero."""
+    rows = draw(st.integers(0, max_size))
+    cols = draw(st.integers(0, max_size))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    nonzero = draw(st.dictionaries(
+        st.sampled_from(cells) if cells else st.nothing(),
+        st.integers(1, max_entry).flatmap(lambda v: st.sampled_from((v, -v))),
+        max_size=int(max_density * len(cells)),
+    ))
+    data = tuple(tuple(nonzero.get((i, j), 0) for j in range(cols))
+                 for i in range(rows))
     return IntMatrix(rows, cols, data)
 
 
@@ -51,6 +74,31 @@ def test_decomposition_certificates(m):
     """U m V = D with unimodular U, V (checked against tracked inverses)."""
     dec = smith_normal_form(m)
     assert dec.verify()
+
+
+@given(sparse_int_matrices())
+@settings(max_examples=200)
+def test_sparse_decomposition_certificates(m):
+    """Large sparse matrices: pivots far from the corner, empty columns."""
+    assert smith_normal_form(m).verify()
+
+
+def _golden_input(name, case):
+    if name.startswith("torus_boundary_"):
+        return boundary_matrix(torus(), int(name.rsplit("_", 1)[1]))
+    return IntMatrix(*case["shape"], case["matrix"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_decomposition_is_pinned(name):
+    """The reduction's pivoting order fixes U, V and their inverses, and with
+    them every generator a presentation reports: they must not drift."""
+    case = GOLDEN[name]
+    m = _golden_input(name, case)
+    assert m.data == tuple(map(tuple, case["matrix"]))
+    dec = smith_normal_form(m)
+    for field in ("diagonal", "u", "u_inv", "v", "v_inv"):
+        assert getattr(dec, field).data == tuple(map(tuple, case[field])), field
 
 
 @given(int_matrices())
