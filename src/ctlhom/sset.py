@@ -147,6 +147,7 @@ class FiniteSimplicialSet:
                         )
                 self._faces[key] = fs
         self._vertex_closure = {}
+        self._stars = None
         if validate:
             problems = self.identity_violations()
             if problems:
@@ -210,10 +211,21 @@ class FiniteSimplicialSet:
         return result
 
     def star(self, vertex: Cell) -> tuple:
-        """All nondegenerate simplices whose closure contains the vertex."""
+        """All nondegenerate simplices whose closure contains the vertex, in
+        ``all_cells`` order.
+
+        Read from a vertex -> star index built by one pass over the cells on
+        the first call (complexes are not mutated after construction).
+        """
         if vertex.dim != 0:
             raise SimplicialError("stars are taken at 0-simplices")
-        return tuple(x for x in self.all_cells() if vertex in self.vertices_of(x))
+        if self._stars is None:
+            stars = {}
+            for x in self.all_cells():
+                for v in self.vertices_of(x):
+                    stars.setdefault(v, []).append(x)
+            self._stars = {v: tuple(xs) for v, xs in stars.items()}
+        return self._stars.get(vertex, ())
 
     def identity_violations(self) -> list[str]:
         """Simplicial identity failures d_i d_j != d_{j-1} d_i, as messages."""
@@ -278,6 +290,9 @@ def face(X, x, i: int) -> Simplex:
         raise SimplicialError("0-simplices have no faces")
     if not 0 <= i <= x.dim:
         raise SimplicialError(f"face index {i} outside 0..{x.dim}")
+    if not x.word:
+        # the stored face; the general action below returns the same simplex
+        return X.face(x.core, i)
     return apply_ordinal_map(X, x, delta.coface(x.dim - 1, i))
 
 
@@ -565,8 +580,11 @@ def is_locally_finite(X, probe_depth: int = 3) -> LocalFinitenessReport:
     existing at stage i must have equal stars at stages i+1 and i+2 (one step
     of settling is allowed for the slab that attaches at the frontier).  This
     is sound for the periodic presentations expressible here; a vertex whose
-    star keeps growing is reported as the witness.
+    star keeps growing is reported as the witness.  A negative
+    ``probe_depth`` compares no stages and is refused.
     """
+    if probe_depth < 0:
+        raise SimplicialError("probe_depth must be at least 0")
     if isinstance(X, FiniteSimplicialSet):
         sizes = {v.id: len(X.star(v)) for v in X.cells(0)}
         return LocalFinitenessReport(
@@ -783,8 +801,12 @@ def is_proper_map(f, max_depth: int = 8, window: int = 2) -> PropernessReport:
     growth is only flagged at simplices present two stages back.  The map is
     certified proper once no such fiber grows for ``window`` consecutive
     stages, and reported non-proper with the growing fiber as witness
-    otherwise.  Sound for periodic presentations.
+    otherwise.  Sound for periodic presentations.  A probe that ends before
+    either happens (``max_depth`` too small for the window) is undetermined
+    and raises SimplicialError rather than certifying anything.
     """
+    if window < 1:
+        raise SimplicialError("window must be at least 1")
     if isinstance(f, SimplicialMap):
         counts = _fiber_counts(f)
         return PropernessReport(ok=True, max_fiber=max(counts.values(), default=0))
@@ -814,9 +836,9 @@ def is_proper_map(f, max_depth: int = 8, window: int = 2) -> PropernessReport:
                 )
     worst = max(history, key=lambda y: len(history[y]), default=None)
     if worst is None:
-        # never settled but nothing grew repeatedly: treat as proper
-        return PropernessReport(
-            ok=True, max_fiber=max(counts_history[-1].values(), default=0)
+        raise SimplicialError(
+            f"properness undetermined within max_depth {max_depth}: fibers "
+            f"neither settled for {window} stages nor grew"
         )
     sizes = [a for a, _ in history[worst]] + [history[worst][-1][1]]
     return PropernessReport(

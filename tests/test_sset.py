@@ -9,9 +9,11 @@ from ctlhom.corpus import (
     fold_line_to_ray,
     infinite_star,
     line,
+    plane,
     point,
     ray,
     rp2,
+    sphere,
     torus,
 )
 from ctlhom.delta import all_monotone_maps, compose, identity
@@ -112,6 +114,41 @@ def test_identity_violations_empty_on_corpus():
         assert X.identity_violations() == []
 
 
+def _simplices(*ids, dim):
+    return tuple(Simplex((), Cell(dim, i)) for i in ids)
+
+
+def test_identity_violation_on_nondegenerate_faces_is_reported():
+    # d_0 and d_1 of the triangle are swapped: (ac, bc, ab) instead of (bc, ac, ab)
+    with pytest.raises(PresentationError) as err:
+        FiniteSimplicialSet(
+            cells={0: ("a", "b", "c"), 1: ("ab", "bc", "ac"), 2: ("t",)},
+            faces={
+                (1, "ab"): _simplices("b", "a", dim=0),
+                (1, "bc"): _simplices("c", "b", dim=0),
+                (1, "ac"): _simplices("c", "a", dim=0),
+                (2, "t"): _simplices("ac", "bc", "ab", dim=1),
+            },
+        )
+    assert str(err.value) == (
+        "d_0 d_2 != d_1 d_0 at 2-cell 't'; d_1 d_2 != d_1 d_1 at 2-cell 't'"
+    )
+
+
+def test_identity_violation_on_degenerate_faces_is_reported():
+    # d_0 d_1 = d_0 e = b, but d_0 d_0 = d_0 s_0 a = a
+    sa = Simplex((0,), Cell(0, "a"))
+    with pytest.raises(PresentationError) as err:
+        FiniteSimplicialSet(
+            cells={0: ("a", "b"), 1: ("e",), 2: ("t",)},
+            faces={
+                (1, "e"): _simplices("b", "a", dim=0),
+                (2, "t"): (sa, Simplex((), Cell(1, "e")), sa),
+            },
+        )
+    assert str(err.value) == "d_0 d_1 != d_0 d_0 at 2-cell 't'"
+
+
 def test_all_simplices_counts_for_the_triangle():
     # monotone maps [n] -> [2]: C(n+3, 2) of them
     assert [len(all_simplices(D2, n)) for n in range(4)] == [3, 6, 10, 15]
@@ -186,6 +223,37 @@ def test_infinite_star_is_caught():
     report = is_locally_finite(infinite_star())
     assert not report.ok
     assert "o" in report.witness
+    # a negative probe depth compares no stages, so it may not certify
+    for depth in (-1, -2):
+        with pytest.raises(SimplicialError, match="probe_depth must be at least 0"):
+            is_locally_finite(infinite_star(), probe_depth=depth)
+
+
+def _stars_by_definition(X):
+    return {v: tuple(x for x in X.all_cells() if v in X.vertices_of(x))
+            for v in X.cells(0)}
+
+
+@pytest.mark.parametrize("space", [ray, line, plane, cylinder, balloon_ray, infinite_star])
+def test_star_index_matches_the_definition_on_stages(space):
+    exhaustion = space()
+    for depth in range(6):
+        K = exhaustion.truncate(depth).complex
+        for v, star in _stars_by_definition(K).items():
+            assert K.star(v) == star
+        for edge in K.cells(1)[:1]:
+            with pytest.raises(SimplicialError, match="0-simplices"):
+                K.star(edge)
+
+
+def test_star_index_matches_the_definition_on_finite_complexes():
+    for X in (point(), circle(), torus(), rp2(), D2, sphere(3)):
+        for v, star in _stars_by_definition(X).items():
+            assert X.star(v) == star
+    # a vertex the complex does not have has an empty star
+    assert D2.star(Cell(0, "elsewhere")) == ()
+    with pytest.raises(SimplicialError, match="0-simplices"):
+        D2.star(Cell(1, "0.1"))
 
 
 # ------------------------------------------------------------ simplicial maps
@@ -227,6 +295,25 @@ def test_cylinder_projection_is_not_proper():
     report = is_proper_map(cylinder_projection())
     assert not report.ok
     assert "keeps growing" in report.witness
+
+
+def test_short_properness_probe_is_undetermined():
+    # depth 2 is the first stage whose fibers are compared, so depth 1 proves nothing
+    with pytest.raises(SimplicialError, match="undetermined within max_depth 1"):
+        is_proper_map(cylinder_projection(), max_depth=1)
+    assert not is_proper_map(cylinder_projection(), max_depth=2).ok
+    with pytest.raises(SimplicialError, match="undetermined within max_depth 2"):
+        is_proper_map(fold_line_to_ray(), max_depth=2)
+    assert is_proper_map(fold_line_to_ray(), max_depth=3).ok
+    # the equivalence report starts from the properness probe, so it refuses too
+    with pytest.raises(SimplicialError, match="undetermined"):
+        proper_controlled_equivalence(cylinder_projection(), max_depth=1)
+
+
+def test_properness_window_must_be_positive():
+    for f in (cylinder_projection(), fold_line_to_ray()):
+        with pytest.raises(SimplicialError, match="window must be at least 1"):
+            is_proper_map(f, window=0)
 
 
 def test_equivalence_agrees_on_positive_cases():
