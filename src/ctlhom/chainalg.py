@@ -252,7 +252,7 @@ def boundary_matrix(X: FiniteSimplicialSet, n: int,
     index = {c: i for i, c in enumerate(target)}
     cols = []
     for cell in source:
-        col = [0] * len(target)
+        col = {}
         for i in range(n + 1):
             fv = X.face(cell, i)
             if not fv.is_nondegenerate:
@@ -260,12 +260,9 @@ def boundary_matrix(X: FiniteSimplicialSet, n: int,
             at = index.get(fv.core)
             if at is None:
                 continue
-            col[at] += -1 if i % 2 else 1
+            col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
         cols.append(col)
-    return IntMatrix(
-        len(target), len(source),
-        tuple(tuple(col[r] for col in cols) for r in range(len(target))),
-    )
+    return _from_columns(len(target), cols)
 
 
 def unnormalized_boundary_matrix(X: FiniteSimplicialSet, n: int) -> IntMatrix:
@@ -277,15 +274,19 @@ def unnormalized_boundary_matrix(X: FiniteSimplicialSet, n: int) -> IntMatrix:
     index = {s: i for i, s in enumerate(target)}
     cols = []
     for x in source:
-        col = [0] * len(target)
+        col = {}
         for i in range(n + 1):
-            fv = apply_ordinal_map(X, x, delta.coface(n - 1, i))
-            col[index[fv]] += -1 if i % 2 else 1
+            at = index[apply_ordinal_map(X, x, delta.coface(n - 1, i))]
+            col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
         cols.append(col)
-    return IntMatrix(
-        len(target), len(source),
-        tuple(tuple(col[r] for col in cols) for r in range(len(target))),
-    )
+    return _from_columns(len(target), cols)
+
+
+def _from_columns(rows: int, cols) -> IntMatrix:
+    """The matrix with the given ``{row: value}`` dict per column; entries
+    that cancelled to zero are dropped."""
+    cols = [{i: x for i, x in col.items() if x} for col in cols]
+    return IntMatrix.from_entries(len(cols), rows, cols).transpose()
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +306,6 @@ class HomologyPresentation:
     orders: tuple
     generators: tuple
     basis_size: int
-    _boundary_in: IntMatrix = field(repr=False)
     _v_inv: IntMatrix = field(repr=False)
     _rank: int = field(repr=False)
     _u_y: IntMatrix = field(repr=False)
@@ -342,17 +342,13 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> Homolog
     dec = smith_normal_form(boundary_in)
     r = dec.rank
     k = boundary_in.cols - r
-    y_full = dec.v_inv @ boundary_out
-    for i in range(r):
-        if any(y_full[i, j] != 0 for j in range(y_full.cols)):
-            raise MatrixError("boundaries do not compose to zero")
-    relations = y_full.submatrix(range(r, boundary_in.cols), range(y_full.cols))
-    dec_y = smith_normal_form(relations)
-    orders_all = []
-    for i in range(k):
-        d = dec_y.diagonal[i, i] if i < min(relations.rows, relations.cols) else 0
-        orders_all.append(d)
-    kernel = dec.v.submatrix(range(dec.v.rows), range(r, dec.v.cols))
+    y_full = (dec.v_inv @ boundary_out).entries
+    if any(y_full[:r]):
+        raise MatrixError("boundaries do not compose to zero")
+    dec_y = smith_normal_form(IntMatrix.from_entries(k, boundary_out.cols, y_full[r:]))
+    orders_all = list(dec_y.invariant_factors) + [0] * (k - dec_y.rank)
+    kernel = IntMatrix.from_entries(boundary_in.cols, k, (
+        {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
     gen_matrix = kernel @ dec_y.u_inv
     kept = tuple(i for i, d in enumerate(orders_all) if d != 1)
     orders = tuple(orders_all[i] for i in kept)
@@ -366,7 +362,6 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> Homolog
         orders=orders,
         generators=generators,
         basis_size=boundary_in.cols,
-        _boundary_in=boundary_in,
         _v_inv=dec.v_inv,
         _rank=r,
         _u_y=dec_y.u,
@@ -391,14 +386,9 @@ def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
     k = len(target.orders)
     if k == 0:
         return True
-    cols = [tuple(img) for img in images]
-    for i, d in enumerate(target.orders):
-        if d >= 2:
-            cols.append(tuple(d if j == i else 0 for j in range(k)))
-    if not cols:
-        return False
-    m = IntMatrix(k, len(cols), tuple(tuple(c[i] for c in cols) for i in range(k)))
-    dec = smith_normal_form(m)
+    cols = [dict(enumerate(img)) for img in images]
+    cols += [{i: d} for i, d in enumerate(target.orders) if d >= 2]
+    dec = smith_normal_form(_from_columns(k, cols))
     return dec.rank == k and all(f == 1 for f in dec.invariant_factors)
 
 
@@ -468,10 +458,14 @@ def _pull(cells: tuple, vector) -> tuple:
 def _check_chain_map(cells, cells_below, d_source, d_target, context):
     """Each source boundary column, pushed along the degree-below map, must
     be the target boundary column at the cell's image (zero if none)."""
-    zero = (0,) * d_target.rows
-    for j, i in enumerate(cells):
-        image = zero if i is None else d_target.col(i)
-        if _push(cells_below, d_target.rows, d_source.col(j)) != image:
+    target_cols = d_target.transpose().entries
+    for i, col in zip(cells, d_source.transpose().entries):
+        pushed = {}
+        for r, a in col.items():
+            if cells_below[r] is not None:
+                pushed[cells_below[r]] = pushed.get(cells_below[r], 0) + a
+        image = {} if i is None else target_cols[i]
+        if {r: a for r, a in pushed.items() if a} != image:
             raise MatrixError(f"{context}: transition does not commute with the boundary")
 
 

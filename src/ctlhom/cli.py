@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 usage errors, 3 validation failures (bad space
-files, spaces that are not locally finite, unknown names), 4 a theory that
-does not stabilize within the probed depth, 5 a law counterexample.
+Exit codes: 0 success, 1 output closed early (a reader such as ``head``
+closed the pipe), 2 usage errors, 3 validation failures (bad space files,
+spaces that are not locally finite, unknown names), 4 a theory that does
+not stabilize within the probed depth, 5 a law counterexample.
 
 All --json output is deterministic: keys are sorted and no environmental
 data is embedded, so identical invocations produce identical bytes.
@@ -46,6 +47,7 @@ from .snf import MatrixError
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_OUTPUT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_STABILIZATION = 4
@@ -313,6 +315,19 @@ def _cmd_pairing(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _run(parser, args)
+        # a closed pipe fails here, not in the interpreter's final flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's documented recipe: point stdout at devnull so that the
+        # flush at exit writes nothing and raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
+
+
+def _run(parser, args) -> int:
     try:
         _check_bounds(args)
         if args.command == "spaces":

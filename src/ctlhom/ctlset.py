@@ -111,14 +111,6 @@ class SubsetDescriptor:
             return carrier.is_finite
         return False  # a tail of the naturals
 
-    def members_on(self, carrier: Carrier) -> tuple:
-        """Concrete members; only valid when finite on the carrier."""
-        if self.kind == "list":
-            return tuple(dict.fromkeys(self.elements))
-        if self.kind == "all" and carrier.is_finite:
-            return carrier.elements
-        raise UnsupportedRepresentationError("subset is not finitely enumerable")
-
 
 def finite_list(*elements) -> SubsetDescriptor:
     return SubsetDescriptor("list", tuple(elements))

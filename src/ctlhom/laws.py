@@ -29,7 +29,7 @@ from .ctlset import (
     validate_map,
     validate_structure,
 )
-from .sset import all_simplices, apply_ordinal_map
+from .sset import adjacent, all_simplices, apply_ordinal_map
 from . import corpus
 
 
@@ -347,7 +347,7 @@ def adjacency_vertex_reduction(max_dim: int = 3) -> LawResult:
 
     For each pair of simplices the full result sets {X(f)(x)} over all
     ordinal maps into dimensions <= max_dim are intersected and compared
-    with the vertex-set intersection.
+    with ``sset.adjacent``, the vertex-set intersection.
     """
     cases = 0
     for name in _ADJACENCY_SPACES:
@@ -356,18 +356,16 @@ def adjacency_vertex_reduction(max_dim: int = 3) -> LawResult:
         for n in range(max_dim + 1):
             simplices.extend(all_simplices(X, n))
         results = {}
-        vertex_sets = {}
         for x in simplices:
             hit = set()
             for k in range(max_dim + 1):
                 for f in delta.all_monotone_maps(k, x.dim):
                     hit.add(apply_ordinal_map(X, x, f))
             results[x] = hit
-            vertex_sets[x] = X.vertices_of(x.core)
         for x, y in product(simplices, repeat=2):
             cases += 1
             by_arrows = bool(results[x] & results[y])
-            by_vertices = bool(vertex_sets[x] & vertex_sets[y])
+            by_vertices = adjacent(X, x, y)
             if by_arrows != by_vertices:
                 return LawResult(
                     "adjacency-vertex-reduction", False, cases,

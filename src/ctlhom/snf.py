@@ -15,56 +15,81 @@ class MatrixError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix, rows-major tuple of tuples."""
+    """Sparse integer matrix: one ``{col: value}`` dict per row in
+    ``entries``, zeros omitted.  ``data`` is the derived dense view, a tuple
+    of row tuples.  A matrix is never changed after construction."""
 
-    rows: int
-    cols: int
-    data: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data):
+        if rows < 0 or cols < 0:
             raise MatrixError("negative matrix shape")
-        data = tuple(tuple(map(int, row)) for row in self.data)
-        if len(data) != self.rows or any(len(r) != self.cols for r in data):
-            raise MatrixError(
-                f"data shape does not match {self.rows}x{self.cols}"
-            )
-        object.__setattr__(self, "data", data)
+        data = [tuple(map(int, row)) for row in data]
+        if len(data) != rows or any(len(r) != cols for r in data):
+            raise MatrixError(f"data shape does not match {rows}x{cols}")
+        self.rows = rows
+        self.cols = cols
+        self.entries = tuple({j: x for j, x in enumerate(r) if x} for r in data)
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries) -> "IntMatrix":
+        """The matrix with the given ``{col: value}`` dict per row.  The
+        dicts must omit zeros and become the matrix's own: the caller
+        changes them no further."""
+        entries = tuple(entries)
+        if rows < 0 or cols < 0 or len(entries) != rows:
+            raise MatrixError(f"{len(entries)} rows do not fit {rows}x{cols}")
+        m = object.__new__(IntMatrix)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        return IntMatrix(n, m, tuple(tuple(r) for r in rows))
+        return IntMatrix(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix.from_entries(rows, cols, ({} for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(
-            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return IntMatrix.from_entries(n, n, ({i: 1} for i in range(n)))
+
+    @property
+    def data(self) -> tuple:
+        return tuple(self.row(i) for i in range(self.rows))
 
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
+        # range(cols)[j] checks and wraps j as a tuple index would
+        return self.entries[i].get(range(self.cols)[j], 0)
 
     def row(self, i: int) -> tuple:
-        return self.data[i]
+        row = self.entries[i]
+        return tuple(row.get(j, 0) for j in range(self.cols))
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        j = range(self.cols)[j]
+        return tuple(row.get(j, 0) for row in self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.entries)))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, x in row.items():
+                out[j][i] = x
+        return IntMatrix.from_entries(self.cols, self.rows, out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -72,34 +97,25 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         # each left row is a sum of a * (right row k) over its nonzeros a
-        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        right = other.entries
         out = []
-        for row in self.data:
-            acc = [0] * other.cols
-            for a, nonzeros in zip(row, right):
-                if a:
-                    for j, b in nonzeros:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        for row in self.entries:
+            acc = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return IntMatrix.from_entries(self.rows, other.cols, out)
 
     def apply(self, vector) -> tuple:
         """Matrix times column vector, as a tuple."""
         vec = tuple(int(v) for v in vector)
         if len(vec) != self.cols:
             raise MatrixError(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(a * vec[j] for j, a in row.items()) for row in self.entries)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
-
-    def submatrix(self, row_range, col_range) -> "IntMatrix":
-        rs = list(row_range)
-        cs = list(col_range)
-        return IntMatrix(
-            len(rs), len(cs),
-            tuple(tuple(self.data[i][j] for j in cs) for i in rs),
-        )
+        return not any(self.entries)
 
     def __repr__(self):
         if self.rows * self.cols > 36:
@@ -140,11 +156,11 @@ class SmithDecomposition:
 
     def verify(self) -> bool:
         """Recheck the factorization and both inverse certificates."""
-        if (self.u @ self.matrix @ self.v).data != self.diagonal.data:
+        if self.u @ self.matrix @ self.v != self.diagonal:
             return False
-        if (self.u @ self.u_inv).data != IntMatrix.identity(self.u.rows).data:
+        if self.u @ self.u_inv != IntMatrix.identity(self.u.rows):
             return False
-        if (self.v @ self.v_inv).data != IntMatrix.identity(self.v.rows).data:
+        if self.v @ self.v_inv != IntMatrix.identity(self.v.rows):
             return False
         ifs = self.invariant_factors
         for a, b in zip(ifs, ifs[1:]):
@@ -154,10 +170,8 @@ class SmithDecomposition:
         for k in range(len(ifs), min(self.diagonal.rows, self.diagonal.cols)):
             if self.diagonal[k, k] != 0:
                 return False
-        for i in range(self.diagonal.rows):
-            for j in range(self.diagonal.cols):
-                if i != j and self.diagonal[i, j] != 0:
-                    return False
+        if any(j != i for i, row in enumerate(self.diagonal.entries) for j in row):
+            return False
         return True
 
 
@@ -176,7 +190,7 @@ class _Worker:
     def __init__(self, m: IntMatrix):
         self.rows = m.rows
         self.cols = m.cols
-        self.a = [{j: x for j, x in enumerate(r) if x} for r in m.data]
+        self.a = [dict(r) for r in m.entries]
         self.index = [set() for _ in range(m.cols)]
         for i, row in enumerate(self.a):
             for j in row:
@@ -301,18 +315,6 @@ def _add_scaled(dst: dict, src: dict, k: int):
             del dst[c]
 
 
-def _dense(n: int, m: int, vectors, by_rows: bool) -> IntMatrix:
-    """The n x m matrix whose rows (or columns) are the sparse ``vectors``."""
-    data = [[0] * m for _ in range(n)]
-    for k, vec in enumerate(vectors):
-        for c, x in vec.items():
-            if by_rows:
-                data[k][c] = x
-            else:
-                data[c][k] = x
-    return IntMatrix(n, m, tuple(map(tuple, data)))
-
-
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with unimodular transforms and tracked inverses.
 
@@ -349,11 +351,11 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     rows, cols = w.rows, w.cols
     return SmithDecomposition(
         matrix=m,
-        diagonal=_dense(rows, cols, w.a, by_rows=True),
-        u=_dense(rows, rows, w.u, by_rows=True),
-        u_inv=_dense(rows, rows, w.ui_cols, by_rows=False),
-        v=_dense(cols, cols, w.v_cols, by_rows=False),
-        v_inv=_dense(cols, cols, w.vi, by_rows=True),
+        diagonal=IntMatrix.from_entries(rows, cols, w.a),
+        u=IntMatrix.from_entries(rows, rows, w.u),
+        u_inv=IntMatrix.from_entries(rows, rows, w.ui_cols).transpose(),
+        v=IntMatrix.from_entries(cols, cols, w.v_cols).transpose(),
+        v_inv=IntMatrix.from_entries(cols, cols, w.vi),
     )
 
 

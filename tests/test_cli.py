@@ -20,6 +20,7 @@ from ctlhom.laws import LawResult
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "output-schema.json").read_text())
 VALIDATOR = Draft202012Validator(SCHEMA)
+PAIRING_GOLDEN = json.loads((ROOT / "tests" / "pairing_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -90,6 +91,18 @@ def test_pairing_line(capsys):
     code, doc = run_json(capsys, "pairing", "line", "--degree", "1")
     assert code == 0
     assert doc["matrix"] in ([[1]], [[-1]])
+
+
+@pytest.mark.parametrize("case", sorted(PAIRING_GOLDEN))
+def test_pairing_documents_are_pinned(capsys, case):
+    """A pairing matrix is written in the generators each presentation
+    picks, so it follows the Smith reduction's pivot order (the torus gives
+    [[0, -1], [1, 1]] in degree 1): the documents must not drift."""
+    space, degree = case.rsplit("/", 1)
+    code = cli.main(["pairing", space, "--degree", degree, "--json"])
+    assert code == 0
+    expected = json.dumps(PAIRING_GOLDEN[case], sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
 
 
 def test_laws_pass(capsys):
@@ -172,6 +185,22 @@ def test_law_failure_exit(capsys, monkeypatch):
     code, out = run(capsys, "laws")
     assert code == 5
     assert "always-wrong" in out
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe before the output is written (as
+    `head` may) gets exit 1 and no traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "ctlhom.cli", "spaces", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == ""
 
 
 def test_env_var_caps_the_depth(capsys, monkeypatch):

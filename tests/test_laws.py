@@ -31,3 +31,11 @@ def test_catalogue_closure_reports_its_cases():
     r = laws.assignment_catalogue_closure()
     assert r.ok
     assert r.cases == 360
+
+
+def test_adjacency_law_checks_sset_adjacent(monkeypatch):
+    # the law compares the ordinal-map definition with sset.adjacent itself
+    monkeypatch.setattr(laws, "adjacent", lambda X, x, y: True)
+    r = laws.adjacency_vertex_reduction()
+    assert not r.ok
+    assert "arrows say False, vertices say True" in r.counterexample

@@ -38,6 +38,64 @@ def sparse_int_matrices(draw, max_size=14, max_entry=9, max_density=0.3):
     return IntMatrix(rows, cols, data)
 
 
+@st.composite
+def int_lists(draw, rows, cols):
+    """A rows x cols list of lists.  Entries within ±1 or ±9: with ±1,
+    zeros, empty rows and products that cancel to zero are common."""
+    bound = draw(st.sampled_from((1, 9)))
+    return [[draw(st.integers(-bound, bound)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+shapes = st.integers(0, 5)
+
+
+@given(shapes, shapes, shapes, st.data())
+def test_product_matches_the_triple_loop(n, m, p, data):
+    a = data.draw(int_lists(n, m))
+    b = data.draw(int_lists(m, p))
+    expected = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(m))
+                           for j in range(p)) for i in range(n))
+    product = IntMatrix(n, m, a) @ IntMatrix(m, p, b)
+    assert (product.rows, product.cols, product.data) == (n, p, expected)
+
+
+@given(shapes, shapes, st.data())
+def test_apply_matches_the_plain_sum(n, m, data):
+    a = data.draw(int_lists(n, m))
+    v = data.draw(int_lists(1, m))[0]
+    expected = tuple(sum(a[i][k] * v[k] for k in range(m)) for i in range(n))
+    assert IntMatrix(n, m, a).apply(v) == expected
+
+
+@given(shapes, shapes, st.data())
+def test_dense_view_transpose_and_zero_test(n, m, data):
+    rows = data.draw(int_lists(n, m))
+    mat = IntMatrix(n, m, rows)
+    assert mat.data == tuple(map(tuple, rows))
+    assert IntMatrix(mat.rows, mat.cols, mat.data) == mat
+    assert mat.transpose().data == tuple(
+        tuple(rows[i][j] for i in range(n)) for j in range(m))
+    assert mat.transpose().transpose() == mat
+    assert mat.is_zero() == all(x == 0 for row in rows for x in row)
+
+
+def test_empty_shapes():
+    wide, tall = IntMatrix.zeros(0, 4), IntMatrix.zeros(4, 0)
+    assert wide.data == () and tall.data == ((),) * 4
+    assert wide.transpose() == tall and tall.transpose() == wide
+    assert wide != IntMatrix.zeros(0, 3) and tall != IntMatrix.zeros(3, 0)
+    assert tall @ wide == IntMatrix.zeros(4, 4)
+    assert (wide @ tall).data == () and (tall @ wide).data == ((0,) * 4,) * 4
+    assert wide.is_zero() and tall.is_zero()
+    assert tall.apply(()) == (0,) * 4 and wide.apply((1, 2, 3, 4)) == ()
+
+
+def test_repr_shows_small_matrices_in_full():
+    assert repr(IntMatrix.from_rows([[1, 0], [0, -2]])) == "IntMatrix([1 0; 0 -2])"
+    assert repr(IntMatrix.zeros(7, 6)) == "IntMatrix(7x6)"
+
+
 def test_matmul_and_identity():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert a @ IntMatrix.identity(2) == a
