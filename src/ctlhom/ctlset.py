@@ -55,7 +55,7 @@ class Carrier:
         return self.kind == FINITE
 
     def __contains__(self, x) -> bool:
-        if self.is_finite:
+        if self.kind == FINITE:
             return x in self.elements
         return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
@@ -348,6 +348,14 @@ class ControlledMap:
                 raise UnsupportedRepresentationError(
                     "table assignments need a finite source carrier"
                 )
+            if tgt.is_finite:
+                # one pass when the table is valid; the loops below report
+                mapping, elements = a.mapping, tgt.elements
+                for x in src.elements:
+                    if x not in mapping or mapping[x] not in elements:
+                        break
+                else:
+                    return
             missing = [x for x in src.elements if x not in a.mapping]
             if missing:
                 raise ControlError(f"assignment missing values for {missing}")
@@ -461,10 +469,11 @@ def validate_map(f: ControlledMap) -> MapReport:
 
 def compose(g: ControlledMap, f: ControlledMap) -> ControlledMap:
     """g after f; the assignment catalogue is closed under composition."""
-    if f.target.carrier != g.source.carrier:
-        raise ControlError("cannot compose: carriers do not line up")
-    if not same_controlled_sets(f.target, g.source):
-        raise ControlError("cannot compose: control structures do not agree")
+    if f.target is not g.source:
+        if f.target.carrier != g.source.carrier:
+            raise ControlError("cannot compose: carriers do not line up")
+        if not same_controlled_sets(f.target, g.source):
+            raise ControlError("cannot compose: control structures do not agree")
     fa, ga = f.assignment, g.assignment
 
     if isinstance(fa, TableAssignment):

@@ -128,9 +128,10 @@ def coface_word(f: MonotoneMap) -> tuple[int, ...]:
 def from_codegeneracy_word(word, source_dim: int) -> MonotoneMap:
     """Rebuild the surjection source_dim -> source_dim - len(word) whose
     codegeneracy word is ``sorted(word)``; duplicate indices are rejected."""
+    word = tuple(word)
     doubled = set(word)
-    if len(doubled) != len(tuple(word)):
-        raise DeltaError(f"repeated codegeneracy index in {tuple(word)}")
+    if len(doubled) != len(word):
+        raise DeltaError(f"repeated codegeneracy index in {word}")
     if any(not 0 <= j <= source_dim - 1 for j in doubled):
         raise DeltaError(f"codegeneracy index outside 0..{source_dim - 1}")
     values = tuple(v - sum(1 for j in doubled if j < v) for v in range(source_dim + 1))
@@ -140,9 +141,10 @@ def from_codegeneracy_word(word, source_dim: int) -> MonotoneMap:
 def from_coface_word(word, source_dim: int) -> MonotoneMap:
     """Rebuild the injection source_dim -> source_dim + len(word) whose image
     misses exactly the indices in ``word``."""
+    word = tuple(word)
     missing = set(word)
-    if len(missing) != len(tuple(word)):
-        raise DeltaError(f"repeated coface index in {tuple(word)}")
+    if len(missing) != len(word):
+        raise DeltaError(f"repeated coface index in {word}")
     target = source_dim + len(missing)
     if any(not 0 <= i <= target for i in missing):
         raise DeltaError(f"coface index outside 0..{target}")
@@ -161,41 +163,53 @@ def check_cosimplicial_identities(max_dim: int) -> list[str]:
 
     Returns a list of human-readable violations (empty when everything holds).
     """
-    bad = []
+    return [label for label, lhs, rhs in _cosimplicial_equations(max_dim) if lhs != rhs]
+
+
+def _cosimplicial_equations(max_dim: int):
+    """Every generator identity up to max_dim as (violation text, lhs, rhs)."""
     for n in range(max_dim + 1):
         # coface-coface: d^j d^i == d^i d^{j-1} for i < j
         for j in range(1, n + 3):
             for i in range(j):
-                if j <= n + 2 and i <= n + 1:
-                    lhs = compose(coface(n + 1, j), coface(n, i))
-                    rhs = compose(coface(n + 1, i), coface(n, j - 1))
-                    if lhs != rhs:
-                        bad.append(f"d^{j} d^{i} != d^{i} d^{j-1} at n={n}")
+                yield (
+                    f"d^{j} d^{i} != d^{i} d^{j-1} at n={n}",
+                    compose(coface(n + 1, j), coface(n, i)),
+                    compose(coface(n + 1, i), coface(n, j - 1)),
+                )
         # codegeneracy-codegeneracy: s^j s^i == s^i s^{j+1} for i <= j
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = compose(codegeneracy(n, j), codegeneracy(n + 1, i))
-                rhs = compose(codegeneracy(n, i), codegeneracy(n + 1, j + 1))
-                if lhs != rhs:
-                    bad.append(f"s^{j} s^{i} != s^{i} s^{j+1} at n={n}")
+                yield (
+                    f"s^{j} s^{i} != s^{i} s^{j+1} at n={n}",
+                    compose(codegeneracy(n, j), codegeneracy(n + 1, i)),
+                    compose(codegeneracy(n, i), codegeneracy(n + 1, j + 1)),
+                )
         # mixed: s^j d^i == d^i s^{j-1} for i < j
         for j in range(1, n + 1):
             for i in range(j):
-                lhs = compose(codegeneracy(n, j), coface(n, i))
-                rhs = compose(coface(n - 1, i), codegeneracy(n - 1, j - 1))
-                if lhs != rhs:
-                    bad.append(f"s^{j} d^{i} != d^{i} s^{j-1} at n={n}")
+                yield (
+                    f"s^{j} d^{i} != d^{i} s^{j-1} at n={n}",
+                    compose(codegeneracy(n, j), coface(n, i)),
+                    compose(coface(n - 1, i), codegeneracy(n - 1, j - 1)),
+                )
         # mixed: s^j d^j == id == s^j d^{j+1}
         for j in range(n + 1):
-            if compose(codegeneracy(n, j), coface(n, j)) != identity(n):
-                bad.append(f"s^{j} d^{j} != id at n={n}")
-            if compose(codegeneracy(n, j), coface(n, j + 1)) != identity(n):
-                bad.append(f"s^{j} d^{j+1} != id at n={n}")
+            yield (
+                f"s^{j} d^{j} != id at n={n}",
+                compose(codegeneracy(n, j), coface(n, j)),
+                identity(n),
+            )
+            yield (
+                f"s^{j} d^{j+1} != id at n={n}",
+                compose(codegeneracy(n, j), coface(n, j + 1)),
+                identity(n),
+            )
         # mixed: s^j d^i == d^{i-1} s^j for i > j + 1
         for j in range(n):
             for i in range(j + 2, n + 2):
-                lhs = compose(codegeneracy(n, j), coface(n, i))
-                rhs = compose(coface(n - 1, i - 1), codegeneracy(n - 1, j))
-                if lhs != rhs:
-                    bad.append(f"s^{j} d^{i} != d^{i-1} s^{j} at n={n}")
-    return bad
+                yield (
+                    f"s^{j} d^{i} != d^{i-1} s^{j} at n={n}",
+                    compose(codegeneracy(n, j), coface(n, i)),
+                    compose(coface(n - 1, i - 1), codegeneracy(n - 1, j)),
+                )

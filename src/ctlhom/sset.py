@@ -11,6 +11,7 @@ and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from . import delta
@@ -86,9 +87,12 @@ def is_nondegenerate(x: Simplex) -> bool:
     return x.is_nondegenerate
 
 
-def _word_surjection(x: Simplex) -> MonotoneMap:
-    """The ordinal surjection x.dim -> core.dim encoded by the word."""
-    return delta.from_codegeneracy_word(tuple(reversed(x.word)), x.dim)
+@lru_cache(maxsize=4096)
+def _word_surjection(word: tuple[int, ...], dim: int) -> MonotoneMap:
+    """The ordinal surjection dim -> dim - len(word) encoded by a strictly
+    decreasing degeneracy word.  Memoised: MonotoneMap is frozen, and the
+    words met in practice are few."""
+    return delta.from_codegeneracy_word(tuple(reversed(word)), dim)
 
 
 def _degeneracy_word(f: MonotoneMap) -> tuple[int, ...]:
@@ -264,15 +268,30 @@ def apply_ordinal_map(X, x: Simplex, f: MonotoneMap) -> Simplex:
         raise SimplicialError(
             f"ordinal map into dimension {f.target_dim} applied to a {x.dim}-simplex"
         )
-    composite = delta.compose(_word_surjection(x), f)
-    epi, mono = delta.epi_mono_factor(composite)
+    epi, faces = _factor_action(x.word, f)
     y = Simplex((), x.core)
-    for i in delta.coface_word(mono):
+    for i in faces:
         y = _face_step(X, y, i)
-    if epi.is_identity:
+    if epi is None:
         return y
-    total = delta.compose(_word_surjection(y), epi)
-    return Simplex(_degeneracy_word(total), y.core)
+    return Simplex(_degenerate_by(y.word, epi), y.core)
+
+
+@lru_cache(maxsize=4096)
+def _factor_action(word: tuple[int, ...], f: MonotoneMap):
+    """Factor f after the surjection of ``word`` (a degeneracy word in
+    dimension f.target_dim): the surjection part, None when it is the
+    identity, and the coface word of the injection part."""
+    composite = delta.compose(_word_surjection(word, f.target_dim), f)
+    epi, mono = delta.epi_mono_factor(composite)
+    return (None if epi.is_identity else epi), delta.coface_word(mono)
+
+
+@lru_cache(maxsize=4096)
+def _degenerate_by(word: tuple[int, ...], epi: MonotoneMap) -> tuple[int, ...]:
+    """The degeneracy word of epi followed by the surjection of ``word``."""
+    total = delta.compose(_word_surjection(word, epi.target_dim), epi)
+    return _degeneracy_word(total)
 
 
 def _face_step(X, y: Simplex, i: int) -> Simplex:
@@ -651,7 +670,7 @@ class SimplicialMap:
         img = self.mapping[x.core]
         if not x.word:
             return img
-        return apply_ordinal_map(self.target, img, _word_surjection(x))
+        return apply_ordinal_map(self.target, img, _word_surjection(x.word, x.dim))
 
     def face_violations(self) -> list[str]:
         bad = []

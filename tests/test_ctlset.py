@@ -111,8 +111,17 @@ def test_table_needs_finite_source():
 
 
 def test_table_must_cover_the_carrier():
-    with pytest.raises(ControlError):
+    with pytest.raises(ControlError, match=r"missing values for \['b', 'c'\]"):
         ControlledMap(min_ctl(ABC), min_ctl(ABC), TableAssignment({"a": "a"}))
+
+
+def test_table_values_must_lie_in_the_target():
+    table = TableAssignment({"a": "a", "b": "z", "c": "c"})
+    with pytest.raises(ControlError, match="value 'z' outside target carrier"):
+        ControlledMap(min_ctl(ABC), min_ctl(ABC), table)
+    with pytest.raises(ControlError, match="value -1 outside target carrier"):
+        ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": -1, "c": 2}))
+    assert ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": 9, "c": 2}))
 
 
 # ------------------------------------------------------------- composition
@@ -141,6 +150,16 @@ def test_compose_constant_then_shift():
     h = compose(g, f)
     assert isinstance(h.assignment, ConstantAssignment)
     assert h.evaluate(11) == 7
+
+
+def test_compose_checks_the_middle_of_distinct_objects():
+    # equal presentations built separately still compose
+    f = ControlledMap(min_ctl(ABC), min_ctl(ABC), TableAssignment({"a": "b", "b": "c", "c": "a"}))
+    g = ControlledMap(max_ctl(ABC), min_ctl(ABC), TableAssignment({"a": "a", "b": "a", "c": "c"}))
+    assert compose(g, f).assignment.mapping == {"a": "a", "b": "c", "c": "a"}
+    h = ControlledMap(min_ctl(finite_carrier("ab")), min_ctl(ABC), TableAssignment({"a": "a", "b": "a"}))
+    with pytest.raises(ControlError, match="carriers do not line up"):
+        compose(h, f)
 
 
 def test_compose_requires_matching_middle_structure():

@@ -110,3 +110,10 @@ def test_compose_is_associative(triple):
 def test_identity_is_neutral(f):
     assert compose(f, identity(f.source_dim)) == f
     assert compose(identity(f.target_dim), f) == f
+
+
+def test_word_builders_accept_one_shot_iterables():
+    assert from_codegeneracy_word(iter((2, 0)), 3) == from_codegeneracy_word((0, 2), 3)
+    assert from_coface_word(iter((3, 1)), 1) == from_coface_word((1, 3), 1)
+    with pytest.raises(DeltaError):
+        from_codegeneracy_word(iter((1, 1)), 3)

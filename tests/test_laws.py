@@ -1,6 +1,9 @@
 import time
 
-from ctlhom import laws
+import pytest
+
+from ctlhom import delta, laws
+from ctlhom.ctlset import ControlledMap, TableAssignment
 
 
 def test_all_laws_hold_on_small_models():
@@ -39,3 +42,65 @@ def test_adjacency_law_checks_sset_adjacent(monkeypatch):
     r = laws.adjacency_vertex_reduction()
     assert not r.ok
     assert "arrows say False, vertices say True" in r.counterexample
+
+
+def test_associativity_reports_a_corrupted_composite(monkeypatch):
+    # compose(swap, swap) on a 2-element carrier answers a constant instead
+    # of the identity, so (swap . swap) . f != swap . (swap . f) for f = {0: 1}
+    real = laws.compose
+    swap = {0: 1, 1: 0}
+
+    def corrupted(g, f):
+        if g.assignment.mapping == swap and f.assignment.mapping == swap:
+            return ControlledMap(f.source, g.target, TableAssignment({0: 0, 1: 0}))
+        return real(g, f)
+
+    monkeypatch.setattr(laws, "compose", corrupted)
+    r = laws.category_associativity(max_carrier=2)
+    assert not r.ok
+    assert r.counterexample == (
+        "sizes (1,2,2,2): f={0: 1}, g={0: 1, 1: 0}, h={0: 1, 1: 0}"
+    )
+
+
+def test_epi_mono_law_rejects_a_factorization_through_a_larger_ordinal(monkeypatch):
+    # a non-surjective f "factored" as f itself followed by the identity of
+    # its target: it composes back, but through an ordinal larger than its image
+    real = delta.epi_mono_factor
+
+    def too_large(f):
+        if f.is_surjective:
+            return real(f)
+        return f, delta.identity(f.target_dim)
+
+    monkeypatch.setattr(delta, "epi_mono_factor", too_large)
+    r = laws.epi_mono_factorization()
+    assert not r.ok
+    assert r.cases == 2
+    assert r.counterexample == (
+        "factorization of MonotoneMap(0->1, [0]) does not compose back"
+    )
+
+
+_PINNED_CASES = {
+    0: (2, 1, 1, 16, 360, 32, 371, 456, 25888),
+    1: (6, 3, 5, 76, 360, 64, 371, 456, 25888),
+    2: (22, 11, 211, 1768, 360, 96, 371, 456, 25888),
+    3: (278, 60, 19894, 1768, 360, 128, 371, 456, 25888),
+}
+
+
+@pytest.mark.parametrize("max_carrier", sorted(_PINNED_CASES))
+def test_law_case_counts_are_pinned(max_carrier):
+    names = (
+        "generated-structure-axioms", "category-identity",
+        "category-associativity", "homset-structure-independence",
+        "assignment-catalogue-closure", "min-forget-adjunction",
+        "cosimplicial-identities", "epi-mono-factorization",
+        "adjacency-vertex-reduction",
+    )
+    results = laws.run_all(max_carrier)
+    assert [(r.name, r.ok, r.cases) for r in results] == [
+        (name, True, cases) for name, cases in zip(names, _PINNED_CASES[max_carrier])
+    ]
+

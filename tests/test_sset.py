@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
+
+from ctlhom import delta, sset
 
 from ctlhom.corpus import (
     balloon_ray,
@@ -70,6 +74,20 @@ def test_nondegenerate_iff_empty_word():
 
 # --------------------------------------------------------- the ordinal action
 
+def test_word_surjection_matches_the_codegeneracy_word():
+    # the memoised surjection of every strictly decreasing word, dim <= 6
+    words = 0
+    for dim in range(7):
+        for length in range(dim + 1):
+            for indices in combinations(range(dim), length):
+                word = tuple(sorted(indices, reverse=True))
+                expected = delta.from_codegeneracy_word(reversed(word), dim)
+                assert sset._word_surjection(word, dim) == expected
+                assert sset._word_surjection(word, dim) == expected
+                words += 1
+    assert words == 2 ** 7 - 1
+
+
 @pytest.mark.parametrize("X", [D2, circle(), torus(), rp2()],
                          ids=["delta2", "circle", "torus", "rp2"])
 def test_action_is_functorial(X):
@@ -82,6 +100,41 @@ def test_action_is_functorial(X):
                     left = apply_ordinal_map(X, y, g)
                     right = apply_ordinal_map(X, x, compose(f, g))
                     assert left == right
+
+
+def _reference_action(X, x, f):
+    """The ordinal action without memoisation: compose with the word's
+    surjection, factor, walk the cofaces, re-degenerate."""
+    surjection = delta.from_codegeneracy_word(reversed(x.word), x.dim)
+    epi, mono = delta.epi_mono_factor(compose(surjection, f))
+    y = Simplex((), x.core)
+    for i in delta.coface_word(mono):
+        y = face(X, y, i)
+    if epi.is_identity:
+        return y
+    total = compose(delta.from_codegeneracy_word(reversed(y.word), y.dim), epi)
+    return Simplex(tuple(reversed(delta.codegeneracy_word(total))), y.core)
+
+
+def _collapsed_sphere(n):
+    """One vertex and one n-cell whose faces are all degenerate."""
+    v = Cell(0, "v")
+    word = tuple(range(n - 2, -1, -1))
+    return FiniteSimplicialSet(
+        cells={0: ("v",), n: ("t",)},
+        faces={(n, "t"): tuple(Simplex(word, v) for _ in range(n + 1))},
+    )
+
+
+@pytest.mark.parametrize(
+    "X", [D2, circle(), rp2(), _collapsed_sphere(2), _collapsed_sphere(3)],
+    ids=["delta2", "circle", "rp2", "collapsed-s2", "collapsed-s3"])
+def test_action_matches_the_unmemoised_reference(X):
+    for n in range(4):
+        for x in all_simplices(X, n):
+            for k in range(4):
+                for f in all_monotone_maps(k, n):
+                    assert apply_ordinal_map(X, x, f) == _reference_action(X, x, f)
 
 
 def test_action_on_identity_is_identity():
