@@ -55,7 +55,7 @@ class Carrier:
         return self.kind == FINITE
 
     def __contains__(self, x) -> bool:
-        if self.kind == FINITE:
+        if self.is_finite:
             return x in self.elements
         return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
@@ -348,20 +348,17 @@ class ControlledMap:
                 raise UnsupportedRepresentationError(
                     "table assignments need a finite source carrier"
                 )
-            if tgt.is_finite:
-                # one pass when the table is valid; the loops below report
-                mapping, elements = a.mapping, tgt.elements
-                for x in src.elements:
-                    if x not in mapping or mapping[x] not in elements:
-                        break
-                else:
-                    return
-            missing = [x for x in src.elements if x not in a.mapping]
+            # one pass; a missing value is reported before one outside the target
+            mapping, missing, outside = a.mapping, [], []
+            for x in src.elements:
+                if x not in mapping:
+                    missing.append(x)
+                elif not outside and mapping[x] not in tgt:
+                    outside.append(mapping[x])
             if missing:
                 raise ControlError(f"assignment missing values for {missing}")
-            for x in src.elements:
-                if a.mapping[x] not in tgt:
-                    raise ControlError(f"value {a.mapping[x]!r} outside target carrier")
+            if outside:
+                raise ControlError(f"value {outside[0]!r} outside target carrier")
         elif isinstance(a, ConstantAssignment):
             if a.value not in tgt:
                 raise ControlError(f"constant value {a.value!r} outside target carrier")

@@ -113,6 +113,9 @@ def test_table_needs_finite_source():
 def test_table_must_cover_the_carrier():
     with pytest.raises(ControlError, match=r"missing values for \['b', 'c'\]"):
         ControlledMap(min_ctl(ABC), min_ctl(ABC), TableAssignment({"a": "a"}))
+    # a missing value is reported before a value outside the target
+    with pytest.raises(ControlError, match=r"missing values for \['b', 'c'\]"):
+        ControlledMap(min_ctl(ABC), min_ctl(ABC), TableAssignment({"a": "z"}))
 
 
 def test_table_values_must_lie_in_the_target():
@@ -120,7 +123,7 @@ def test_table_values_must_lie_in_the_target():
     with pytest.raises(ControlError, match="value 'z' outside target carrier"):
         ControlledMap(min_ctl(ABC), min_ctl(ABC), table)
     with pytest.raises(ControlError, match="value -1 outside target carrier"):
-        ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": -1, "c": 2}))
+        ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": -1, "c": -2}))
     assert ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": 9, "c": 2}))
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from ctlhom import delta, laws
 from ctlhom.ctlset import ControlledMap, TableAssignment
+from ctlhom.delta import MonotoneMap
 
 
 def test_all_laws_hold_on_small_models():
@@ -80,6 +81,42 @@ def test_epi_mono_law_rejects_a_factorization_through_a_larger_ordinal(monkeypat
     assert r.counterexample == (
         "factorization of MonotoneMap(0->1, [0]) does not compose back"
     )
+
+
+def _swap_keys(table, f, g):
+    table[f], table[g] = table[g], table[f]
+
+
+_AT_ZERO, _AT_ONE = MonotoneMap(0, 1, (0,)), MonotoneMap(0, 1, (1,))
+_ID_ZERO = delta.identity(0)
+
+
+@pytest.mark.parametrize("mutate, cases, counterexample", [
+    # the entry of a map is lost
+    (lambda t: t.pop(_AT_ONE), 3, "MonotoneMap(0->1, [1]) has 0 factorizations"),
+    # the same factorization is listed twice
+    (lambda t: t[_AT_ZERO].append(t[_AT_ZERO][0]), 2,
+     "MonotoneMap(0->1, [0]) has 2 factorizations"),
+    # the table is keyed wrongly: each map finds the other's factorization
+    (lambda t: _swap_keys(t, _AT_ZERO, _AT_ONE), 2,
+     "MonotoneMap(0->1, [0]) has a second factorization "
+     "MonotoneMap(0->0, [0]), MonotoneMap(0->1, [1])"),
+], ids=["entry-lost", "listed-twice", "keyed-wrongly"])
+def test_epi_mono_law_checks_each_map_against_its_table_entry(
+    monkeypatch, mutate, cases, counterexample
+):
+    real = laws._factorization_table
+
+    def mutated(n, m):
+        table = real(n, m)
+        if (n, m) == (0, 1):
+            mutate(table)
+        return table
+
+    monkeypatch.setattr(laws, "_factorization_table", mutated)
+    r = laws.epi_mono_factorization()
+    assert not r.ok
+    assert (r.cases, r.counterexample) == (cases, counterexample)
 
 
 _PINNED_CASES = {
