@@ -328,28 +328,42 @@ class HomologyPresentation:
         return tuple(out)
 
 
-def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> HomologyPresentation:
+def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
+                     reduce=None) -> HomologyPresentation:
     """Present ker(boundary_in)/im(boundary_out) with generators.
 
     ``boundary_in`` consumes the degree (one column per basis element);
     ``boundary_out`` produces into it.  Raises MatrixError if the two do not
-    compose to zero.
+    compose to zero.  Only V, V^-1 of boundary_in and U, U^-1 of the
+    relations are read.  ``reduce(matrix, track)`` (``smith_normal_form``
+    by default) reduces either boundary, tracking at least those; a caller
+    presenting neighbouring degrees passes one that shares reductions.
     """
     if boundary_in.cols != boundary_out.rows:
         raise MatrixError(
             f"boundary shapes disagree: in-cols {boundary_in.cols}, out-rows {boundary_out.rows}"
         )
-    dec = smith_normal_form(boundary_in)
-    r = dec.rank
-    k = boundary_in.cols - r
-    y_full = (dec.v_inv @ boundary_out).entries
-    if any(y_full[:r]):
-        raise MatrixError("boundaries do not compose to zero")
-    dec_y = smith_normal_form(IntMatrix.from_entries(k, boundary_out.cols, y_full[r:]))
+    reduce = reduce or smith_normal_form
+    if boundary_in.is_zero():
+        # no pivots: V = I, and the relations are boundary_out itself
+        r, k = 0, boundary_in.cols
+        v_inv = IntMatrix.identity(k)
+        dec_y = reduce(boundary_out, ("u", "u_inv"))
+        gen_matrix = dec_y.u_inv
+    else:
+        dec = reduce(boundary_in, ("v", "v_inv"))
+        r = dec.rank
+        k = boundary_in.cols - r
+        v_inv = dec.v_inv
+        y_full = (v_inv @ boundary_out).entries
+        if any(y_full[:r]):
+            raise MatrixError("boundaries do not compose to zero")
+        dec_y = smith_normal_form(
+            IntMatrix.from_entries(k, boundary_out.cols, y_full[r:]), ("u", "u_inv"))
+        kernel = IntMatrix.from_entries(boundary_in.cols, k, (
+            {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
+        gen_matrix = kernel @ dec_y.u_inv
     orders_all = list(dec_y.invariant_factors) + [0] * (k - dec_y.rank)
-    kernel = IntMatrix.from_entries(boundary_in.cols, k, (
-        {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
-    gen_matrix = kernel @ dec_y.u_inv
     kept = tuple(i for i, d in enumerate(orders_all) if d != 1)
     orders = tuple(orders_all[i] for i in kept)
     torsion = tuple(d for d in orders if d >= 2)
@@ -362,7 +376,7 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix) -> Homolog
         orders=orders,
         generators=generators,
         basis_size=boundary_in.cols,
-        _v_inv=dec.v_inv,
+        _v_inv=v_inv,
         _rank=r,
         _u_y=dec_y.u,
         _kept=kept,
@@ -388,7 +402,7 @@ def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
         return True
     cols = [dict(enumerate(img)) for img in images]
     cols += [{i: d} for i, d in enumerate(target.orders) if d >= 2]
-    dec = smith_normal_form(_from_columns(k, cols))
+    dec = smith_normal_form(_from_columns(k, cols), ())
     return dec.rank == k and all(f == 1 for f in dec.invariant_factors)
 
 
@@ -492,28 +506,34 @@ class TheoryResult:
         return self.groups.get(n, TRIVIAL_GROUP)
 
 
-THEORY_TAGS = ("H", "H_BM", "H_co", "H_c")
+def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
+    """The stage's presentations in the given degrees, of its chains or,
+    when ``dual``, of its cochains: the coboundary out of degree n is the
+    transpose of the boundary into it.  A degree with zero in-boundary has
+    its neighbour's in-boundary as relations; when both degrees are asked
+    for, that matrix is reduced once, tracking all four transforms."""
+    step = -1 if dual else 1
+    transposes = {}
 
+    def boundary_in(n):
+        if dual and n not in transposes:
+            transposes[n] = stage.boundary(n + 1).transpose()
+        return transposes[n] if dual else stage.boundary(n)
 
-def _dual_pair(stage: StageComplex, n: int):
-    """Cochain-side in/out boundaries at degree n: the coboundary out of
-    degree n is the transpose of the boundary into it."""
-    delta_n = stage.boundary(n + 1).transpose()
-    delta_below = stage.boundary(n).transpose()
-    return delta_n, delta_below
+    wanted = [n for n in degrees if n >= 0]
+    shared = {id(boundary_in(n + step)) for n in wanted
+              if n + step in wanted and boundary_in(n).is_zero()}
+    reductions = {}
 
+    def reduce(m, track):
+        if id(m) not in shared:
+            return smith_normal_form(m, track)
+        if id(m) not in reductions:
+            reductions[id(m)] = smith_normal_form(m)
+        return reductions[id(m)]
 
-def _finite_presentations(stage: StageComplex, degrees, dual: bool) -> dict:
-    out = {}
-    for n in degrees:
-        if n < 0:
-            continue
-        if dual:
-            a, b = _dual_pair(stage, n)
-            out[n] = present_homology(a, b)
-        else:
-            out[n] = present_homology(stage.boundary(n), stage.boundary(n + 1))
-    return out
+    return {n: present_homology(boundary_in(n), boundary_in(n + step), reduce)
+            for n in wanted}
 
 
 def _default_max_degree(space) -> int:
@@ -593,17 +613,21 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
     stages = {}
     presentations = {}
 
-    def stage(i):
+    def present(i, wanted) -> dict:
+        """Stage i's presentations, made for the wanted degrees it lacks: a
+        degree is read until it stabilizes, and at ``depth_used``."""
         if i not in stages:
             stages[i] = _stage_for(space, i, relative)
-            presentations[i] = _finite_presentations(stages[i], degrees, dual)
-        return stages[i]
+            presentations[i] = {}
+        have = presentations[i]
+        have.update(_present_degrees(stages[i], [n for n in wanted if n not in have], dual))
+        return {n: have[n] for n in wanted}
 
     def transition_is_iso(i, n):
         """Whether the degree-n transition between stages i and i+1 is an
         isomorphism on classes, after checking it is a chain map."""
         a, b = (i + 1, i) if relative else (i, i + 1)  # chain-level direction
-        source, target = stage(a), stage(b)
+        source, target = stages[a], stages[b]
         cells = _cell_map(source.basis(n), target.basis(n), total=not relative)
         below = _cell_map(source.basis(n - 1), target.basis(n - 1), total=not relative)
         _check_chain_map(cells, below, source.boundary(n), target.boundary(n),
@@ -619,13 +643,12 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
     quiet = {n: 0 for n in degrees}
     history = {n: [] for n in degrees}
     depth = 0
-    stage(0)
-    for n in degrees:
-        history[n].append(presentations[0][n].group)
+    for n, p in present(0, degrees).items():
+        history[n].append(p.group)
     while len(stabilized) < len(degrees):
+        unsettled = [n for n in degrees if n not in stabilized]
         if depth + 1 > max_depth:
-            missing = [n for n in degrees if n not in stabilized]
-            worst = missing[0]
+            worst = unsettled[0]
             raise NonStabilizationError(
                 f"{theory} degree {worst} did not stabilize within depth "
                 f"{max_depth} (window {window}); groups so far: "
@@ -633,14 +656,11 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
                 theory=theory,
                 degree=worst,
                 history=[
-                    (n, [render_group(g) for g in history[n]]) for n in missing
+                    (n, [render_group(g) for g in history[n]]) for n in unsettled
                 ],
             )
-        stage(depth + 1)
-        for n in degrees:
-            history[n].append(presentations[depth + 1][n].group)
-            if n in stabilized:
-                continue
+        for n, p in present(depth + 1, unsettled).items():
+            history[n].append(p.group)
             if transition_is_iso(depth, n):
                 quiet[n] += 1
                 if quiet[n] >= window:
@@ -649,7 +669,7 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
                 quiet[n] = 0
         depth += 1
     depth_used = max(stabilized.values(), default=0)
-    final = presentations[depth_used]
+    final = present(depth_used, degrees)
     integral = {n: final[n].group for n in degrees}
     caveats = [
         "transition maps verified to be isomorphisms for "
@@ -675,7 +695,7 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
 def _run_finite(space, space_label, theory, coeff, max_degree, dual):
     internal_top = max_degree + (1 if coeff.kind == "zmod" else 0)
     stage = StageComplex(space, frozenset())
-    pres = _finite_presentations(stage, range(internal_top + 1), dual)
+    pres = _present_degrees(stage, range(internal_top + 1), dual)
     integral = {n: p.group for n, p in pres.items()}
     bases = {n: stage.basis(n) for n in range(internal_top + 1)}
     return _convert_results(
@@ -941,20 +961,16 @@ def pairing_matrix(space, degree: int, window: int = 3,
                           max_depth=max_depth)
         depth = max(bm.depth_used, cc.depth_used)
         stage = _stage_for(space, depth, relative=True)
-    pres = _finite_presentations(stage, [degree], dual=False)[degree]
-    dual_pres = _finite_presentations(stage, [degree], dual=True)[degree]
-    rows = []
-    for phi in dual_pres.generators:
-        row = []
-        for c in pres.generators:
-            row.append(sum(a * b for a, b in zip(phi, c)))
-        rows.append(tuple(row))
+    pres = _present_degrees(stage, [degree], dual=False)[degree]
+    dual_pres = _present_degrees(stage, [degree], dual=True)[degree]
+    matrix = tuple(tuple(sum(a * b for a, b in zip(phi, c)) for c in pres.generators)
+                   for phi in dual_pres.generators)
     return PairingResult(
         degree=degree,
         depth=depth,
         bm_group=pres.group,
         cc_group=dual_pres.group,
-        matrix=tuple(rows),
+        matrix=matrix,
     )
 
 

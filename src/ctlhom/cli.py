@@ -12,6 +12,7 @@ data is embedded, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -312,8 +313,16 @@ def _cmd_pairing(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first call to ``main``, not at
+    import; every parse starts from a fresh namespace, so no value carries
+    over from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         code = _run(parser, args)

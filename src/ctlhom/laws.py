@@ -319,10 +319,18 @@ def epi_mono_factorization(max_dim: int = 4) -> LawResult:
         for f in delta.all_monotone_maps(n, m):
             cases += 1
             epi, mono = delta.epi_mono_factor(f)
-            if delta.compose(mono, epi) != f or not epi.is_surjective or not mono.is_injective:
+            if delta.compose(mono, epi) != f:
+                problem = "does not compose back"
+            elif not epi.is_surjective:
+                problem = f"has a first factor {epi!r} that is not surjective"
+            elif not mono.is_injective:
+                problem = f"has a second factor {mono!r} that is not injective"
+            else:
+                problem = None
+            if problem is not None:
                 return LawResult(
                     "epi-mono-factorization", False, cases,
-                    counterexample=f"factorization of {f!r} does not compose back",
+                    counterexample=f"factorization of {f!r} {problem}",
                 )
             found = factorizations.get(f, [])
             for e, mo in found:

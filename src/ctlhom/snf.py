@@ -4,6 +4,7 @@ Everything here is over the integers with Python's arbitrary precision —
 no floats anywhere.  The Smith reduction returns unimodular transforms and
 their inverses so callers can reconstruct kernels, compute coordinates of
 vectors in quotient presentations, and verify U @ M @ V == D directly.
+A caller names the transforms it reads, and only those are tracked.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ class IntMatrix:
     @property
     def data(self) -> tuple:
         return tuple(self.row(i) for i in range(self.rows))
-
-    def __getitem__(self, key):
-        i, j = key
-        # range(cols)[j] checks and wraps j as a tuple index would
-        return self.entries[i].get(range(self.cols)[j], 0)
 
     def row(self, i: int) -> tuple:
         row = self.entries[i]
@@ -130,21 +126,22 @@ class SmithDecomposition:
 
     ``diagonal`` has non-negative entries d_1 | d_2 | ... on the main
     diagonal; ``invariant_factors`` lists the nonzero ones.  ``u_inv`` and
-    ``v_inv`` are the tracked inverses (exact, not recomputed).
+    ``v_inv`` are the tracked inverses (exact, not recomputed).  A transform
+    the reduction was not asked to track is None.
     """
 
     matrix: IntMatrix
     diagonal: IntMatrix
-    u: IntMatrix
-    u_inv: IntMatrix
-    v: IntMatrix
-    v_inv: IntMatrix
+    u: IntMatrix | None
+    u_inv: IntMatrix | None
+    v: IntMatrix | None
+    v_inv: IntMatrix | None
 
     @property
     def invariant_factors(self) -> tuple:
         out = []
-        for k in range(min(self.diagonal.rows, self.diagonal.cols)):
-            d = self.diagonal[k, k]
+        for k, row in enumerate(self.diagonal.entries):
+            d = row.get(k, 0)
             if d == 0:
                 break
             out.append(d)
@@ -156,23 +153,19 @@ class SmithDecomposition:
 
     def verify(self) -> bool:
         """Recheck the factorization and both inverse certificates."""
+        if None in (self.u, self.u_inv, self.v, self.v_inv):
+            raise MatrixError("verify needs all four transforms")
         if self.u @ self.matrix @ self.v != self.diagonal:
             return False
         if self.u @ self.u_inv != IntMatrix.identity(self.u.rows):
             return False
         if self.v @ self.v_inv != IntMatrix.identity(self.v.rows):
             return False
-        ifs = self.invariant_factors
-        for a, b in zip(ifs, ifs[1:]):
-            if b % a != 0:
-                return False
-        # beyond the rank the diagonal must be all zero
-        for k in range(len(ifs), min(self.diagonal.rows, self.diagonal.cols)):
-            if self.diagonal[k, k] != 0:
-                return False
         if any(j != i for i, row in enumerate(self.diagonal.entries) for j in row):
             return False
-        return True
+        # each diagonal entry divides the next, and zeros come last
+        d = [row.get(i, 0) for i, row in enumerate(self.diagonal.entries)]
+        return all(b == 0 if a == 0 else b % a == 0 for a, b in zip(d, d[1:]))
 
 
 class _Worker:
@@ -184,10 +177,10 @@ class _Worker:
     ops) and the *inverse* operation to U^-1 / V^-1, so the inverses are
     certificates rather than recomputations.  U and V^-1 are stored by rows
     and U^-1 and V by columns: every operation then adds or swaps whole
-    sparse vectors.
+    sparse vectors.  A transform not in ``track`` is None and never touched.
     """
 
-    def __init__(self, m: IntMatrix):
+    def __init__(self, m: IntMatrix, track):
         self.rows = m.rows
         self.cols = m.cols
         self.a = [dict(r) for r in m.entries]
@@ -195,10 +188,12 @@ class _Worker:
         for i, row in enumerate(self.a):
             for j in row:
                 self.index[j].add(i)
-        self.u = [{i: 1} for i in range(m.rows)]
-        self.ui_cols = [{i: 1} for i in range(m.rows)]
-        self.v_cols = [{j: 1} for j in range(m.cols)]
-        self.vi = [{j: 1} for j in range(m.cols)]
+        self.u = [{i: 1} for i in range(m.rows)] if "u" in track else None
+        self.ui_cols = [{i: 1} for i in range(m.rows)] if "u_inv" in track else None
+        self.v_cols = [{j: 1} for j in range(m.cols)] if "v" in track else None
+        self.vi = [{j: 1} for j in range(m.cols)] if "v_inv" in track else None
+        self.row_sides = [t for t in (self.u, self.ui_cols) if t is not None]
+        self.col_sides = [t for t in (self.v_cols, self.vi) if t is not None]
 
     # row ops: left multiplication; the inverse accumulates right of U^-1.
     def swap_rows(self, i, j):
@@ -209,8 +204,8 @@ class _Worker:
         for c in a[i].keys() ^ a[j].keys():
             self.index[c] ^= {i, j}
         a[i], a[j] = a[j], a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        self.ui_cols[i], self.ui_cols[j] = self.ui_cols[j], self.ui_cols[i]
+        for t in self.row_sides:
+            t[i], t[j] = t[j], t[i]
 
     def add_row(self, src, dst, k):
         """row[dst] += k * row[src]"""
@@ -225,11 +220,13 @@ class _Worker:
             else:
                 del row[c]
                 self.index[c].discard(dst)
-        _add_scaled(self.u[dst], self.u[src], k)
-        _add_scaled(self.ui_cols[src], self.ui_cols[dst], -k)
+        if self.u is not None:
+            _add_scaled(self.u[dst], self.u[src], k)
+        if self.ui_cols is not None:
+            _add_scaled(self.ui_cols[src], self.ui_cols[dst], -k)
 
     def negate_row(self, i):
-        for vec in (self.a[i], self.u[i], self.ui_cols[i]):
+        for vec in [self.a[i]] + [t[i] for t in self.row_sides]:
             for c in vec:
                 vec[c] = -vec[c]
 
@@ -247,8 +244,8 @@ class _Worker:
             if x:
                 row[j] = x
         index[i], index[j] = index[j], index[i]
-        self.v_cols[i], self.v_cols[j] = self.v_cols[j], self.v_cols[i]
-        self.vi[i], self.vi[j] = self.vi[j], self.vi[i]
+        for t in self.col_sides:
+            t[i], t[j] = t[j], t[i]
 
     def add_col(self, src, dst, k):
         """col[dst] += k * col[src]"""
@@ -264,8 +261,10 @@ class _Worker:
             else:
                 del row[dst]
                 rows.discard(r)
-        _add_scaled(self.v_cols[dst], self.v_cols[src], k)
-        _add_scaled(self.vi[src], self.vi[dst], -k)
+        if self.v_cols is not None:
+            _add_scaled(self.v_cols[dst], self.v_cols[src], k)
+        if self.vi is not None:
+            _add_scaled(self.vi[src], self.vi[dst], -k)
 
     def clear_column(self, t) -> bool:
         """Reduce column t below the pivot by division with remainder, in
@@ -315,7 +314,10 @@ def _add_scaled(dst: dict, src: dict, k: int):
             del dst[c]
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+TRANSFORMS = ("u", "u_inv", "v", "v_inv")
+
+
+def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
     """Smith normal form with unimodular transforms and tracked inverses.
 
     Standard pivoting reduction: pick the least nonzero entry in the working
@@ -323,8 +325,14 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     remainder, fix any divisibility failure by folding the offending row into
     the pivot row, then recurse into the next block.  Runs in exact integer
     arithmetic throughout, touching only nonzero entries.
+
+    ``track`` names the transforms to build, out of ``TRANSFORMS``; the
+    others are None.  The pivots, D and the tracked transforms do not
+    depend on it.
     """
-    w = _Worker(m)
+    if not set(track) <= set(TRANSFORMS):
+        raise MatrixError(f"unknown transforms in {tuple(track)}")
+    w = _Worker(m, track)
     limit = min(w.rows, w.cols)
     t = 0
     while t < limit:
@@ -349,13 +357,18 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
             offender = _divisibility_offender(w, t)
         t += 1
     rows, cols = w.rows, w.cols
+
+    def emit(vectors, n, by_columns=False):
+        out = None if vectors is None else IntMatrix.from_entries(n, n, vectors)
+        return out.transpose() if by_columns and out is not None else out
+
     return SmithDecomposition(
         matrix=m,
         diagonal=IntMatrix.from_entries(rows, cols, w.a),
-        u=IntMatrix.from_entries(rows, rows, w.u),
-        u_inv=IntMatrix.from_entries(rows, rows, w.ui_cols).transpose(),
-        v=IntMatrix.from_entries(cols, cols, w.v_cols).transpose(),
-        v_inv=IntMatrix.from_entries(cols, cols, w.vi),
+        u=emit(w.u, rows),
+        u_inv=emit(w.ui_cols, rows, by_columns=True),
+        v=emit(w.v_cols, cols, by_columns=True),
+        v_inv=emit(w.vi, cols),
     )
 
 

@@ -612,20 +612,26 @@ def is_locally_finite(X, probe_depth: int = 3) -> LocalFinitenessReport:
             star_sizes=sizes,
             notes=["finite complex: every star is finite"],
         )
-    stages = [X.truncate(i) for i in range(probe_depth + 3)]
+    stages = [X.truncate(i).complex for i in range(probe_depth + 3)]
     for i in range(probe_depth + 1):
-        for v in stages[i].complex.cells(0):
-            star_a = set(stages[i + 1].complex.star(v))
-            star_b = set(stages[i + 2].complex.star(v))
-            if star_a != star_b:
-                grown = sorted(c.id for c in star_b - star_a)
+        # stages nest with unchanged faces, so a star grows from stage i+1
+        # to i+2 by exactly the added cells whose closure holds the vertex
+        before, after = stages[i + 1], stages[i + 2]
+        gained = {}
+        for c in after.all_cells():
+            if not before.has_cell(c):
+                for v in after.vertices_of(c):
+                    gained.setdefault(v, []).append(c.id)
+        for v in stages[i].cells(0):
+            if v in gained:
+                grown = sorted(gained[v])
                 return LocalFinitenessReport(
                     ok=False,
                     witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
                     notes=[f"star grew between stages {i + 1} and {i + 2}"],
                 )
-    deepest = stages[probe_depth + 2].complex
-    sizes = {v.id: len(deepest.star(v)) for v in stages[probe_depth].complex.cells(0)}
+    deepest = stages[probe_depth + 2]
+    sizes = {v.id: len(deepest.star(v)) for v in stages[probe_depth].cells(0)}
     return LocalFinitenessReport(
         ok=True,
         max_star=max(sizes.values(), default=0),

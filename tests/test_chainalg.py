@@ -179,6 +179,40 @@ def test_normalized_and_unnormalized_homology_agree():
             assert a == b, (X.name, n)
 
 
+def _fields(p):
+    return (p.group, p.orders, p.generators, p.basis_size,
+            p._v_inv, p._rank, p._u_y, p._kept)
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["chains", "cochains"])
+def test_shared_reductions_give_the_unshared_presentations(monkeypatch, dual):
+    """Presented together, a degree with zero in-boundary and its neighbour
+    reduce the neighbour's in-boundary once; every presentation is the one
+    its degree gets when presented alone."""
+    reduced = []
+    real = chainalg.smith_normal_form
+
+    def counting(m, *args):
+        reduced.append(m)
+        return real(m, *args)
+
+    monkeypatch.setattr(chainalg, "smith_normal_form", counting)
+    together_calls = alone_calls = 0
+    for X in (point(), circle(), torus(), rp2(), sphere(3), standard_simplex(2)):
+        stage = StageComplex(X, frozenset())
+        degrees = range(X.top_dim + 2)
+        reduced.clear()
+        together = chainalg._present_degrees(stage, degrees, dual)
+        together_calls += len(reduced)
+        reduced.clear()
+        alone = {n: chainalg._present_degrees(stage, [n], dual)[n] for n in degrees}
+        alone_calls += len(reduced)
+        assert list(together) == list(degrees)
+        for n in degrees:
+            assert _fields(together[n]) == _fields(alone[n]), (X.name, n)
+    assert together_calls < alone_calls
+
+
 # -------------------------------------------------------- finite homology
 
 def test_homology_of_finite_spaces():

@@ -155,6 +155,47 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv, flag):
     assert err.startswith(f"error: {flag} must be at least")
 
 
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_match_fresh_calls(capsys, monkeypatch):
+    """main builds its parser once per process; a call after others gives
+    the exit code and bytes of a call on a freshly built parser."""
+    built = []
+    real = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    calls = [
+        ["homology", "cylinder", "--window", "5", "--json"],
+        ["homology", "cylinder", "--json"],
+        ["homology", "cylinder", "--window", "five"],
+        ["cohomology-c", "line", "--json"],
+    ]
+    in_sequence = [_outcome(capsys, argv) for argv in calls]
+    assert len(built) == 1
+    fresh = []
+    for argv in calls:
+        cli._shared_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert len(built) == 1 + len(calls)
+    assert in_sequence == fresh
+    windows = [json.loads(out)["stabilization"]["window"] for _, out, _ in in_sequence[:2]]
+    assert windows == [5, 3]
+    assert in_sequence[2][0] == 2 and "invalid int value" in in_sequence[2][2]
+    assert in_sequence[3][0] == 0
+
+
 def test_non_stabilization_exit(capsys, tmp_path):
     path = tmp_path / "balloon.json"
     save_space(balloon_ray(), str(path))

@@ -79,7 +79,44 @@ def test_epi_mono_law_rejects_a_factorization_through_a_larger_ordinal(monkeypat
     assert not r.ok
     assert r.cases == 2
     assert r.counterexample == (
-        "factorization of MonotoneMap(0->1, [0]) does not compose back"
+        "factorization of MonotoneMap(0->1, [0]) has a first factor "
+        "MonotoneMap(0->1, [0]) that is not surjective"
+    )
+
+
+def test_epi_mono_law_rejects_a_factorization_through_a_smaller_ordinal(monkeypatch):
+    # a non-injective f "factored" as the identity of its source followed by
+    # f itself: it composes back, but its second factor is not injective
+    real = delta.epi_mono_factor
+
+    def too_small(f):
+        if f.is_injective:
+            return real(f)
+        return delta.identity(f.source_dim), f
+
+    monkeypatch.setattr(delta, "epi_mono_factor", too_small)
+    r = laws.epi_mono_factorization()
+    assert not r.ok
+    assert r.cases == 16
+    assert r.counterexample == (
+        "factorization of MonotoneMap(1->0, [0, 0]) has a second factor "
+        "MonotoneMap(1->0, [0, 0]) that is not injective"
+    )
+
+
+def test_epi_mono_law_rejects_a_factorization_of_another_map(monkeypatch):
+    # every map "factored" as the factorization of the constant map at 0
+    real = delta.epi_mono_factor
+
+    def of_a_constant(f):
+        return real(delta.MonotoneMap(f.source_dim, f.target_dim,
+                                      (0,) * (f.source_dim + 1)))
+
+    monkeypatch.setattr(delta, "epi_mono_factor", of_a_constant)
+    r = laws.epi_mono_factorization()
+    assert not r.ok
+    assert r.counterexample == (
+        "factorization of MonotoneMap(0->1, [1]) does not compose back"
     )
 
 

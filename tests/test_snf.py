@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctlhom.chainalg import boundary_matrix
 from ctlhom.corpus import torus
-from ctlhom.snf import IntMatrix, MatrixError, smith_normal_form
+from ctlhom.snf import TRANSFORMS, IntMatrix, MatrixError, smith_normal_form
 
 GOLDEN = json.loads((Path(__file__).parent / "snf_golden.json").read_text())
 
@@ -139,6 +139,27 @@ def test_decomposition_certificates(m):
 def test_sparse_decomposition_certificates(m):
     """Large sparse matrices: pivots far from the corner, empty columns."""
     assert smith_normal_form(m).verify()
+
+
+@given(sparse_int_matrices(), st.sets(st.sampled_from(TRANSFORMS)))
+@settings(max_examples=200)
+def test_tracking_a_subset_keeps_the_pivots(m, track):
+    """A reduction that tracks only some transforms makes the same pivots:
+    the same D, the same tracked transforms, and None for the others."""
+    full = smith_normal_form(m)
+    part = smith_normal_form(m, tuple(track))
+    assert part.matrix is m
+    assert part.diagonal == full.diagonal
+    for name in TRANSFORMS:
+        assert getattr(part, name) == (getattr(full, name) if name in track else None)
+
+
+def test_partial_reductions_refuse_verification_and_unknown_names():
+    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    with pytest.raises(MatrixError, match="all four transforms"):
+        smith_normal_form(m, ("u", "v")).verify()
+    with pytest.raises(MatrixError, match="unknown transforms"):
+        smith_normal_form(m, ("w",))
 
 
 def _golden_input(name, case):

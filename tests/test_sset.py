@@ -1,4 +1,6 @@
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +46,7 @@ from ctlhom.sset import (
     proper_controlled_equivalence,
     standard_simplex,
 )
+from exhaustions import relay
 
 D2 = standard_simplex(2)
 
@@ -280,6 +283,21 @@ def test_infinite_star_is_caught():
     for depth in (-1, -2):
         with pytest.raises(SimplicialError, match="probe_depth must be at least 0"):
             is_locally_finite(infinite_star(), probe_depth=depth)
+
+
+LOCAL_FINITENESS_GOLDEN = json.loads(
+    (Path(__file__).parent / "local_finiteness_golden.json").read_text())
+_PROBED = {"ray": ray, "line": line, "plane": plane, "cylinder": cylinder,
+           "balloon_ray": balloon_ray, "relay": relay, "infinite_star": infinite_star}
+
+
+@pytest.mark.parametrize("key", sorted(LOCAL_FINITENESS_GOLDEN))
+def test_local_finiteness_reports_are_pinned(key):
+    """The whole report, witness, notes and star sizes included, at each
+    probe depth."""
+    name, depth = key.split()
+    report = is_locally_finite(_PROBED[name](), probe_depth=int(depth))
+    assert repr(report) == LOCAL_FINITENESS_GOLDEN[key]
 
 
 def _stars_by_definition(X):
