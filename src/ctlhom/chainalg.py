@@ -153,7 +153,7 @@ def render_group(g: AbelianGroup, coeff: Coefficients = INTEGER) -> str:
         free_symbol = f"(Z/{coeff.modulus})"
     parts = []
     if g.free_rank == 1:
-        parts.append(free_symbol.strip("()") if coeff.kind != "zmod" else free_symbol[1:-1])
+        parts.append(free_symbol.strip("()"))
     elif g.free_rank > 1:
         parts.append(f"{free_symbol}^{g.free_rank}")
     for t in g.torsion:
@@ -161,47 +161,18 @@ def render_group(g: AbelianGroup, coeff: Coefficients = INTEGER) -> str:
     return " + ".join(parts)
 
 
-def _prime_powers(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_chain(cyclic_orders) -> tuple:
-    """Rebuild the invariant-factor chain of a direct sum of cyclic groups.
+    """Rebuild the invariant-factor chain of a direct sum of cyclic groups:
+    the Smith form of the diagonal matrix of the orders, 1s dropped.
 
-    Orders of 1 are dropped; 0 is not allowed here (free parts are tracked
-    separately by the callers).
+    0 is not allowed here (free parts are tracked separately by the callers).
     """
-    exponents = {}
-    for d in cyclic_orders:
-        if d == 1:
-            continue
-        if d <= 0:
-            raise ValueError("cyclic order must be positive")
-        for p, e in _prime_powers(d).items():
-            exponents.setdefault(p, []).append(e)
-    if not exponents:
-        return ()
-    for v in exponents.values():
-        v.sort(reverse=True)
-    depth = max(len(v) for v in exponents.values())
-    factors = []
-    for layer in range(depth):
-        f = 1
-        for p, v in exponents.items():
-            if layer < len(v):
-                f *= p ** v[layer]
-        factors.append(f)
-    factors.reverse()  # smallest first, so each divides the next
-    return tuple(factors)
+    orders = list(cyclic_orders)
+    if any(d <= 0 for d in orders):
+        raise ValueError("cyclic order must be positive")
+    diagonal = IntMatrix.from_entries(len(orders), len(orders),
+                                      ({i: d} for i, d in enumerate(orders)))
+    return tuple(d for d in smith_normal_form(diagonal, ()).invariant_factors if d != 1)
 
 
 def convert_group(current: AbelianGroup, neighbor: AbelianGroup,
@@ -383,13 +354,6 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
     )
 
 
-def reduced_images(source: HomologyPresentation, target: HomologyPresentation,
-                   chain_map) -> list:
-    """Images of the source generators under a chain map (a function on
-    coordinate vectors), in target coordinates."""
-    return [target.reduce(chain_map(g)) for g in source.generators]
-
-
 def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
     """Whether classes with the given target coordinates generate the target.
 
@@ -414,7 +378,8 @@ def is_transition_isomorphism(source: HomologyPresentation,
     so a surjective self-shape map is injective)."""
     if source.group != target.group:
         return False
-    return is_surjective_on_classes(target, reduced_images(source, target, chain_map))
+    return is_surjective_on_classes(
+        target, [target.reduce(chain_map(g)) for g in source.generators])
 
 
 # --------------------------------------------------------------------------
@@ -546,10 +511,12 @@ def _space_label(space, fallback: str) -> str:
     return getattr(space, "name", None) or fallback
 
 
-def _convert_results(theory, space_label, coeff, integral, cohomological,
+def _convert_results(theory, space_label, coeff, cohomological,
                      stabilized_at, window, depth_used, caveats,
                      presentations, bases, max_degree):
-    """Apply the coefficient conversion to per-degree integral groups."""
+    """Apply the coefficient conversion to the presentations' integral
+    groups."""
+    integral = {n: p.group for n, p in presentations.items()}
     groups = {}
     stab = dict(stabilized_at) if stabilized_at is not None else None
     for n in range(max_degree + 1):
@@ -591,8 +558,7 @@ def _stage_for(space, depth: int, relative: bool) -> StageComplex:
     return StageComplex(trunc.complex, excluded)
 
 
-def _run_system(space, space_label, theory, coeff, max_degree, window,
-                max_depth, relative, dual):
+def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     """Shared limit/colimit engine over exhaustion stages.
 
     ``relative`` uses stage-relative complexes (chains mod frontier), whose
@@ -600,6 +566,9 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
     into stage i+1.  ``dual`` presents cohomology of the stage (co)chain
     complexes, which reverses the map on classes.  So the classes move from
     stage i to i+1 (a colimit) exactly when ``relative == dual``.
+
+    Returns the presentations at ``depth_used``, that stage, the degrees'
+    stabilization depths, ``depth_used`` and the caveats.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -608,8 +577,6 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
         raise SimplicialError(
             f"space is not locally finite: {lf.witness}"
         )
-    internal_top = max_degree + (1 if coeff.kind == "zmod" else 0)
-    degrees = list(range(internal_top + 1))
     stages = {}
     presentations = {}
 
@@ -669,8 +636,6 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
                 quiet[n] = 0
         depth += 1
     depth_used = max(stabilized.values(), default=0)
-    final = present(depth_used, degrees)
-    integral = {n: final[n].group for n in degrees}
     caveats = [
         "transition maps verified to be isomorphisms for "
         f"{window} consecutive stages; the periodic presentation is assumed "
@@ -681,30 +646,7 @@ def _run_system(space, space_label, theory, coeff, max_degree, window,
             "limit computed as the stable value; the derived limit vanishes "
             "because the probed transitions are isomorphisms (Mittag-Leffler)"
         )
-    stage_bases = {n: stages[depth_used].basis(n) for n in degrees}
-    return _convert_results(
-        theory, space_label, coeff, integral,
-        cohomological=dual,
-        stabilized_at=stabilized, window=window, depth_used=depth_used,
-        caveats=caveats,
-        presentations=final, bases=stage_bases,
-        max_degree=max_degree,
-    )
-
-
-def _run_finite(space, space_label, theory, coeff, max_degree, dual):
-    internal_top = max_degree + (1 if coeff.kind == "zmod" else 0)
-    stage = StageComplex(space, frozenset())
-    pres = _present_degrees(stage, range(internal_top + 1), dual)
-    integral = {n: p.group for n, p in pres.items()}
-    bases = {n: stage.basis(n) for n in range(internal_top + 1)}
-    return _convert_results(
-        theory, space_label, coeff, integral,
-        cohomological=dual,
-        stabilized_at=None, window=None, depth_used=None,
-        caveats=[], presentations=pres, bases=bases,
-        max_degree=max_degree,
-    )
+    return present(depth_used, degrees), stages[depth_used], stabilized, depth_used, caveats
 
 
 # tag -> (relative, dual, caveat on a finite complex)
@@ -718,16 +660,30 @@ _THEORIES = {
 
 def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
     relative, dual, finite_caveat = _THEORIES[tag]
-    label = _space_label(space, "space")
     if max_degree is None:
         max_degree = _default_max_degree(space)
+    # z/M also presents the degree above, which the cohomology-kind Tor term reads
+    degrees = range(max_degree + (2 if coeff.kind == "zmod" else 1))
     if isinstance(space, FiniteSimplicialSet):
-        result = _run_finite(space, label, tag, coeff, max_degree, dual)
-        if finite_caveat:
-            result.caveats.append(finite_caveat)
-        return result
-    return _run_system(space, label, tag, coeff, max_degree, window, max_depth,
-                       relative, dual)
+        stage = StageComplex(space, frozenset())
+        final = _present_degrees(stage, degrees, dual)
+        stabilized = window = depth_used = None
+        caveats = []
+    else:
+        final, stage, stabilized, depth_used, caveats = _run_system(
+            space, tag, degrees, window, max_depth, relative, dual)
+        finite_caveat = None
+    result = _convert_results(
+        tag, _space_label(space, "space"), coeff,
+        cohomological=dual,
+        stabilized_at=stabilized, window=window, depth_used=depth_used,
+        caveats=caveats,
+        presentations=final, bases={n: stage.basis(n) for n in degrees},
+        max_degree=max_degree,
+    )
+    if finite_caveat:  # after the coefficient caveat
+        result.caveats.append(finite_caveat)
+    return result
 
 
 def homology(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
@@ -773,6 +729,19 @@ THEORY_DRIVERS = {
 # --------------------------------------------------------------------------
 # chains, cochains, pairings
 
+def _support(X: FiniteSimplicialSet, degree: int, values: dict) -> dict:
+    """The nonzero values, keyed by cells of X of the given degree."""
+    clean = {}
+    for cell, a in values.items():
+        if not isinstance(cell, Cell) or cell.dim != degree:
+            raise SimplicialError(f"{cell} is not a {degree}-cell")
+        if not X.has_cell(cell):
+            raise SimplicialError(f"{cell} is not in the complex")
+        if a:
+            clean[cell] = int(a)
+    return clean
+
+
 @dataclass
 class Chain:
     """A finitely supported integer chain on the nondegenerate cells."""
@@ -782,15 +751,7 @@ class Chain:
     coeffs: dict
 
     def __post_init__(self):
-        clean = {}
-        for cell, a in self.coeffs.items():
-            if not isinstance(cell, Cell) or cell.dim != self.degree:
-                raise SimplicialError(f"{cell} is not a {self.degree}-cell")
-            if not self.complex.has_cell(cell):
-                raise SimplicialError(f"{cell} is not in the complex")
-            if a:
-                clean[cell] = int(a)
-        self.coeffs = clean
+        self.coeffs = _support(self.complex, self.degree, self.coeffs)
 
     def vector(self, basis) -> tuple:
         return tuple(self.coeffs.get(c, 0) for c in basis)
@@ -813,15 +774,7 @@ class Cochain:
     values: dict
 
     def __post_init__(self):
-        clean = {}
-        for cell, a in self.values.items():
-            if not isinstance(cell, Cell) or cell.dim != self.degree:
-                raise SimplicialError(f"{cell} is not a {self.degree}-cell")
-            if not self.complex.has_cell(cell):
-                raise SimplicialError(f"{cell} is not in the complex")
-            if a:
-                clean[cell] = int(a)
-        self.values = clean
+        self.values = _support(self.complex, self.degree, self.values)
 
     def __call__(self, x) -> int:
         if isinstance(x, Cell):
@@ -882,16 +835,21 @@ def pushforward(f: SimplicialMap, chain: Chain) -> Chain:
     return Chain(f.target, chain.degree, out)
 
 
-def pullback(f: SimplicialMap, cochain: Cochain) -> Cochain:
-    """Dual of the pushforward.  Total on finite complexes."""
-    if cochain.complex is not f.target:
-        raise SimplicialError("cochain does not live on the map's target")
+def _pulled(f: SimplicialMap, cochain: Cochain) -> dict:
+    """The nonzero values of the pullback, on the source cells."""
     out = {}
     for cell in f.source.cells(cochain.degree):
         v = cochain(f.eval(f.source.simplex(cell)))
         if v:
             out[cell] = v
-    return Cochain(f.source, cochain.degree, out)
+    return out
+
+
+def pullback(f: SimplicialMap, cochain: Cochain) -> Cochain:
+    """Dual of the pushforward.  Total on finite complexes."""
+    if cochain.complex is not f.target:
+        raise SimplicialError("cochain does not live on the map's target")
+    return Cochain(f.source, cochain.degree, _pulled(f, cochain))
 
 
 def pullback_periodic(f, cochain: Cochain, depth: int, max_depth: int = 12):
@@ -916,11 +874,7 @@ def pullback_periodic(f, cochain: Cochain, depth: int, max_depth: int = 12):
     previous = None
     for d in range(depth, max_depth + 1):
         level = f.level_map(d)
-        pulled = {}
-        for cell in level.source.cells(cochain.degree):
-            v = cochain(level.eval(level.source.simplex(cell)))
-            if v:
-                pulled[cell] = v
+        pulled = _pulled(level, cochain)
         if previous is not None and pulled == previous[1]:
             return Cochain(level.source, cochain.degree, pulled)
         previous = (d, pulled)
@@ -995,4 +949,4 @@ def induced_on_homology(f: SimplicialMap, degree: int):
     images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))
     cells = tuple(index[img.core] if img.is_nondegenerate else None for img in images)
     size = len(tgt.basis(degree))
-    return ps, pt, reduced_images(ps, pt, lambda v: _push(cells, size, v))
+    return ps, pt, [pt.reduce(_push(cells, size, g)) for g in ps.generators]

@@ -27,6 +27,7 @@ from .sset import (
     PresentationError,
     Simplex,
     SlabRule,
+    facet_complex,
     standard_simplex,
 )
 
@@ -54,31 +55,6 @@ def circle() -> FiniteSimplicialSet:
         {(1, "e"): (v, v)},
         name="circle",
     )
-
-
-def facet_complex(facets, name=None) -> FiniteSimplicialSet:
-    """The simplicial complex generated by facets (iterables of vertex
-    labels).  Cells are all nonempty subsets, ordered by the sort of their
-    labels; ids join the labels with dots."""
-    facets = [tuple(sorted(set(f))) for f in facets]
-    subsets = set()
-    for f in facets:
-        if not f:
-            raise PresentationError("empty facet")
-        for k in range(1, len(f) + 1):
-            subsets.update(combinations(f, k))
-    cells = {}
-    faces = {}
-    for verts in sorted(subsets, key=lambda s: (len(s), s)):
-        dim = len(verts) - 1
-        cid = ".".join(str(v) for v in verts)
-        cells.setdefault(dim, []).append(cid)
-        if dim > 0:
-            faces[(dim, cid)] = tuple(
-                Simplex((), Cell(dim - 1, ".".join(str(v) for j, v in enumerate(verts) if j != i)))
-                for i in range(dim + 1)
-            )
-    return FiniteSimplicialSet(cells, faces, name=name)
 
 
 def sphere(n: int) -> FiniteSimplicialSet:

@@ -351,25 +351,37 @@ def adjacent(X, x: Simplex, y: Simplex) -> bool:
     return bool(X.vertices_of(x.core) & X.vertices_of(y.core))
 
 
+def facet_complex(facets, name=None) -> FiniteSimplicialSet:
+    """The simplicial complex generated by facets (iterables of vertex
+    labels).  Cells are all nonempty subsets, ordered by the sort of their
+    labels; ids join the labels with dots."""
+    facets = [tuple(sorted(set(f))) for f in facets]
+    subsets = set()
+    for f in facets:
+        if not f:
+            raise PresentationError("empty facet")
+        for k in range(1, len(f) + 1):
+            subsets.update(combinations(f, k))
+    cells = {}
+    faces = {}
+    for verts in sorted(subsets, key=lambda s: (len(s), s)):
+        dim = len(verts) - 1
+        cid = ".".join(str(v) for v in verts)
+        cells.setdefault(dim, []).append(cid)
+        if dim > 0:
+            faces[(dim, cid)] = tuple(
+                Simplex((), Cell(dim - 1, ".".join(str(v) for j, v in enumerate(verts) if j != i)))
+                for i in range(dim + 1)
+            )
+    return FiniteSimplicialSet(cells, faces, name=name)
+
+
 def standard_simplex(n: int) -> FiniteSimplicialSet:
     """The n-simplex: nondegenerate k-cells are the (k+1)-subsets of {0..n},
     with ids joining the vertices by dots."""
     if n < 0:
         raise SimplicialError("dimension must be non-negative")
-    cells = {}
-    faces = {}
-    for k in range(n + 1):
-        ids = []
-        for verts in combinations(range(n + 1), k + 1):
-            cid = ".".join(str(v) for v in verts)
-            ids.append(cid)
-            if k > 0:
-                faces[(k, cid)] = tuple(
-                    Simplex((), Cell(k - 1, ".".join(str(v) for j, v in enumerate(verts) if j != i)))
-                    for i in range(k + 1)
-                )
-        cells[k] = ids
-    return FiniteSimplicialSet(cells, faces, name=f"delta({n})")
+    return facet_complex([range(n + 1)], name=f"delta({n})")
 
 
 # --------------------------------------------------------------------------
@@ -778,16 +790,11 @@ class PeriodicMap:
 
 
 def identity_periodic_map(X: Exhaustion) -> PeriodicMap:
-    rules = []
-    for _ in X.attachments:
-        rules.append(SlabRule(
-            target_attachment=len(rules),
-            cell_map={c: Simplex((), c) for c in X.slab.all_cells()},
-        ))
     # target attachment indices must match source chains one-to-one
     rules = [
-        SlabRule(target_attachment=a, cell_map=r.cell_map)
-        for a, r in enumerate(rules)
+        SlabRule(target_attachment=a,
+                 cell_map={c: Simplex((), c) for c in X.slab.all_cells()})
+        for a in range(len(X.attachments))
     ]
     return PeriodicMap(
         X, X,

@@ -54,6 +54,7 @@ from ctlhom.sset import (
     Cell,
     FiniteSimplicialSet,
     Simplex,
+    SimplicialError,
     SimplicialMap,
     standard_simplex,
 )
@@ -78,6 +79,21 @@ def test_invariant_chain_merges_coprime_orders():
     assert invariant_chain([]) == ()
 
 
+MERSENNE_61 = 2**61 - 1
+
+
+def test_invariant_chain_of_a_large_prime_modulus():
+    # a 61-bit prime, which trial division of the orders would not get through
+    assert invariant_chain([MERSENNE_61, MERSENNE_61, 1]) == (MERSENNE_61, MERSENNE_61)
+    with pytest.raises(ValueError):
+        invariant_chain([2, 0])
+
+
+def test_homology_with_a_large_prime_modulus():
+    r = homology(torus(), parse_coefficients(f"z/{MERSENNE_61}"))
+    assert [r.group(n) for n in range(3)] == [AbelianGroup(1), AbelianGroup(2), AbelianGroup(1)]
+
+
 def test_abelian_group_requires_a_divisibility_chain():
     AbelianGroup(1, (2, 4))
     with pytest.raises(ValueError):
@@ -92,6 +108,8 @@ def test_render_group():
     assert render_group(AbelianGroup(3), RATIONAL) == "Q^3"
     assert render_group(AbelianGroup(2, (2,)), parse_coefficients("z/6")) \
         == "(Z/6)^2 + Z/2"
+    assert render_group(AbelianGroup(1), parse_coefficients("z/6")) == "Z/6"
+    assert render_group(AbelianGroup(1), RATIONAL) == "Q"
 
 
 def test_convert_group_rational_kills_torsion():
@@ -374,6 +392,19 @@ def test_boundary_of_a_chain_matches_the_matrix():
     c = Chain(X, 2, {basis2[0]: 1, basis2[3]: -2})
     assert boundary(c).vector(basis1) \
         == boundary_matrix(X, 2).apply(c.vector(basis2))
+
+
+@pytest.mark.parametrize("kind", [Chain, Cochain])
+def test_chains_and_cochains_check_their_cells(kind):
+    X = standard_simplex(2)
+    edge, face = Cell(1, "0.1"), Cell(2, "0.1.2")
+    with pytest.raises(SimplicialError, match="is not a 1-cell"):
+        kind(X, 1, {face: 1})
+    with pytest.raises(SimplicialError, match="is not in the complex"):
+        kind(X, 1, {Cell(1, "0.3"): 1})
+    c = kind(X, 1, {edge: 2, Cell(1, "1.2"): 0})
+    assert c.vector(X.cells(1)) == (2, 0, 0)
+    assert len(c.coeffs if kind is Chain else c.values) == 1
 
 
 def test_cochain_vanishes_on_degenerates():

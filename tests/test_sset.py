@@ -211,6 +211,21 @@ def test_all_simplices_counts_for_the_triangle():
     assert D2.cell_count() == 7
 
 
+def test_standard_simplex_cells_and_faces_are_pinned():
+    X = standard_simplex(3)
+    assert X.name == "delta(3)"
+    assert {n: [c.id for c in X.cells(n)] for n in X.dims()} == {
+        0: ["0", "1", "2", "3"],
+        1: ["0.1", "0.2", "0.3", "1.2", "1.3", "2.3"],
+        2: ["0.1.2", "0.1.3", "0.2.3", "1.2.3"],
+        3: ["0.1.2.3"],
+    }
+    assert [X.face(Cell(2, "0.1.3"), i) for i in range(3)] == [
+        Simplex((), Cell(1, "1.3")), Simplex((), Cell(1, "0.3")), Simplex((), Cell(1, "0.1"))]
+    with pytest.raises(SimplicialError):
+        standard_simplex(-1)
+
+
 def test_faces_must_be_listed_for_every_positive_cell():
     with pytest.raises(PresentationError):
         FiniteSimplicialSet(
@@ -355,7 +370,9 @@ def test_simplicial_map_pushes_degeneracies_through():
 
 def test_identity_maps_are_proper():
     for space in (ray(), line(), cylinder()):
-        assert is_proper_map(identity_periodic_map(space)).ok
+        f = identity_periodic_map(space)
+        assert [r.target_attachment for r in f.slab_rules] == list(range(len(space.attachments)))
+        assert is_proper_map(f).ok
 
 
 def test_fold_is_proper():
