@@ -98,9 +98,15 @@ def parse_coefficients(text: str) -> Coefficients:
         return RATIONAL
     if t.startswith("z/"):
         tail = t[2:]
-        if not tail.isdigit():
+        try:
+            # isdigit also passes what int() cannot read: '²', or more
+            # digits than int() converts
+            modulus = int(tail) if tail.isdigit() else None
+        except ValueError:
+            modulus = None
+        if modulus is None:
             raise CoefficientError(f"bad modulus in {text!r}")
-        return Coefficients("zmod", int(tail))
+        return Coefficients("zmod", modulus)
     raise CoefficientError(f"cannot parse coefficients {text!r} (use z, z/M, or q)")
 
 
@@ -905,6 +911,8 @@ def pairing_matrix(space, degree: int, window: int = 3,
     On a finite complex this is the plain evaluation of cohomology on
     homology.
     """
+    if degree < 0:
+        raise ValueError("degree must be at least 0")
     if isinstance(space, FiniteSimplicialSet):
         depth = None
         stage = StageComplex(space, frozenset())

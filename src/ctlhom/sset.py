@@ -107,55 +107,78 @@ class FiniteSimplicialSet:
     """Finitely many nondegenerate simplices with face assignments.
 
     ``cells`` maps dimension -> ordered ids; ``faces`` maps (dim, id) -> the
-    list of d_0..d_n values as Simplex normal forms over lower cells.  The
-    simplicial identities are verified on construction unless ``validate``
-    is disabled (used internally when gluing from already-checked pieces).
+    list of d_0..d_n values as Simplex normal forms over lower cells.  Each
+    cell is stored once, as a Cell: a tuple of cells per dimension, and one
+    dict from every cell to its faces (vertices map to ``()``).  The
+    simplicial identities are verified on construction.
     """
 
-    def __init__(self, cells, faces, name=None, validate=True):
+    def __init__(self, cells, faces, name=None):
         self.name = name
-        self._cells = {}
+        ids = {}
         for n in sorted(cells):
-            ids = tuple(cells[n])
-            if not ids:
-                continue
-            if len(set(ids)) != len(ids):
+            ids[n] = tuple(cells[n])
+            if len(set(ids[n])) != len(ids[n]):
                 raise PresentationError(f"duplicate cell ids in dimension {n}")
-            self._cells[n] = ids
-        self._cell_set = {
-            Cell(n, i) for n, ids in self._cells.items() for i in ids
-        }
-        self._faces = {}
-        for n, ids in self._cells.items():
-            if n == 0:
-                continue
-            for i in ids:
-                key = (n, i)
+        self._cells = {n: tuple(Cell(n, i) for i in ns) for n, ns in ids.items() if ns}
+        self._faces = dict.fromkeys(self.all_cells(), ())
+        for cell in self.all_cells():
+            if cell.dim:
+                key = (cell.dim, cell.id)
                 if key not in faces:
-                    raise PresentationError(f"missing face assignments for {n}-cell {i!r}")
-                fs = tuple(faces[key])
-                if len(fs) != n + 1:
-                    raise PresentationError(
-                        f"{n}-cell {i!r} needs {n + 1} faces, got {len(fs)}"
-                    )
-                for k, fv in enumerate(fs):
-                    if not isinstance(fv, Simplex):
-                        raise PresentationError(f"face {k} of {i!r} is not a simplex")
-                    if fv.dim != n - 1:
-                        raise PresentationError(
-                            f"face {k} of {n}-cell {i!r} has dimension {fv.dim}"
-                        )
-                    if fv.core not in self._cell_set:
-                        raise PresentationError(
-                            f"face {k} of {i!r} references unknown cell {fv.core}"
-                        )
-                self._faces[key] = fs
+                    raise PresentationError(f"missing face assignments for {cell.dim}-cell {cell.id!r}")
+                self._set_faces(cell, faces[key])
         self._vertex_closure = {}
         self._stars = None
-        if validate:
-            problems = self.identity_violations()
-            if problems:
-                raise PresentationError("; ".join(problems[:5]))
+        problems = self.identity_violations()
+        if problems:
+            raise PresentationError("; ".join(problems[:5]))
+
+    def _set_faces(self, cell: Cell, faces):
+        """Check the faces of a cell of positive dimension, then store them."""
+        n, i = cell.dim, cell.id
+        fs = tuple(faces)
+        if len(fs) != n + 1:
+            raise PresentationError(
+                f"{n}-cell {i!r} needs {n + 1} faces, got {len(fs)}"
+            )
+        for k, fv in enumerate(fs):
+            if not isinstance(fv, Simplex):
+                raise PresentationError(f"face {k} of {i!r} is not a simplex")
+            if fv.dim != n - 1:
+                raise PresentationError(
+                    f"face {k} of {n}-cell {i!r} has dimension {fv.dim}"
+                )
+            if fv.core not in self._faces:
+                raise PresentationError(
+                    f"face {k} of {i!r} references unknown cell {fv.core}"
+                )
+        self._faces[cell] = fs
+
+    def _glued(self, added: dict, name) -> "FiniteSimplicialSet":
+        """This complex plus new cells: ``added`` maps each new Cell, in
+        order, to its faces.  Each face is checked as in the constructor; the
+        simplicial identities are not rechecked (the pieces glued in, and
+        this complex, already satisfy them)."""
+        X = object.__new__(FiniteSimplicialSet)
+        X.name = name
+        X._faces = dict(self._faces)
+        by_dim = {}
+        for cell in added:
+            by_dim.setdefault(cell.dim, []).append(cell)
+        cells = dict(self._cells)
+        for n, new in sorted(by_dim.items()):
+            if any(c in X._faces for c in new):
+                raise PresentationError(f"duplicate cell ids in dimension {n}")
+            X._faces.update(dict.fromkeys(new, ()))
+            cells[n] = cells.get(n, ()) + tuple(new)
+        X._cells = dict(sorted(cells.items()))
+        for cell, faces in added.items():
+            if cell.dim:
+                X._set_faces(cell, faces)
+        X._vertex_closure = {}
+        X._stars = None
+        return X
 
     # -- accessors ---------------------------------------------------------
 
@@ -166,34 +189,32 @@ class FiniteSimplicialSet:
     def top_dim(self) -> int:
         return max(self._cells, default=-1)
 
-    def cell_ids(self, n: int) -> tuple:
+    def cells(self, n: int) -> tuple:
         return self._cells.get(n, ())
 
-    def cells(self, n: int) -> tuple:
-        return tuple(Cell(n, i) for i in self.cell_ids(n))
-
     def all_cells(self):
-        for n in self._cells:
-            yield from self.cells(n)
+        for cells in self._cells.values():
+            yield from cells
 
     def cell_count(self) -> int:
-        return sum(len(ids) for ids in self._cells.values())
+        return len(self._faces)
 
     def has_cell(self, cell: Cell) -> bool:
-        return cell in self._cell_set
+        return cell in self._faces
 
     def face(self, cell: Cell, i: int) -> Simplex:
         """Stored face assignment d_i of a nondegenerate simplex."""
-        if cell not in self._cell_set:
+        faces = self._faces.get(cell)
+        if faces is None:
             raise SimplicialError(f"unknown cell {cell}")
         if cell.dim == 0:
             raise SimplicialError("0-simplices have no faces")
         if not 0 <= i <= cell.dim:
             raise SimplicialError(f"face index {i} outside 0..{cell.dim}")
-        return self._faces[(cell.dim, cell.id)][i]
+        return faces[i]
 
     def simplex(self, cell: Cell) -> Simplex:
-        if cell not in self._cell_set:
+        if cell not in self._faces:
             raise SimplicialError(f"unknown cell {cell}")
         return Simplex((), cell)
 
@@ -414,16 +435,21 @@ class Truncation:
     """A finite stage of an exhaustion, with gluing bookkeeping.
 
     ``translations[(a, c)]`` maps slab cells to their cells in the stage for
-    copy c of attachment chain a; ``frontier`` is where copy depth+1 would
-    attach (per chain, plus a deduplicated union).
+    copy c of attachment chain a; ``frontier_chains`` is where copy depth+1
+    would attach, per chain (``frontier`` is their deduplicated union);
+    ``added`` lists the cells new at this depth, chain by chain in slab order
+    (every base cell at depth 0).
     """
 
     depth: int
     complex: FiniteSimplicialSet
-    base_cells: tuple
     translations: dict
     frontier_chains: list
-    frontier: tuple
+    added: tuple
+
+    @property
+    def frontier(self) -> tuple:
+        return tuple(dict.fromkeys(c for chain in self.frontier_chains for c in chain))
 
 
 class Exhaustion:
@@ -455,7 +481,13 @@ class Exhaustion:
             _check_gluing_iso(base, base_cells, slab, into, f"attachment {a} base gluing")
             _check_gluing_iso(slab, out, slab, into, f"attachment {a} slab gluing")
             self._resolved.append((base_cells, into, out))
-        self._stages = {}
+        self._stages = [Truncation(
+            depth=0,
+            complex=base._glued({}, self._stage_name(0)),
+            translations={},
+            frontier_chains=[list(r[0]) for r in self._resolved],
+            added=tuple(base.all_cells()),
+        )]
 
     @staticmethod
     def _resolve(lookup, cid, where):
@@ -464,81 +496,40 @@ class Exhaustion:
             raise PresentationError(f"{where}: unknown cell id {cid!r}")
         return cell
 
+    def _stage_name(self, depth: int) -> str:
+        return f"{self.name or 'exhaustion'}[{depth}]"
+
     def truncate(self, depth: int) -> Truncation:
-        """The finite stage at the given depth (cached; stages nest by id)."""
+        """The finite stage at the given depth.  Each stage is built once, by
+        gluing one slab copy per chain onto the stage before it, so stages
+        nest by id."""
         if depth < 0:
             raise SimplicialError("depth must be non-negative")
-        if depth in self._stages:
-            return self._stages[depth]
-        prev = self.truncate(depth - 1) if depth > 0 else None
-        if prev is None:
-            stage = Truncation(
-                depth=0,
-                complex=FiniteSimplicialSet(
-                    {n: self.base.cell_ids(n) for n in self.base.dims()},
-                    {(c.dim, c.id): tuple(self.base.face(c, i) for i in range(c.dim + 1))
-                     for c in self.base.all_cells() if c.dim > 0},
-                    name=f"{self.name or 'exhaustion'}[0]",
-                    validate=False,
-                ),
-                base_cells=tuple(self.base.all_cells()),
-                translations={},
-                frontier_chains=[list(r[0]) for r in self._resolved],
-                frontier=_dedup([c for r in self._resolved for c in r[0]]),
-            )
-            self._stages[0] = stage
-            return stage
-
-        cells = {n: list(prev.complex.cell_ids(n)) for n in prev.complex.dims()}
-        faces = {
-            (c.dim, c.id): tuple(prev.complex.face(c, i) for i in range(c.dim + 1))
-            for c in prev.complex.all_cells()
-            if c.dim > 0
-        }
-        translations = dict(prev.translations)
-        frontier_chains = []
-        for a, (base_cells, into, out) in enumerate(self._resolved):
-            prev_out = prev.frontier_chains[a]
-            trans = {}
-            for k, cell in enumerate(into):
-                trans[cell] = prev_out[k]
-            for cell in self.slab.all_cells():
-                if cell in trans:
-                    continue
-                new = Cell(cell.dim, f"a{a}c{depth}.{cell.id}")
-                trans[cell] = new
-                cells.setdefault(cell.dim, []).append(new.id)
-            for cell in self.slab.all_cells():
-                if cell.dim == 0 or cell in into:
-                    continue
-                spot = trans[cell]
-                faces[(spot.dim, spot.id)] = tuple(
-                    Simplex(fv.word, trans[fv.core])
-                    for fv in (self.slab.face(cell, i) for i in range(cell.dim + 1))
-                )
-            translations[(a, depth)] = trans
-            frontier_chains.append([trans[c] for c in out])
-        stage = Truncation(
-            depth=depth,
-            complex=FiniteSimplicialSet(
-                cells, faces,
-                name=f"{self.name or 'exhaustion'}[{depth}]",
-                validate=False,
-            ),
-            base_cells=prev.base_cells,
-            translations=translations,
-            frontier_chains=frontier_chains,
-            frontier=_dedup([c for chain in frontier_chains for c in chain]),
-        )
-        self._stages[depth] = stage
-        return stage
+        for d in range(len(self._stages), depth + 1):
+            prev = self._stages[-1]
+            translations = dict(prev.translations)
+            frontier_chains = []
+            added = {}
+            for a, (_, into, out) in enumerate(self._resolved):
+                trans = dict(zip(into, prev.frontier_chains[a]))
+                for cell in self.slab.all_cells():
+                    if cell not in trans:
+                        new = trans[cell] = Cell(cell.dim, f"a{a}c{d}.{cell.id}")
+                        added[new] = tuple(Simplex(fv.word, trans[fv.core])
+                                           for fv in self.slab._faces[cell])
+                translations[(a, d)] = trans
+                frontier_chains.append([trans[c] for c in out])
+            self._stages.append(Truncation(
+                depth=d,
+                complex=prev.complex._glued(added, self._stage_name(d)),
+                translations=translations,
+                frontier_chains=frontier_chains,
+                added=tuple(added),
+            ))
+        return self._stages[depth]
 
     def __repr__(self):
         return f"Exhaustion({self.name or '?'}: base {self.base!r}, {len(self.attachments)} chain(s))"
-
-
-def _dedup(cells):
-    return tuple(dict.fromkeys(cells))
 
 
 def _unique_id_lookup(X: FiniteSimplicialSet, label: str) -> dict:
@@ -624,17 +615,16 @@ def is_locally_finite(X, probe_depth: int = 3) -> LocalFinitenessReport:
             star_sizes=sizes,
             notes=["finite complex: every star is finite"],
         )
-    stages = [X.truncate(i).complex for i in range(probe_depth + 3)]
+    stages = [X.truncate(i) for i in range(probe_depth + 3)]
     for i in range(probe_depth + 1):
         # stages nest with unchanged faces, so a star grows from stage i+1
         # to i+2 by exactly the added cells whose closure holds the vertex
-        before, after = stages[i + 1], stages[i + 2]
+        after = stages[i + 2]
         gained = {}
-        for c in after.all_cells():
-            if not before.has_cell(c):
-                for v in after.vertices_of(c):
-                    gained.setdefault(v, []).append(c.id)
-        for v in stages[i].cells(0):
+        for c in after.added:
+            for v in after.complex.vertices_of(c):
+                gained.setdefault(v, []).append(c.id)
+        for v in stages[i].complex.cells(0):
             if v in gained:
                 grown = sorted(gained[v])
                 return LocalFinitenessReport(
@@ -642,8 +632,8 @@ def is_locally_finite(X, probe_depth: int = 3) -> LocalFinitenessReport:
                     witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
                     notes=[f"star grew between stages {i + 1} and {i + 2}"],
                 )
-    deepest = stages[probe_depth + 2]
-    sizes = {v.id: len(deepest.star(v)) for v in stages[probe_depth].cells(0)}
+    deepest = stages[probe_depth + 2].complex
+    sizes = {v.id: len(deepest.star(v)) for v in stages[probe_depth].complex.cells(0)}
     return LocalFinitenessReport(
         ok=True,
         max_star=max(sizes.values(), default=0),
@@ -659,12 +649,12 @@ class SimplicialMap:
     """A map of finite simplicial sets, given on nondegenerate simplices.
 
     Values are target simplices in normal form; the extension to degenerate
-    simplices pushes the degeneracy word through, and ``validate`` checks
+    simplices pushes the degeneracy word through, and construction checks
     commutation with every face operator (degeneracies then commute by
     construction).
     """
 
-    def __init__(self, source, target, mapping: dict, name=None, validate=True):
+    def __init__(self, source, target, mapping: dict, name=None):
         self.source = source
         self.target = target
         self.name = name
@@ -679,10 +669,9 @@ class SimplicialMap:
                 raise SimplicialError(
                     f"image of {cell} has dimension {img.dim}, expected {cell.dim}"
                 )
-        if validate:
-            problems = self.face_violations()
-            if problems:
-                raise SimplicialError("; ".join(problems[:5]))
+        problems = self.face_violations()
+        if problems:
+            raise SimplicialError("; ".join(problems[:5]))
 
     def eval(self, x: Simplex) -> Simplex:
         img = self.mapping[x.core]
@@ -708,8 +697,7 @@ class SimplicialMap:
 
 
 def identity_simplicial_map(X: FiniteSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, {c: Simplex((), c) for c in X.all_cells()},
-                         name="identity", validate=False)
+    return SimplicialMap(X, X, {c: Simplex((), c) for c in X.all_cells()}, name="identity")
 
 
 @dataclass(frozen=True)
@@ -843,18 +831,19 @@ def is_proper_map(f, max_depth: int = 8, window: int = 2) -> PropernessReport:
         counts = _fiber_counts(f)
         return PropernessReport(ok=True, max_fiber=max(counts.values(), default=0))
     counts_history = []
-    present_history = []
+    targets = []
     quiet = 0
     history = {}
     for depth in range(max_depth + 1):
         level = f.level_map(depth)
         counts = _fiber_counts(level)
         counts_history.append(counts)
-        present_history.append(set(level.target.all_cells()))
+        targets.append(level.target)
         if depth >= 2:
+            # in cell order, so that equally long histories tie the same way
             grew = {
                 y: (counts_history[depth - 1].get(y, 0), counts.get(y, 0))
-                for y in present_history[depth - 2]
+                for y in targets[depth - 2].all_cells()
                 if counts.get(y, 0) > counts_history[depth - 1].get(y, 0)
             }
             for y, sizes in grew.items():
@@ -989,7 +978,7 @@ def proper_controlled_equivalence(f, max_depth: int = 8, window: int = 2) -> Equ
             for v in level.target.vertices_of(m.core):
                 counts[v] = counts.get(v, 0) + 1
         counts_history.append(counts)
-        vertex_history.append(set(level.target.cells(0)))
+        vertex_history.append(level.target.cells(0))
         if depth >= 2:
             grew = [
                 v for v in vertex_history[depth - 2]

@@ -496,6 +496,12 @@ def test_torus_pairing_in_top_degree():
     assert result.matrix in (((1,),), ((-1,),))
 
 
+@pytest.mark.parametrize("space", [torus, line], ids=["torus", "line"])
+def test_pairing_refuses_a_negative_degree(space):
+    with pytest.raises(ValueError, match="degree must be at least 0"):
+        pairing_matrix(space(), -1)
+
+
 def test_torsion_pairs_to_nothing():
     result = pairing_matrix(rp2(), 1)
     assert result.bm_group == AbelianGroup(0, (2,))

@@ -136,6 +136,14 @@ def test_bad_coefficients_are_a_usage_error(capsys):
     assert run(capsys, "homology", "torus", "--coeff", "z/x")[0] == 2
 
 
+@pytest.mark.parametrize("modulus", ["²", "7" * 5000], ids=["superscript", "5000-digits"])
+def test_modulus_that_int_cannot_read_is_a_usage_error(capsys, modulus):
+    # both pass str.isdigit; int() refuses them
+    code, out = run(capsys, "homology", "torus", "--coeff", f"z/{modulus}")
+    assert code == 2
+    assert out.startswith("error: bad modulus in ")
+
+
 def test_bad_max_carrier_is_a_usage_error(capsys):
     assert run(capsys, "laws", "--max-carrier", "9")[0] == 2
 

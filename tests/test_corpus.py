@@ -37,25 +37,25 @@ def test_parametric_names():
 
 def test_facet_complex_closes_downward():
     X = facet_complex([(1, 2, 3)])
-    assert [len(X.cell_ids(n)) for n in X.dims()] == [3, 3, 1]
+    assert [len(X.cells(n)) for n in X.dims()] == [3, 3, 1]
     assert X.identity_violations() == []
 
 
 def test_facet_counts():
     t = torus()
-    assert [len(t.cell_ids(n)) for n in t.dims()] == [7, 21, 14]
+    assert [len(t.cells(n)) for n in t.dims()] == [7, 21, 14]
     r = rp2()
-    assert [len(r.cell_ids(n)) for n in r.dims()] == [6, 15, 10]
+    assert [len(r.cells(n)) for n in r.dims()] == [6, 15, 10]
     s = sphere(2)
-    assert [len(s.cell_ids(n)) for n in s.dims()] == [4, 6, 4]
+    assert [len(s.cells(n)) for n in s.dims()] == [4, 6, 4]
 
 
 def test_surface_euler_characteristics():
     # chi = V - E + F straight off the cell counts
     t = torus()
-    assert sum((-1) ** n * len(t.cell_ids(n)) for n in t.dims()) == 0
+    assert sum((-1) ** n * len(t.cells(n)) for n in t.dims()) == 0
     r = rp2()
-    assert sum((-1) ** n * len(r.cell_ids(n)) for n in r.dims()) == 1
+    assert sum((-1) ** n * len(r.cells(n)) for n in r.dims()) == 1
 
 
 def test_every_edge_of_a_closed_surface_is_in_two_triangles():

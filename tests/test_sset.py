@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -249,8 +252,8 @@ def test_line_truncations_grow_linearly():
     ln = line()
     for d in range(4):
         K = ln.truncate(d).complex
-        assert len(K.cell_ids(0)) == 2 * d + 1
-        assert len(K.cell_ids(1)) == (2 * d if d else 0)
+        assert len(K.cells(0)) == 2 * d + 1
+        assert len(K.cells(1)) == (2 * d if d else 0)
 
 
 def test_truncations_are_cached():
@@ -379,10 +382,30 @@ def test_fold_is_proper():
     assert is_proper_map(fold_line_to_ray()).ok
 
 
+PROJECTION_WITNESS = "fiber over 'r0' keeps growing: sizes [5, 9, 13, 17, 21, 25, 29, 33]"
+
+
 def test_cylinder_projection_is_not_proper():
     report = is_proper_map(cylinder_projection())
     assert not report.ok
-    assert "keeps growing" in report.witness
+    assert report.witness == PROJECTION_WITNESS
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_properness_witness_does_not_depend_on_hash_order(seed):
+    """Every ring cell's fiber grows at every stage; the tie goes to the
+    first cell in cell order, whatever the hash seed."""
+    src = str(Path(sset.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from ctlhom.corpus import cylinder_projection\n"
+         "from ctlhom.sset import is_proper_map\n"
+         "print(is_proper_map(cylinder_projection()).witness)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == PROJECTION_WITNESS + "\n"
 
 
 def test_short_properness_probe_is_undetermined():
