@@ -668,8 +668,8 @@ def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
     relative, dual, finite_caveat = _THEORIES[tag]
     if max_degree is None:
         max_degree = _default_max_degree(space)
-    # z/M also presents the degree above, which the cohomology-kind Tor term reads
-    degrees = range(max_degree + (2 if coeff.kind == "zmod" else 1))
+    # cohomology under z/M also presents the degree above, which its Tor term reads
+    degrees = range(max_degree + (2 if dual and coeff.kind == "zmod" else 1))
     if isinstance(space, FiniteSimplicialSet):
         stage = StageComplex(space, frozenset())
         final = _present_degrees(stage, degrees, dual)

@@ -357,6 +357,19 @@ def _cells_to_json(X: FiniteSimplicialSet) -> list:
     return out
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which Python
+    counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _name(payload: dict, where: str):
+    name = payload.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SpaceFormatError(f"{where}: name must be a string, not {name!r}")
+    return name
+
+
 def _cells_from_json(payload, where: str) -> FiniteSimplicialSet:
     if not isinstance(payload, dict) or not isinstance(payload.get("cells"), list):
         raise SpaceFormatError(f"{where}: expected an object with a 'cells' list")
@@ -367,7 +380,7 @@ def _cells_from_json(payload, where: str) -> FiniteSimplicialSet:
             raise SpaceFormatError(f"{where}: cell #{k} is not an object")
         dim = entry.get("dim")
         cid = entry.get("id")
-        if not isinstance(dim, int) or dim < 0:
+        if not _is_int(dim) or dim < 0:
             raise SpaceFormatError(f"{where}: cell #{k} has bad dimension {dim!r}")
         if not isinstance(cid, str) or not cid:
             raise SpaceFormatError(f"{where}: cell #{k} has bad id {cid!r}")
@@ -389,7 +402,7 @@ def _cells_from_json(payload, where: str) -> FiniteSimplicialSet:
                 raise SpaceFormatError(f"{where}: face {i} of {cid!r} is not an object")
             word = f.get("word", [])
             core = f.get("core")
-            if not isinstance(word, list) or not all(isinstance(w, int) for w in word):
+            if not isinstance(word, list) or not all(_is_int(w) for w in word):
                 raise SpaceFormatError(f"{where}: face {i} of {cid!r} has a bad word")
             core_dim = dim - 1 - len(word)
             if core_dim < 0:
@@ -406,7 +419,7 @@ def _cells_from_json(payload, where: str) -> FiniteSimplicialSet:
                 raise SpaceFormatError(f"{where}: face {i} of {cid!r}: {exc}") from exc
         faces[(dim, cid)] = tuple(parsed)
     try:
-        return FiniteSimplicialSet(cells, faces, name=payload.get("name"))
+        return FiniteSimplicialSet(cells, faces, name=_name(payload, where))
     except PresentationError as exc:
         raise SpaceFormatError(f"{where}: {exc}") from exc
 
@@ -448,14 +461,12 @@ def space_from_json(doc):
             f"not a {FORMAT_NAME} file (format={doc.get('format')!r})"
         )
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise SpaceFormatError(f"unsupported schema_version {version!r}")
     kind = doc.get("kind")
-    name = doc.get("name")
+    name = _name(doc, "space")
     if kind == "finite":
-        space = _cells_from_json(doc, "finite space")
-        space.name = name
-        return space
+        return _cells_from_json(doc, "finite space")
     if kind == "exhaustion":
         base = _cells_from_json(doc.get("base"), "base")
         slab = _cells_from_json(doc.get("slab"), "slab")

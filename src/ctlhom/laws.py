@@ -56,13 +56,12 @@ def _subset_families(size: int):
         yield [subsets[i] for i in range(len(subsets)) if mask >> i & 1]
 
 
-def _all_structures(size: int, generated: bool = True):
+def _all_structures(size: int):
     carrier = finite_carrier(range(size))
     yield min_ctl(carrier)
     yield max_ctl(carrier)
-    if generated:
-        for family in _subset_families(size):
-            yield generated_ctl(carrier, family)
+    for family in _subset_families(size):
+        yield generated_ctl(carrier, family)
 
 
 def generated_structure_axioms(max_carrier: int = 3) -> LawResult:

@@ -11,7 +11,7 @@ and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import delta
@@ -114,25 +114,45 @@ class FiniteSimplicialSet:
     """
 
     def __init__(self, cells, faces, name=None):
-        self.name = name
-        ids = {}
-        for n in sorted(cells):
-            ids[n] = tuple(cells[n])
-            if len(set(ids[n])) != len(ids[n]):
+        ids = {n: tuple(cells[n]) for n in sorted(cells)}
+        for n, ns in ids.items():
+            if len(set(ns)) != len(ns):
                 raise PresentationError(f"duplicate cell ids in dimension {n}")
-        self._cells = {n: tuple(Cell(n, i) for i in ns) for n, ns in ids.items() if ns}
-        self._faces = dict.fromkeys(self.all_cells(), ())
-        for cell in self.all_cells():
-            if cell.dim:
-                key = (cell.dim, cell.id)
-                if key not in faces:
-                    raise PresentationError(f"missing face assignments for {cell.dim}-cell {cell.id!r}")
-                self._set_faces(cell, faces[key])
-        self._vertex_closure = {}
-        self._stars = None
+        self._begin(name)
+        self._glue({Cell(n, i): faces.get((n, i)) for n, ns in ids.items() for i in ns})
         problems = self.identity_violations()
         if problems:
             raise PresentationError("; ".join(problems[:5]))
+
+    def _begin(self, name):
+        """The empty complex, which ``_glue`` grows."""
+        self.name = name
+        self._cells = {}
+        self._faces = {}
+        self._vertex_closure = {}
+        self._stars = None
+
+    def _glue(self, added: dict):
+        """Add cells in place, after the cells already here in each
+        dimension: ``added`` maps each new Cell, in order, to its faces (None
+        when missing).  A duplicate cell adds nothing; each face is checked;
+        the simplicial identities are left to the caller."""
+        by_dim = {}
+        for cell in added:
+            by_dim.setdefault(cell.dim, []).append(cell)
+        for n, new in sorted(by_dim.items()):
+            if any(c in self._faces for c in new):
+                raise PresentationError(f"duplicate cell ids in dimension {n}")
+        for n, new in by_dim.items():
+            self._faces.update(dict.fromkeys(new, ()))
+            self._cells[n] = self._cells.get(n, ()) + tuple(new)
+        self._cells = dict(sorted(self._cells.items()))
+        for cell, faces in added.items():
+            if cell.dim:
+                if faces is None:
+                    raise PresentationError(
+                        f"missing face assignments for {cell.dim}-cell {cell.id!r}")
+                self._set_faces(cell, faces)
 
     def _set_faces(self, cell: Cell, faces):
         """Check the faces of a cell of positive dimension, then store them."""
@@ -154,31 +174,6 @@ class FiniteSimplicialSet:
                     f"face {k} of {i!r} references unknown cell {fv.core}"
                 )
         self._faces[cell] = fs
-
-    def _glued(self, added: dict, name) -> "FiniteSimplicialSet":
-        """This complex plus new cells: ``added`` maps each new Cell, in
-        order, to its faces.  Each face is checked as in the constructor; the
-        simplicial identities are not rechecked (the pieces glued in, and
-        this complex, already satisfy them)."""
-        X = object.__new__(FiniteSimplicialSet)
-        X.name = name
-        X._faces = dict(self._faces)
-        by_dim = {}
-        for cell in added:
-            by_dim.setdefault(cell.dim, []).append(cell)
-        cells = dict(self._cells)
-        for n, new in sorted(by_dim.items()):
-            if any(c in X._faces for c in new):
-                raise PresentationError(f"duplicate cell ids in dimension {n}")
-            X._faces.update(dict.fromkeys(new, ()))
-            cells[n] = cells.get(n, ()) + tuple(new)
-        X._cells = dict(sorted(cells.items()))
-        for cell, faces in added.items():
-            if cell.dim:
-                X._set_faces(cell, faces)
-        X._vertex_closure = {}
-        X._stars = None
-        return X
 
     # -- accessors ---------------------------------------------------------
 
@@ -214,7 +209,7 @@ class FiniteSimplicialSet:
         return faces[i]
 
     def simplex(self, cell: Cell) -> Simplex:
-        if cell not in self._faces:
+        if not self.has_cell(cell):
             raise SimplicialError(f"unknown cell {cell}")
         return Simplex((), cell)
 
@@ -418,34 +413,79 @@ class Attachment:
     slab_out_ids: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "base_ids", tuple(self.base_ids))
-        object.__setattr__(self, "slab_in_ids", tuple(self.slab_in_ids))
-        object.__setattr__(self, "slab_out_ids", tuple(self.slab_out_ids))
-        if not (
-            len(self.base_ids) == len(self.slab_in_ids) == len(self.slab_out_ids)
-        ):
+        for key in ("base_ids", "slab_in_ids", "slab_out_ids"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        if not len(self.base_ids) == len(self.slab_in_ids) == len(self.slab_out_ids):
             raise PresentationError("attachment id lists must have equal length")
         for ids in (self.base_ids, self.slab_in_ids, self.slab_out_ids):
             if len(set(ids)) != len(ids):
                 raise PresentationError("attachment id lists must be injective")
 
 
+class _Stage(FiniteSimplicialSet):
+    """The cells of a growing complex glued at or before a depth: a prefix
+    of its cells in every dimension.  ``glued`` maps every cell of the grown
+    complex to the depth it was glued at and its faces, so that one lookup
+    both fetches a cell's faces and refuses a cell glued later."""
+
+    def __init__(self, grown: FiniteSimplicialSet, glued: dict, depth: int, name):
+        self.name = name
+        self._grown = grown
+        self._counts = {n: len(cells) for n, cells in grown._cells.items()}
+        self._faces = grown._faces  # read only for the stage's own cells
+        self._glued = glued
+        self._stars = None
+        self._depth = depth
+
+    @cached_property
+    def _cells(self) -> dict:
+        # made on first read: most stages are only glued onto
+        return {n: self._grown._cells[n][:k] for n, k in self._counts.items()}
+
+    def cell_count(self) -> int:
+        return sum(self._counts.values())
+
+    def has_cell(self, cell: Cell) -> bool:
+        entry = self._glued.get(cell)
+        return entry is not None and entry[0] <= self._depth
+
+    def face(self, cell: Cell, i: int) -> Simplex:
+        entry = self._glued.get(cell)
+        if entry is None or entry[0] > self._depth:
+            raise SimplicialError(f"unknown cell {cell}")
+        if cell.dim == 0:
+            raise SimplicialError("0-simplices have no faces")
+        if not 0 <= i <= cell.dim:
+            raise SimplicialError(f"face index {i} outside 0..{cell.dim}")
+        return entry[1][i]
+
+    def vertices_of(self, cell: Cell) -> frozenset:
+        if not self.has_cell(cell):
+            raise SimplicialError(f"unknown cell {cell}")
+        return self._grown.vertices_of(cell)
+
+
 @dataclass
 class Truncation:
     """A finite stage of an exhaustion, with gluing bookkeeping.
 
-    ``translations[(a, c)]`` maps slab cells to their cells in the stage for
-    copy c of attachment chain a; ``frontier_chains`` is where copy depth+1
-    would attach, per chain (``frontier`` is their deduplicated union);
-    ``added`` lists the cells new at this depth, chain by chain in slab order
-    (every base cell at depth 0).
+    ``complex`` is the prefix of the exhaustion's growing complex at this
+    depth.  ``translations[(a, c)]`` maps slab cells to their cells in copy c
+    of attachment chain a, for the copies in this stage; ``frontier_chains``
+    is where copy depth+1 would attach, per chain (``frontier`` is their
+    deduplicated union); ``added`` lists the cells new at this depth, chain
+    by chain in slab order (every base cell at depth 0).
     """
 
     depth: int
     complex: FiniteSimplicialSet
-    translations: dict
     frontier_chains: list
     added: tuple
+    every_translation: dict = field(repr=False)  # the exhaustion's, all depths
+
+    @property
+    def translations(self) -> dict:
+        return {key: trans for key, trans in self.every_translation.items() if key[1] <= self.depth}
 
     @property
     def frontier(self) -> tuple:
@@ -457,7 +497,10 @@ class Exhaustion:
 
     Stage 0 is the base; stage i+1 glues one more copy of the slab onto each
     attachment chain, identifying the copy's in-boundary with the previous
-    out-boundary (the base boundary for the first copy).
+    out-boundary (the base boundary for the first copy).  The copies glue
+    into one complex that grows in place, and every stage is a prefix of it;
+    ``translations`` maps (a, c) to the slab-to-copy cell map of every copy
+    glued so far.
     """
 
     def __init__(self, base: FiniteSimplicialSet, slab: FiniteSimplicialSet,
@@ -481,13 +524,13 @@ class Exhaustion:
             _check_gluing_iso(base, base_cells, slab, into, f"attachment {a} base gluing")
             _check_gluing_iso(slab, out, slab, into, f"attachment {a} slab gluing")
             self._resolved.append((base_cells, into, out))
-        self._stages = [Truncation(
-            depth=0,
-            complex=base._glued({}, self._stage_name(0)),
-            translations={},
-            frontier_chains=[list(r[0]) for r in self._resolved],
-            added=tuple(base.all_cells()),
-        )]
+        self.translations = {}
+        self._complex = object.__new__(FiniteSimplicialSet)
+        self._complex._begin(name)
+        self._glued = {}  # cell -> (the depth it was glued at, its faces)
+        self._stages = []
+        self._glue_stage({c: base._faces[c] for c in base.all_cells()},
+                         [list(r[0]) for r in self._resolved])
 
     @staticmethod
     def _resolve(lookup, cid, where):
@@ -496,8 +539,14 @@ class Exhaustion:
             raise PresentationError(f"{where}: unknown cell id {cid!r}")
         return cell
 
-    def _stage_name(self, depth: int) -> str:
-        return f"{self.name or 'exhaustion'}[{depth}]"
+    def _glue_stage(self, added: dict, frontier_chains: list):
+        depth = len(self._stages)
+        self._complex._glue(added)
+        self._glued.update((c, (depth, self._complex._faces[c])) for c in added)
+        self._stages.append(Truncation(
+            depth, _Stage(self._complex, self._glued, depth, f"{self.name or 'exhaustion'}[{depth}]"),
+            frontier_chains, tuple(added), self.translations,
+        ))
 
     def truncate(self, depth: int) -> Truncation:
         """The finite stage at the given depth.  Each stage is built once, by
@@ -507,7 +556,6 @@ class Exhaustion:
             raise SimplicialError("depth must be non-negative")
         for d in range(len(self._stages), depth + 1):
             prev = self._stages[-1]
-            translations = dict(prev.translations)
             frontier_chains = []
             added = {}
             for a, (_, into, out) in enumerate(self._resolved):
@@ -517,15 +565,9 @@ class Exhaustion:
                         new = trans[cell] = Cell(cell.dim, f"a{a}c{d}.{cell.id}")
                         added[new] = tuple(Simplex(fv.word, trans[fv.core])
                                            for fv in self.slab._faces[cell])
-                translations[(a, d)] = trans
+                self.translations[(a, d)] = trans
                 frontier_chains.append([trans[c] for c in out])
-            self._stages.append(Truncation(
-                depth=d,
-                complex=prev.complex._glued(added, self._stage_name(d)),
-                translations=translations,
-                frontier_chains=frontier_chains,
-                added=tuple(added),
-            ))
+            self._glue_stage(added, frontier_chains)
         return self._stages[depth]
 
     def __repr__(self):
@@ -608,37 +650,34 @@ def is_locally_finite(X, probe_depth: int = 3) -> LocalFinitenessReport:
     if probe_depth < 0:
         raise SimplicialError("probe_depth must be at least 0")
     if isinstance(X, FiniteSimplicialSet):
-        sizes = {v.id: len(X.star(v)) for v in X.cells(0)}
-        return LocalFinitenessReport(
-            ok=True,
-            max_star=max(sizes.values(), default=0),
-            star_sizes=sizes,
-            notes=["finite complex: every star is finite"],
-        )
-    stages = [X.truncate(i) for i in range(probe_depth + 3)]
-    for i in range(probe_depth + 1):
-        # stages nest with unchanged faces, so a star grows from stage i+1
-        # to i+2 by exactly the added cells whose closure holds the vertex
-        after = stages[i + 2]
-        gained = {}
-        for c in after.added:
-            for v in after.complex.vertices_of(c):
-                gained.setdefault(v, []).append(c.id)
-        for v in stages[i].complex.cells(0):
-            if v in gained:
-                grown = sorted(gained[v])
-                return LocalFinitenessReport(
-                    ok=False,
-                    witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
-                    notes=[f"star grew between stages {i + 1} and {i + 2}"],
-                )
-    deepest = stages[probe_depth + 2].complex
-    sizes = {v.id: len(deepest.star(v)) for v in stages[probe_depth].complex.cells(0)}
+        deepest, vertices, note = X, X.cells(0), "finite complex: every star is finite"
+    else:
+        stages = [X.truncate(i) for i in range(probe_depth + 3)]
+        for i in range(probe_depth + 1):
+            # stages nest with unchanged faces, so a star grows from stage i+1
+            # to i+2 by exactly the added cells whose closure holds the vertex
+            after = stages[i + 2]
+            gained = {}
+            for c in after.added:
+                for v in after.complex.vertices_of(c):
+                    gained.setdefault(v, []).append(c.id)
+            for v in stages[i].complex.cells(0):
+                if v in gained:
+                    grown = sorted(gained[v])
+                    return LocalFinitenessReport(
+                        ok=False,
+                        witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
+                        notes=[f"star grew between stages {i + 1} and {i + 2}"],
+                    )
+        deepest = stages[probe_depth + 2].complex
+        vertices = stages[probe_depth].complex.cells(0)
+        note = f"stars stabilized across stages 1..{probe_depth + 2}"
+    sizes = {v.id: len(deepest.star(v)) for v in vertices}
     return LocalFinitenessReport(
         ok=True,
         max_star=max(sizes.values(), default=0),
         star_sizes=sizes,
-        notes=[f"stars stabilized across stages 1..{probe_depth + 2}"],
+        notes=[note],
     )
 
 
@@ -740,37 +779,26 @@ class PeriodicMap:
         """The finite stage map K_depth(source) -> stage-or-target, validated."""
         if depth in self._levels:
             return self._levels[depth]
-        src_stage = self.source.truncate(depth)
-        if self.target_is_exhaustion:
-            tgt_stage = self.target.truncate(depth)
-            tgt_complex = tgt_stage.complex
-        else:
-            tgt_stage = None
-            tgt_complex = self.target
+        src_complex = self.source.truncate(depth).complex
+        tgt_complex = (self.target.truncate(depth).complex if self.target_is_exhaustion
+                       else self.target)
         mapping = dict(self.base_map)
         for a, rule in enumerate(self.slab_rules):
             for c in range(1, depth + 1):
-                trans = src_stage.translations[(a, c)]
-                if rule.target_attachment is None:
-                    translate = None
-                else:
-                    translate = tgt_stage.translations[(rule.target_attachment, c)]
+                trans = self.source.translations[(a, c)]
+                translate = (None if rule.target_attachment is None
+                             else self.target.translations[(rule.target_attachment, c)])
                 for slab_cell, spot in trans.items():
                     if spot in mapping:
                         continue  # shared boundary cell, already assigned
                     img = rule.cell_map.get(slab_cell)
                     if img is None:
-                        raise SimplicialError(
-                            f"slab rule {a} is missing a value for {slab_cell}"
-                        )
+                        raise SimplicialError(f"slab rule {a} is missing a value for {slab_cell}")
                     if translate is not None:
                         img = Simplex(img.word, translate[img.core])
                     mapping[spot] = img
-        level = SimplicialMap(
-            src_stage.complex, tgt_complex, mapping,
-            name=f"{self.name or 'map'}[{depth}]",
-        )
-        self._levels[depth] = level
+        level = self._levels[depth] = SimplicialMap(
+            src_complex, tgt_complex, mapping, name=f"{self.name or 'map'}[{depth}]")
         return level
 
     def __repr__(self):
@@ -779,17 +807,10 @@ class PeriodicMap:
 
 def identity_periodic_map(X: Exhaustion) -> PeriodicMap:
     # target attachment indices must match source chains one-to-one
-    rules = [
-        SlabRule(target_attachment=a,
-                 cell_map={c: Simplex((), c) for c in X.slab.all_cells()})
-        for a in range(len(X.attachments))
-    ]
-    return PeriodicMap(
-        X, X,
-        base_map={c: Simplex((), c) for c in X.base.all_cells()},
-        slab_rules=rules,
-        name="identity",
-    )
+    rules = [SlabRule(a, {c: Simplex((), c) for c in X.slab.all_cells()})
+             for a in range(len(X.attachments))]
+    return PeriodicMap(X, X, {c: Simplex((), c) for c in X.base.all_cells()}, rules,
+                       name="identity")
 
 
 # --------------------------------------------------------------------------
@@ -830,22 +851,19 @@ def is_proper_map(f, max_depth: int = 8, window: int = 2) -> PropernessReport:
     if isinstance(f, SimplicialMap):
         counts = _fiber_counts(f)
         return PropernessReport(ok=True, max_fiber=max(counts.values(), default=0))
-    counts_history = []
-    targets = []
+    levels = []  # (target, fiber counts) by depth
     quiet = 0
     history = {}
     for depth in range(max_depth + 1):
         level = f.level_map(depth)
         counts = _fiber_counts(level)
-        counts_history.append(counts)
-        targets.append(level.target)
+        levels.append((level.target, counts))
         if depth >= 2:
+            before = levels[depth - 1][1]
             # in cell order, so that equally long histories tie the same way
-            grew = {
-                y: (counts_history[depth - 1].get(y, 0), counts.get(y, 0))
-                for y in targets[depth - 2].all_cells()
-                if counts.get(y, 0) > counts_history[depth - 1].get(y, 0)
-            }
+            grew = {y: (before.get(y, 0), counts.get(y, 0))
+                    for y in levels[depth - 2][0].all_cells()
+                    if counts.get(y, 0) > before.get(y, 0)}
             for y, sizes in grew.items():
                 history.setdefault(y, []).append(sizes)
             quiet = 0 if grew else quiet + 1
@@ -949,27 +967,16 @@ def proper_controlled_equivalence(f, max_depth: int = 8, window: int = 2) -> Equ
     The two sides must agree on every fixture; both reports carry witnesses.
     """
     proper = is_proper_map(f, max_depth=max_depth, window=window)
-
     if isinstance(f, SimplicialMap):
         # finite complexes: the image family is finite, fibers are finite
-        return EquivalenceReport(
-            proper_ok=proper.ok,
-            proper_witness=proper.witness,
-            controlled_ok=True,
-            controlled_witness=None,
-            agree=proper.ok is True,
-        )
+        return EquivalenceReport(proper.ok, proper.witness, True, None, proper.ok is True)
 
     # image family controlledness: count distinct image members per target
     # vertex across stages; counts at a vertex may settle one stage after
     # the vertex appears (the next copy still attaches to it), so compare
     # with that lag, like the star-stabilization certificate
-    controlled_ok = True
-    controlled_witness = None
-    counts_history = []
-    vertex_history = []
+    history = []  # (target vertices, member count per vertex) by depth
     quiet = 0
-    settled = False
     for depth in range(max_depth + 1):
         level = f.level_map(depth)
         members = {level.eval(level.source.simplex(c)) for c in level.source.all_cells()}
@@ -977,29 +984,20 @@ def proper_controlled_equivalence(f, max_depth: int = 8, window: int = 2) -> Equ
         for m in members:
             for v in level.target.vertices_of(m.core):
                 counts[v] = counts.get(v, 0) + 1
-        counts_history.append(counts)
-        vertex_history.append(level.target.cells(0))
+        history.append((level.target.cells(0), counts))
         if depth >= 2:
-            grew = [
-                v for v in vertex_history[depth - 2]
-                if counts.get(v, 0) > counts_history[depth - 1].get(v, 0)
-            ]
+            before = history[depth - 1][1]
+            grew = any(counts.get(v, 0) > before.get(v, 0) for v in history[depth - 2][0])
             quiet = 0 if grew else quiet + 1
             if quiet >= window:
-                settled = True
                 break
-    if not settled:
-        controlled_ok = False
-        controlled_witness = "image family member counts keep growing at some vertex"
-    if controlled_ok and not proper.ok:
+    if quiet < window:
+        controlled_ok, controlled_witness = False, "image family member counts keep growing at some vertex"
+    elif not proper.ok:
         # condition (2): fibers over the canonical family must be finite,
         # which is exactly the properness fiber check
-        controlled_ok = False
-        controlled_witness = f"restricted fibers are infinite ({proper.witness})"
-    return EquivalenceReport(
-        proper_ok=proper.ok,
-        proper_witness=proper.witness,
-        controlled_ok=controlled_ok,
-        controlled_witness=controlled_witness,
-        agree=proper.ok == controlled_ok,
-    )
+        controlled_ok, controlled_witness = False, f"restricted fibers are infinite ({proper.witness})"
+    else:
+        controlled_ok, controlled_witness = True, None
+    return EquivalenceReport(proper.ok, proper.witness, controlled_ok, controlled_witness,
+                             agree=proper.ok == controlled_ok)

@@ -212,6 +212,22 @@ def test_non_stabilization_exit(capsys, tmp_path):
     assert "did not stabilize" in out
 
 
+def test_homology_under_zmod_presents_only_the_asked_degrees(capsys, tmp_path):
+    """H_0(;Z/2) reads H_0 and H_{-1} alone, so the balloon ray's H_1, which
+    never stabilizes, must not be probed; homology-kind documents carry no
+    stabilization depth above --max-dim."""
+    path = tmp_path / "balloon.json"
+    save_space(balloon_ray(), str(path))
+    code, doc = run_json(capsys, "homology", str(path), "--max-dim", "0", "--coeff", "z/2")
+    assert code == 0
+    assert doc["groups"]["0"]["pretty"] == "Z/2"
+    assert doc["stabilization"]["stabilized_at"] == {"0": 0}
+    for command in ("homology", "bm-homology"):
+        code, doc = run_json(capsys, command, "line", "--coeff", "z/2")
+        assert code == 0
+        assert sorted(doc["stabilization"]["stabilized_at"]) == ["0", "1"]
+
+
 def test_local_finiteness_failure_exit(capsys, tmp_path):
     path = tmp_path / "star.json"
     save_space(infinite_star(), str(path))
@@ -225,6 +241,18 @@ def test_malformed_space_file_exit(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else"}')
     assert run(capsys, "homology", str(path))[0] == 3
+
+
+def test_space_file_with_a_non_string_name_exit(capsys, tmp_path):
+    path = tmp_path / "named.json"
+    save_space(build("torus"), str(path))
+    doc = json.loads(path.read_text())
+    doc["name"] = 5
+    path.write_text(json.dumps(doc))
+    for command in ("homology", "check"):
+        code, out = run(capsys, command, str(path), "--json")
+        assert code == 3
+        assert "name must be a string" in out
 
 
 def test_law_failure_exit(capsys, monkeypatch):

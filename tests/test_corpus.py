@@ -113,6 +113,25 @@ def test_format_errors_are_specific():
         space_from_json(doc)
 
 
+def test_json_booleans_and_non_string_names_are_rejected():
+    """JSON true loads as a Python bool, which counts as the int 1."""
+    def rejects(edit, match):
+        doc = space_to_json(torus())
+        edit(doc)
+        with pytest.raises(SpaceFormatError, match=match):
+            space_from_json(doc)
+
+    rejects(lambda d: d.update(name=5), "name must be a string")
+    rejects(lambda d: d.update(name=["torus"]), "name must be a string")
+    rejects(lambda d: d.update(schema_version=True), "schema_version")
+    rejects(lambda d: d["cells"][0].update(dim=True), "bad dimension")
+    rejects(lambda d: d["cells"][-1]["faces"][0].update(word=[True]), "bad word")
+    line = space_to_json(build("line"))
+    line["base"]["name"] = 7
+    with pytest.raises(SpaceFormatError, match="base: name must be a string"):
+        space_from_json(line)
+
+
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
