@@ -10,6 +10,7 @@ and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -492,6 +493,9 @@ class Truncation:
         return tuple(dict.fromkeys(c for chain in self.frontier_chains for c in chain))
 
 
+_COPY_ID = re.compile(r"a(0|[1-9][0-9]*)c([1-9][0-9]*)\.(.*)", re.DOTALL)
+
+
 class Exhaustion:
     """An increasing union of finite complexes: a base with periodic slabs.
 
@@ -524,6 +528,7 @@ class Exhaustion:
             _check_gluing_iso(base, base_cells, slab, into, f"attachment {a} base gluing")
             _check_gluing_iso(slab, out, slab, into, f"attachment {a} slab gluing")
             self._resolved.append((base_cells, into, out))
+        self._check_copy_ids()
         self.translations = {}
         self._complex = object.__new__(FiniteSimplicialSet)
         self._complex._begin(name)
@@ -531,6 +536,21 @@ class Exhaustion:
         self._stages = []
         self._glue_stage({c: base._faces[c] for c in base.all_cells()},
                          [list(r[0]) for r in self._resolved])
+
+    def _check_copy_ids(self):
+        """Refuse a base cell whose id a slab copy would take: copy d of
+        attachment a names the slab cell it copies ``a{a}c{d}.{id}``."""
+        for cell in self.base.all_cells():
+            match = _COPY_ID.fullmatch(cell.id)
+            if match is None:
+                continue
+            a, d, slab_id = int(match[1]), int(match[2]), match[3]
+            copied = self._slab_lookup.get(slab_id)
+            if (a < len(self._resolved) and copied is not None and copied.dim == cell.dim
+                    and copied not in self._resolved[a][1]):
+                raise PresentationError(
+                    f"base cell id {cell.id!r} is taken by copy {d} of slab cell "
+                    f"{slab_id!r} on attachment {a}")
 
     @staticmethod
     def _resolve(lookup, cid, where):

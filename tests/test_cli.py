@@ -255,6 +255,18 @@ def test_space_file_with_a_non_string_name_exit(capsys, tmp_path):
         assert "name must be a string" in out
 
 
+def test_space_file_with_a_base_id_a_copy_would_take_exit(capsys, tmp_path):
+    path = tmp_path / "clash.json"
+    save_space(build("ray"), str(path))
+    doc = json.loads(path.read_text())
+    doc["base"]["cells"].append({"dim": 0, "id": "a0c2.pout"})
+    path.write_text(json.dumps(doc))
+    for command in ("homology", "check"):
+        code, out = run(capsys, command, str(path))
+        assert code == 3
+        assert "base cell id 'a0c2.pout' is taken by copy 2 of slab cell 'pout'" in out
+
+
 def test_law_failure_exit(capsys, monkeypatch):
     broken = LawResult(name="always-wrong", ok=False, cases=1,
                        counterexample="the one case")

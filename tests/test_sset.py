@@ -273,6 +273,36 @@ def test_copy_cells_are_named_by_attachment_and_stage():
     assert K.has_cell(Cell(0, "o"))
 
 
+def _ray_with_base_vertex(vertex_id):
+    base = FiniteSimplicialSet({0: ["o", vertex_id]}, {}, name="origin")
+    return sset.Exhaustion(base, ray().slab, ray().attachments)
+
+
+def test_a_base_id_that_a_copy_would_take_is_refused():
+    with pytest.raises(PresentationError,
+                       match="base cell id 'a0c2.pout' is taken by copy 2 of slab cell "
+                             "'pout' on attachment 0"):
+        _ray_with_base_vertex("a0c2.pout")
+    o, v = (Simplex((), Cell(0, i)) for i in ("o", "v"))
+    base = FiniteSimplicialSet({0: ["o", "v"], 1: ["a1c1.seg"]}, {(1, "a1c1.seg"): (v, o)})
+    with pytest.raises(PresentationError, match="'a1c1.seg' is taken by copy 1 of slab "
+                                                "cell 'seg' on attachment 1"):
+        sset.Exhaustion(base, ray().slab, ray().attachments * 2)
+
+
+@pytest.mark.parametrize("vertex_id", [
+    "a0c2.pin",    # the in-boundary is glued, never copied
+    "a1c2.pout",   # there is no attachment 1
+    "a0c0.pout",   # copies start at 1
+    "a0c02.pout",  # copy numbers have no leading zeros
+    "a0c2.seg",    # the copy of seg is an edge
+    "a0c2.pout.x",  # no slab cell is called pout.x
+])
+def test_base_ids_no_copy_takes_are_kept(vertex_id):
+    exhaustion = _ray_with_base_vertex(vertex_id)
+    assert exhaustion.truncate(3).complex.has_cell(Cell(0, vertex_id))
+
+
 def test_stages_are_subcomplexes():
     pl = line()
     small = pl.truncate(1).complex
