@@ -583,8 +583,11 @@ def _slab_certified_from(space, relative: bool):
     """
     if relative and any(set(into) & set(out) for _, into, out in space._resolved):
         return None
-    for _, into, out in space._resolved:
-        slab = StageComplex(space.slab, frozenset(out if relative else into))
+    # chains glued along the same cells share one relative slab complex
+    boundaries = dict.fromkeys(
+        frozenset(out if relative else into) for _, into, out in space._resolved)
+    for boundary in boundaries:
+        slab = StageComplex(space.slab, boundary)
         presented = _present_degrees(slab, range(space.slab.top_dim + 1), dual=False)
         if not all(p.group.is_trivial for p in presented.values()):
             return None

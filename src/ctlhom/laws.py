@@ -249,8 +249,9 @@ def min_forget_adjunction(max_carrier: int = 3) -> LawResult:
     """Hom(min(S), X) bijects with set maps S -> forget(X), exhaustively.
 
     Checked against every structure presentation on carriers up to size 2
-    and spot presentations at size 3 (the full enumeration at 3 belongs to
-    the structure-axioms law; the hom-sets cannot depend on it here).
+    and spot presentations at size 3 (on a finite carrier every
+    presentation is the full power set, so the hom-sets cannot depend on
+    which one is taken).
     """
     cases = 0
     for s_size in range(max_carrier + 1):

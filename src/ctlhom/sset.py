@@ -11,6 +11,7 @@ and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -30,16 +31,16 @@ class PresentationError(SimplicialError):
 # --------------------------------------------------------------------------
 # simplices
 
-@dataclass(frozen=True, order=True)
-class Cell:
-    """A nondegenerate simplex: dimension plus an identifier unique in it."""
+class Cell(namedtuple("Cell", "dim id")):
+    """A nondegenerate simplex: dimension plus an identifier unique in it, as
+    a ``(dim, id)`` tuple (equal to the plain one) that hashes and sorts in C."""
 
-    dim: int
-    id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dim < 0:
+    def __new__(cls, dim: int, id: str):
+        if dim < 0:
             raise SimplicialError("cell dimension must be non-negative")
+        return tuple.__new__(cls, (dim, id))
 
     def __repr__(self):
         return f"Cell({self.dim}, {self.id!r})"

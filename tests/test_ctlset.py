@@ -53,6 +53,12 @@ def test_generated_structure_contains_generators():
     assert is_controlled(X, finite_list("a", "b", "c"))  # union with a finite set
 
 
+def test_structure_on_a_large_finite_carrier_is_decided_in_closed_form():
+    report = validate_structure(generated_ctl(finite_carrier(range(12)), [[0, 1]]))
+    assert report.ok and not report.violations
+    assert report.controlled_family_size == 4096
+
+
 def test_controlled_subsets_of_the_naturals():
     """The minimal structure on N admits exactly the finite subsets."""
     assert is_controlled(min_ctl(N), finite_list(1, 2, 3))
@@ -74,6 +80,13 @@ def test_every_map_from_a_minimal_source_is_controlled():
     Y = max_ctl(ABC)
     for table in all_set_maps(X.carrier, Y.carrier):
         assert validate_map(ControlledMap(X, Y, table)).ok
+
+
+def test_map_from_a_large_finite_source_is_controlled():
+    source = min_ctl(finite_carrier(range(20)))
+    f = ControlledMap(source, max_ctl(ABC),
+                      TableAssignment({x: "abc"[x % 3] for x in range(20)}))
+    assert validate_map(f).ok
 
 
 def test_constant_from_max_naturals_is_not_proper():
