@@ -394,6 +394,7 @@ def _cells_from_json(payload, where: str) -> FiniteSimplicialSet:
             face_specs[(dim, cid)] = fs
         elif "faces" in entry:
             raise SpaceFormatError(f"{where}: 0-cell {cid!r} cannot have faces")
+    known = {dim: set(ids) for dim, ids in cells.items()}
     faces = {}
     for (dim, cid), fs in face_specs.items():
         parsed = []
@@ -409,7 +410,7 @@ def _cells_from_json(payload, where: str) -> FiniteSimplicialSet:
                 raise SpaceFormatError(
                     f"{where}: face {i} of {cid!r} has a word longer than its dimension"
                 )
-            if not isinstance(core, str) or core not in cells.get(core_dim, ()):
+            if not isinstance(core, str) or core not in known.get(core_dim, ()):
                 raise SpaceFormatError(
                     f"{where}: face {i} of {cid!r} references unknown {core_dim}-cell {core!r}"
                 )

@@ -44,19 +44,28 @@ class Carrier:
         if self.kind not in (FINITE, NATURALS):
             raise ControlError(f"unknown carrier kind {self.kind!r}")
         object.__setattr__(self, "elements", tuple(self.elements))
+        # the members of a finite carrier as a set, for membership tests in
+        # C; not a field, so equality, hashing and repr read only the above
+        members = None
         if self.kind == FINITE:
-            if len(set(self.elements)) != len(self.elements):
+            members = frozenset(self.elements)
+            if len(members) != len(self.elements):
                 raise ControlError("carrier elements must be distinct")
         elif self.elements:
             raise ControlError("the naturals carrier takes no element list")
+        object.__setattr__(self, "_members", members)
 
     @property
     def is_finite(self) -> bool:
         return self.kind == FINITE
 
     def __contains__(self, x) -> bool:
-        if self.is_finite:
-            return x in self.elements
+        members = self._members
+        if members is not None:
+            try:
+                return x in members
+            except TypeError:  # unhashable, so equal to no element
+                return False
         return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
     def size(self):
@@ -304,8 +313,16 @@ class ControlledMap:
                 raise UnsupportedRepresentationError(
                     "table assignments need a finite source carrier"
                 )
+            mapping = a.mapping
+            try:
+                fits = (mapping.keys() >= src._members and tgt._members is not None
+                        and tgt._members.issuperset(map(mapping.__getitem__, src.elements)))
+            except TypeError:  # an unhashable value: word the error below
+                fits = False
+            if fits:
+                return
             # one pass; a missing value is reported before one outside the target
-            mapping, missing, outside = a.mapping, [], []
+            missing, outside = [], []
             for x in src.elements:
                 if x not in mapping:
                     missing.append(x)
@@ -411,7 +428,10 @@ def compose(g: ControlledMap, f: ControlledMap) -> ControlledMap:
     fa, ga = f.assignment, g.assignment
 
     if isinstance(fa, TableAssignment):
-        table = {x: ga.evaluate(y) for x, y in fa.mapping.items()}
+        if isinstance(ga, TableAssignment):
+            table = dict(zip(fa.mapping, map(ga.mapping.__getitem__, fa.mapping.values())))
+        else:
+            table = {x: ga.evaluate(y) for x, y in fa.mapping.items()}
         return ControlledMap(f.source, g.target, TableAssignment(table))
 
     if isinstance(fa, ConstantAssignment):

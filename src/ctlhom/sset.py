@@ -15,6 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import gt
 
 from . import delta
 from .delta import MonotoneMap
@@ -46,30 +47,29 @@ class Cell(namedtuple("Cell", "dim id")):
         return f"Cell({self.dim}, {self.id!r})"
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(namedtuple("Simplex", "word core")):
     """Degeneracy normal form: strictly decreasing word over a cell.
 
     The word lists degeneracy operator indices outermost first; the total
     dimension is ``core.dim + len(word)``.  The strictly-decreasing shape is
-    the unique normal form, so equality of simplices is plain field equality.
+    the unique normal form, so equality of simplices is plain equality of
+    the ``(word, core)`` tuple, which hashes and compares in C.
     """
 
-    word: tuple[int, ...]
-    core: Cell
+    __slots__ = ()
 
-    def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
+    def __new__(cls, word, core: Cell):
+        word = tuple(word)
         if word:
-            if any(w < 0 for w in word):
+            if min(word) < 0:
                 raise SimplicialError(f"negative degeneracy index in {word}")
-            if any(a <= b for a, b in zip(word, word[1:])):
+            if not all(map(gt, word, word[1:])):
                 raise SimplicialError(f"degeneracy word {word} is not strictly decreasing")
-            if word[0] > self.core.dim + len(word) - 1:
+            if word[0] > core.dim + len(word) - 1:
                 raise SimplicialError(
-                    f"degeneracy word {word} out of range over a {self.core.dim}-cell"
+                    f"degeneracy word {word} out of range over a {core.dim}-cell"
                 )
+        return tuple.__new__(cls, (word, core))
 
     @property
     def dim(self) -> int:
@@ -85,21 +85,12 @@ class Simplex:
         return f"Simplex(s{list(self.word)} {self.core.id!r})"
 
 
-def is_nondegenerate(x: Simplex) -> bool:
-    return x.is_nondegenerate
-
-
 @lru_cache(maxsize=4096)
 def _word_surjection(word: tuple[int, ...], dim: int) -> MonotoneMap:
     """The ordinal surjection dim -> dim - len(word) encoded by a strictly
     decreasing degeneracy word.  Memoised: MonotoneMap is frozen, and the
     words met in practice are few."""
     return delta.from_codegeneracy_word(tuple(reversed(word)), dim)
-
-
-def _degeneracy_word(f: MonotoneMap) -> tuple[int, ...]:
-    """Simplex-side degeneracy word (strictly decreasing) of a surjection."""
-    return tuple(reversed(delta.codegeneracy_word(f)))
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +103,8 @@ class FiniteSimplicialSet:
     list of d_0..d_n values as Simplex normal forms over lower cells.  Each
     cell is stored once, as a Cell: a tuple of cells per dimension, and one
     dict from every cell to its faces (vertices map to ``()``).  The
-    simplicial identities are verified on construction.
+    simplicial identities are verified on construction, on every cell, with
+    the faces of nondegenerate faces read from that dict.
     """
 
     def __init__(self, cells, faces, name=None):
@@ -167,7 +159,7 @@ class FiniteSimplicialSet:
         for k, fv in enumerate(fs):
             if not isinstance(fv, Simplex):
                 raise PresentationError(f"face {k} of {i!r} is not a simplex")
-            if fv.dim != n - 1:
+            if fv.core.dim + len(fv.word) != n - 1:
                 raise PresentationError(
                     f"face {k} of {n}-cell {i!r} has dimension {fv.dim}"
                 )
@@ -250,16 +242,22 @@ class FiniteSimplicialSet:
         return self._stars.get(vertex, ())
 
     def identity_violations(self) -> list[str]:
-        """Simplicial identity failures d_i d_j != d_{j-1} d_i, as messages."""
+        """Simplicial identity failures d_i d_j != d_{j-1} d_i, as messages;
+        a degenerate face goes through the general face action."""
+        table = self._faces
         bad = []
         for cell in self.all_cells():
             n = cell.dim
             if n < 2:
                 continue
+            fs = table[cell]
+            rows = [None if fv.word else table[fv.core] for fv in fs]
             for j in range(1, n + 1):
+                dj = rows[j]
                 for i in range(j):
-                    lhs = face(self, self.face(cell, j), i)
-                    rhs = face(self, self.face(cell, i), j - 1)
+                    di = rows[i]
+                    lhs = face(self, fs[j], i) if dj is None else dj[i]
+                    rhs = face(self, fs[i], j - 1) if di is None else di[j - 1]
                     if lhs != rhs:
                         bad.append(
                             f"d_{i} d_{j} != d_{j - 1} d_{i} at {n}-cell {cell.id!r}"
@@ -307,9 +305,10 @@ def _factor_action(word: tuple[int, ...], f: MonotoneMap):
 
 @lru_cache(maxsize=4096)
 def _degenerate_by(word: tuple[int, ...], epi: MonotoneMap) -> tuple[int, ...]:
-    """The degeneracy word of epi followed by the surjection of ``word``."""
+    """The degeneracy word (strictly decreasing) of epi followed by the
+    surjection of ``word``."""
     total = delta.compose(_word_surjection(word, epi.target_dim), epi)
-    return _degeneracy_word(total)
+    return tuple(reversed(delta.codegeneracy_word(total)))
 
 
 def _face_step(X, y: Simplex, i: int) -> Simplex:
@@ -372,25 +371,26 @@ def adjacent(X, x: Simplex, y: Simplex) -> bool:
 def facet_complex(facets, name=None) -> FiniteSimplicialSet:
     """The simplicial complex generated by facets (iterables of vertex
     labels).  Cells are all nonempty subsets, ordered by the sort of their
-    labels; ids join the labels with dots."""
-    facets = [tuple(sorted(set(f))) for f in facets]
-    subsets = set()
+    labels; ids join the labels with dots.  Each cell is made once, as one
+    nondegenerate Simplex keyed by its vertices, and that same Simplex is
+    every face that names the cell."""
+    by_dim = {}
     for f in facets:
+        f = tuple(sorted(set(f)))
         if not f:
             raise PresentationError("empty facet")
         for k in range(1, len(f) + 1):
-            subsets.update(combinations(f, k))
-    cells = {}
-    faces = {}
-    for verts in sorted(subsets, key=lambda s: (len(s), s)):
-        dim = len(verts) - 1
-        cid = ".".join(str(v) for v in verts)
-        cells.setdefault(dim, []).append(cid)
-        if dim > 0:
-            faces[(dim, cid)] = tuple(
-                Simplex((), Cell(dim - 1, ".".join(str(v) for j, v in enumerate(verts) if j != i)))
-                for i in range(dim + 1)
-            )
+            by_dim.setdefault(k - 1, set()).update(combinations(f, k))
+    cells, faces, simplex = {}, {}, {}
+    for dim in sorted(by_dim):
+        ids = cells[dim] = []
+        for verts in sorted(by_dim[dim]):
+            cid = ".".join(map(str, verts))
+            ids.append(cid)
+            simplex[verts] = Simplex((), Cell(dim, cid))
+            if dim:
+                # combinations drop the last vertex first, so reverse: d_0 .. d_dim
+                faces[(dim, cid)] = tuple(map(simplex.__getitem__, combinations(verts, dim)))[::-1]
     return FiniteSimplicialSet(cells, faces, name=name)
 
 

@@ -90,6 +90,29 @@ def test_round_trip_preserves_the_document(tmp_path):
     assert space_to_json(load_space(str(path))) == space_to_json(space)
 
 
+def test_a_saved_sphere_loads_back_cell_for_cell(tmp_path):
+    space = sphere(7)
+    path = tmp_path / "sphere7.json"
+    save_space(space, str(path))
+    loaded = load_space(str(path))
+    assert loaded.name == space.name and loaded.dims() == space.dims()
+    for n in space.dims():
+        assert loaded.cells(n) == space.cells(n)
+        for cell in loaded.cells(n) if n else ():
+            assert [loaded.face(cell, i) for i in range(n + 1)] == [
+                space.face(cell, i) for i in range(n + 1)]
+    assert loaded.identity_violations() == []
+
+
+def test_a_face_core_is_looked_up_in_its_own_dimension():
+    doc = space_to_json(torus())
+    doc["cells"][-1]["faces"][0]["core"] = "0"  # a vertex id, named as an edge
+    with pytest.raises(SpaceFormatError) as err:
+        space_from_json(doc)
+    assert str(err.value) == (
+        "finite space: face 0 of '3.5.6' references unknown 1-cell '0'")
+
+
 def test_json_document_shape():
     doc = space_to_json(torus())
     assert doc["format"] == "ctlhom-space"

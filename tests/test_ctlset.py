@@ -138,6 +138,17 @@ def test_table_values_must_lie_in_the_target():
     with pytest.raises(ControlError, match="value -1 outside target carrier"):
         ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": -1, "c": -2}))
     assert ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": 9, "c": 2}))
+    # an unhashable value is in no carrier, as before membership used a set
+    with pytest.raises(ControlError, match=r"value \['a'\] outside target carrier"):
+        ControlledMap(min_ctl(ABC), min_ctl(ABC), TableAssignment({"a": ["a"], "b": "b", "c": "c"}))
+    assert ["a"] not in ABC and "a" in ABC and "a" not in N
+
+
+def test_carrier_members_leave_equality_hashing_and_repr_alone():
+    again = finite_carrier(["a", "b", "c"])
+    assert again == ABC and hash(again) == hash(ABC) and again is not ABC
+    assert repr(ABC) == "Carrier(['a', 'b', 'c'])"
+    assert finite_carrier(["c", "b", "a"]) != ABC
 
 
 # ------------------------------------------------------------- composition

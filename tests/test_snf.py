@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctlhom.chainalg import boundary_matrix
 from ctlhom.corpus import torus
@@ -141,8 +141,19 @@ def test_sparse_decomposition_certificates(m):
     assert smith_normal_form(m).verify()
 
 
+# a 13x13 draw whose reductions overran hypothesis's default 200 ms deadline;
+# the deadline is hypothesis's default, not a claim about the code
+SLOW_SPARSE = IntMatrix.from_entries(13, 13, (dict(row) for row in [
+    [(0, 5), (1, 4), (6, 7), (7, 2)], [(2, 1), (11, 9), (12, -6)], [(1, 1), (5, 1)],
+    [(6, 1), (8, 1), (10, 2)], [(5, 6), (6, 2)], [(7, 2)], [(0, 3), (9, 3), (12, 1)],
+    [(12, -2)], [(0, -2), (1, 1), (4, 3), (12, 1)], [(1, 1), (6, 2), (9, 1), (10, 1)],
+    [(9, 1), (12, 2)], [(0, 1), (2, 1)], [(4, 3), (5, 1)],
+]))
+
+
 @given(sparse_int_matrices(), st.sets(st.sampled_from(TRANSFORMS)))
-@settings(max_examples=200)
+@example(SLOW_SPARSE, set(TRANSFORMS))
+@settings(max_examples=200, deadline=None)
 def test_tracking_a_subset_keeps_the_pivots(m, track):
     """A reduction that tracks only some transforms makes the same pivots:
     the same D, the same tracked transforms, and None for the others."""

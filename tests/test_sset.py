@@ -78,6 +78,50 @@ def test_nondegenerate_iff_empty_word():
     assert not Simplex((0,), v).is_nondegenerate
 
 
+def test_simplex_is_its_word_and_core_tuple():
+    """A Simplex equals and hashes like its plain (word, core) tuple, as a
+    Cell does like its (dim, id) tuple."""
+    v, e = Cell(0, "v"), Cell(1, "e")
+    for x in (Simplex((), e), Simplex((1, 0), v), Simplex([0], v)):
+        plain = (x.word, x.core)
+        assert x == plain and plain == x and hash(x) == hash(plain)
+        assert tuple(x) == plain and isinstance(x.word, tuple)
+    assert Simplex([1, 0], v) == Simplex((1, 0), v)
+    assert {Simplex((0,), v): 1}[((0,), v)] == 1
+    assert Simplex((), e).dim == 1 and Simplex((1, 0), v).dim == 2
+    assert Simplex((), e) != Simplex((), Cell(1, "f"))
+    with pytest.raises(AttributeError):
+        Simplex((), e).word = (0,)
+
+
+def test_simplex_validation_messages_and_repr():
+    v = Cell(0, "v")
+    for word, message in (((-1,), "negative degeneracy index in (-1,)"),
+                          ((0, 1), "degeneracy word (0, 1) is not strictly decreasing"),
+                          ((1,), "degeneracy word (1,) out of range over a 0-cell")):
+        with pytest.raises(SimplicialError) as err:
+            Simplex(word, v)
+        assert str(err.value) == message
+    assert repr(Simplex((), Cell(1, "e"))) == "Simplex('e')"
+    assert repr(Simplex((1, 0), v)) == "Simplex(s[1, 0] 'v')"
+
+
+def test_plain_tuples_are_refused_where_a_simplex_is_required():
+    from ctlhom.chainalg import Cochain
+
+    v, e = Cell(0, "v"), Cell(1, "e")
+    with pytest.raises(PresentationError, match="face 0 of 'e' is not a simplex"):
+        FiniteSimplicialSet({0: ["v"], 1: ["e"]}, {(1, "e"): (((), v), Simplex((), v))})
+    X = circle()
+    plain = {c: ((), c) for c in X.all_cells()}
+    with pytest.raises(SimplicialError, match="is not a target simplex"):
+        SimplicialMap(X, X, plain)
+    phi = Cochain(X, 1, {e: 3})
+    assert phi(Simplex((), e)) == 3 and phi(e) == 3
+    with pytest.raises(SimplicialError, match="cannot evaluate a cochain"):
+        phi(((), e))
+
+
 # --------------------------------------------------------- the ordinal action
 
 def test_word_surjection_matches_the_codegeneracy_word():
