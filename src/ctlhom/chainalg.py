@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .snf import IntMatrix, MatrixError, smith_normal_form
+from .snf import IntMatrix, MatrixError, invariant_factors, smith_normal_form
 from .sset import (
     Cell,
     FiniteSimplicialSet,
@@ -271,24 +271,32 @@ def _from_columns(rows: int, cols) -> IntMatrix:
 # --------------------------------------------------------------------------
 # homology presentations
 
-@dataclass
 class HomologyPresentation:
     """H = ker(boundary_in) / im(boundary_out), with explicit generators.
 
+    ``group`` is set at once; the basis fields are built on first read.
     ``orders[i]`` is 0 for a free generator and the torsion order (>= 2)
     otherwise; ``generators[i]`` is the representing cycle in the chain
     basis.  ``reduce`` sends any cycle to its coordinates in this
     presentation (torsion coordinates already reduced mod their order).
     """
 
-    group: AbelianGroup
-    orders: tuple
-    generators: tuple
-    basis_size: int
-    _v_inv: IntMatrix = field(repr=False)
-    _rank: int = field(repr=False)
-    _u_y: IntMatrix = field(repr=False)
-    _kept: tuple = field(repr=False)
+    _BASIS = ("orders", "generators", "_v_inv", "_rank", "_u_y", "_kept")
+
+    def __init__(self, group: AbelianGroup, basis_size: int, build):
+        self.group = group
+        self.basis_size = basis_size
+        self._build = build
+
+    def __getattr__(self, name):
+        # reached only for a field not yet set: a basis field builds them all
+        if name not in HomologyPresentation._BASIS:
+            raise AttributeError(name)
+        self.__dict__.update(self._build())
+        return self.__dict__[name]
+
+    def __repr__(self):
+        return f"HomologyPresentation({render_group(self.group)}, basis_size={self.basis_size})"
 
     def reduce(self, vector) -> tuple:
         vec = tuple(int(v) for v in vector)
@@ -308,13 +316,16 @@ class HomologyPresentation:
 
 
 def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
-                     reduce=None) -> HomologyPresentation:
-    """Present ker(boundary_in)/im(boundary_out) with generators.
+                     reduce=None, factors=None) -> HomologyPresentation:
+    """Present ker(boundary_in)/im(boundary_out).
 
     ``boundary_in`` consumes the degree (one column per basis element);
     ``boundary_out`` produces into it.  Raises MatrixError if the two do not
-    compose to zero.  Only V, V^-1 of boundary_in and U, U^-1 of the
-    relations are read.  ``reduce(matrix, track)`` (``smith_normal_form``
+    compose to zero.  The group is read off their invariant factors
+    (``factors``, when given): the free rank is the basis size less both
+    ranks, the torsion the factors of ``boundary_out`` above 1.  The basis
+    is built when first read, reading only V, V^-1 of boundary_in and U,
+    U^-1 of the relations.  ``reduce(matrix, track)`` (``smith_normal_form``
     by default) reduces either boundary, tracking at least those; a caller
     presenting neighbouring degrees passes one that shares reductions.
     """
@@ -322,7 +333,17 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
         raise MatrixError(
             f"boundary shapes disagree: in-cols {boundary_in.cols}, out-rows {boundary_out.rows}"
         )
-    reduce = reduce or smith_normal_form
+    if not (boundary_in @ boundary_out).is_zero():
+        raise MatrixError("boundaries do not compose to zero")
+    f_in, f_out = factors or (invariant_factors(boundary_in), invariant_factors(boundary_out))
+    group = AbelianGroup(boundary_in.cols - len(f_in) - len(f_out),
+                         tuple(f for f in f_out if f > 1))
+    return HomologyPresentation(group, boundary_in.cols, lambda: _basis(
+        boundary_in, boundary_out, reduce or smith_normal_form))
+
+
+def _basis(boundary_in: IntMatrix, boundary_out: IntMatrix, reduce) -> dict:
+    """A presentation's basis fields, from fixed-pivot Smith reductions."""
     if boundary_in.is_zero():
         # no pivots: V = I, and the relations are boundary_out itself
         r, k = 0, boundary_in.cols
@@ -334,32 +355,19 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
         r = dec.rank
         k = boundary_in.cols - r
         v_inv = dec.v_inv
-        y_full = (v_inv @ boundary_out).entries
-        if any(y_full[:r]):
-            raise MatrixError("boundaries do not compose to zero")
+        # the first r rows vanish, as the boundaries compose to zero
+        relations = (v_inv @ boundary_out).entries[r:]
         dec_y = smith_normal_form(
-            IntMatrix.from_entries(k, boundary_out.cols, y_full[r:]), ("u", "u_inv"))
+            IntMatrix.from_entries(k, boundary_out.cols, relations), ("u", "u_inv"))
         kernel = IntMatrix.from_entries(boundary_in.cols, k, (
             {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
         gen_matrix = kernel @ dec_y.u_inv
+    # the Smith order (1s, then growing factors, then 0s) without the 1s
     orders_all = list(dec_y.invariant_factors) + [0] * (k - dec_y.rank)
     kept = tuple(i for i, d in enumerate(orders_all) if d != 1)
-    orders = tuple(orders_all[i] for i in kept)
-    torsion = tuple(d for d in orders if d >= 2)
-    free_rank = sum(1 for d in orders if d == 0)
-    generators = tuple(gen_matrix.col(i) for i in kept)
-    # present torsion before free parts is already the SNF order (1s, then
-    # growing factors, then 0s); keep it as-is
-    return HomologyPresentation(
-        group=AbelianGroup(free_rank, torsion),
-        orders=orders,
-        generators=generators,
-        basis_size=boundary_in.cols,
-        _v_inv=v_inv,
-        _rank=r,
-        _u_y=dec_y.u,
-        _kept=kept,
-    )
+    return {"orders": tuple(orders_all[i] for i in kept),
+            "generators": tuple(gen_matrix.col(i) for i in kept),
+            "_v_inv": v_inv, "_rank": r, "_u_y": dec_y.u, "_kept": kept}
 
 
 def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
@@ -374,8 +382,7 @@ def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
         return True
     cols = [dict(enumerate(img)) for img in images]
     cols += [{i: d} for i, d in enumerate(target.orders) if d >= 2]
-    dec = smith_normal_form(_from_columns(k, cols), ())
-    return dec.rank == k and all(f == 1 for f in dec.invariant_factors)
+    return invariant_factors(_from_columns(k, cols)) == (1,) * k
 
 
 def is_transition_isomorphism(source: HomologyPresentation,
@@ -396,12 +403,14 @@ def is_transition_isomorphism(source: HomologyPresentation,
 @dataclass
 class StageComplex:
     """One truncation's chain data: the stage complex, the basis per degree
-    (possibly relative to the frontier), and boundary matrices."""
+    (possibly relative to the frontier), boundary matrices and their
+    invariant factors."""
 
     complex: FiniteSimplicialSet
     excluded: frozenset
     _bases: dict = field(default_factory=dict)
     _matrices: dict = field(default_factory=dict)
+    _factors: dict = field(default_factory=dict)
 
     def basis(self, n: int) -> tuple:
         if n not in self._bases:
@@ -414,6 +423,12 @@ class StageComplex:
         if n not in self._matrices:
             self._matrices[n] = boundary_matrix(self.complex, n, self.excluded)
         return self._matrices[n]
+
+    def factors(self, n: int) -> tuple:
+        """The invariant factors of ``boundary(n)``, and of its transpose."""
+        if n not in self._factors:
+            self._factors[n] = invariant_factors(self.boundary(n))
+        return self._factors[n]
 
 
 def _cell_map(source: tuple, target: tuple, total: bool) -> tuple:
@@ -482,10 +497,12 @@ class TheoryResult:
 def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
     """The stage's presentations in the given degrees, of its chains or,
     when ``dual``, of its cochains: the coboundary out of degree n is the
-    transpose of the boundary into it.  A degree with zero in-boundary has
-    its neighbour's in-boundary as relations; when both degrees are asked
-    for, that matrix is reduced once, tracking all four transforms."""
+    transpose of the boundary into it.  Their groups share the stage's
+    invariant factors.  A degree with zero in-boundary has its neighbour's
+    in-boundary as relations; when both degrees' bases are read, that
+    matrix is reduced once, tracking all four transforms."""
     step = -1 if dual else 1
+    shift = 1 if dual else 0  # boundary_in(n) is boundary n + shift, or its transpose
     transposes = {}
 
     def boundary_in(n):
@@ -505,7 +522,8 @@ def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
             reductions[id(m)] = smith_normal_form(m)
         return reductions[id(m)]
 
-    return {n: present_homology(boundary_in(n), boundary_in(n + step), reduce)
+    return {n: present_homology(boundary_in(n), boundary_in(n + step), reduce,
+                                (stage.factors(n + shift), stage.factors(n + step + shift)))
             for n in wanted}
 
 

@@ -9,6 +9,7 @@ A caller names the transforms it reads, and only those are tracked.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -370,6 +371,46 @@ def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
         v=emit(w.v_cols, cols, by_columns=True),
         v_inv=emit(w.vi, cols),
     )
+
+
+def invariant_factors(m: IntMatrix) -> tuple:
+    """The invariant factors of ``m``, without transforms.
+
+    Invariant factors do not depend on the pivots, so this picks its own:
+    while some column holds a ±1, it takes the column with the fewest
+    nonzeros and in it the shortest row holding a unit, and replaces the
+    matrix by the Schur complement of that pivot, which contributes a 1.
+    ``smith_normal_form`` reduces what is left.  See Mrozek and Batko,
+    "Coreduction homology algorithm" (2009).
+    """
+    w = _Worker(m, ())
+    rows, index = w.a, w.index
+    # (nonzeros, column), pushed again whenever the column changes
+    heap = [(len(rs), j) for j, rs in enumerate(index) if rs]
+    heapq.heapify(heap)
+    eliminated = 0
+    while heap:
+        n, q = heapq.heappop(heap)
+        if len(index[q]) != n:
+            continue
+        units = [(len(rows[i]), i) for i in index[q] if rows[i][q] in (1, -1)]
+        if not units:
+            continue
+        p = min(units)[1]
+        for i in index[q] - {p}:
+            w.add_row(p, i, -rows[i][q] * rows[p][q])  # clears rows[i][q]
+        for c in rows[p]:
+            index[c].discard(p)
+            if index[c]:
+                heapq.heappush(heap, (len(index[c]), c))
+        rows[p] = {}
+        eliminated += 1
+    # zero rows and columns change no invariant factor
+    live = [row for row in rows if row]
+    cols = {j: k for k, j in enumerate(j for j, rs in enumerate(index) if rs)}
+    residual = IntMatrix.from_entries(
+        len(live), len(cols), ({cols[j]: x for j, x in row.items()} for row in live))
+    return (1,) * eliminated + smith_normal_form(residual, ()).invariant_factors
 
 
 def _find_pivot(w: _Worker, t: int):

@@ -37,6 +37,7 @@ class Cell(namedtuple("Cell", "dim id")):
     a ``(dim, id)`` tuple (equal to the plain one) that hashes and sorts in C."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__
 
     def __new__(cls, dim: int, id: str):
         if dim < 0:
@@ -57,6 +58,7 @@ class Simplex(namedtuple("Simplex", "word core")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__
 
     def __new__(cls, word, core: Cell):
         word = tuple(word)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlhom import chainalg
+from ctlhom import chainalg, cli, snf
 from ctlhom.chainalg import (
     INTEGER,
     RATIONAL,
@@ -206,7 +206,8 @@ def _fields(p):
 def test_shared_reductions_give_the_unshared_presentations(monkeypatch, dual):
     """Presented together, a degree with zero in-boundary and its neighbour
     reduce the neighbour's in-boundary once; every presentation is the one
-    its degree gets when presented alone."""
+    its degree gets when presented alone.  The bases are built when read,
+    so the reductions are counted up to the reading of every field."""
     reduced = []
     real = chainalg.smith_normal_form
 
@@ -221,14 +222,71 @@ def test_shared_reductions_give_the_unshared_presentations(monkeypatch, dual):
         degrees = range(X.top_dim + 2)
         reduced.clear()
         together = chainalg._present_degrees(stage, degrees, dual)
+        together = {n: _fields(p) for n, p in together.items()}
         together_calls += len(reduced)
         reduced.clear()
-        alone = {n: chainalg._present_degrees(stage, [n], dual)[n] for n in degrees}
+        alone = {n: _fields(chainalg._present_degrees(stage, [n], dual)[n])
+                 for n in degrees}
         alone_calls += len(reduced)
         assert list(together) == list(degrees)
         for n in degrees:
-            assert _fields(together[n]) == _fields(alone[n]), (X.name, n)
+            assert together[n] == alone[n], (X.name, n)
     assert together_calls < alone_calls
+
+
+def _spy_reductions(monkeypatch) -> list:
+    """The transforms each Smith reduction tracks, in call order, whether it
+    is called from ``chainalg`` or from ``snf.invariant_factors``."""
+    tracked = []
+    real = snf.smith_normal_form
+
+    def spy(m, track=snf.TRANSFORMS):
+        tracked.append(tuple(track))
+        return real(m, track)
+
+    monkeypatch.setattr(snf, "smith_normal_form", spy)
+    monkeypatch.setattr(chainalg, "smith_normal_form", spy)
+    return tracked
+
+
+def test_finite_groups_track_no_transform(monkeypatch):
+    """The theories read groups only: their reductions build no transform
+    until a basis is read, and reading one afterwards gives the presentation
+    that presenting the degrees directly gives."""
+    tracked = _spy_reductions(monkeypatch)
+    for driver, dual in ((homology, False), (cohomology, True)):
+        tracked.clear()
+        result = driver(sphere(6))
+        assert tracked and all(t == () for t in tracked), driver.__name__
+        assert all("generators" not in vars(p) for p in result.presentations.values())
+        read = {n: _fields(p) for n, p in result.presentations.items()}
+        assert any(t != () for t in tracked)
+        direct = chainalg._present_degrees(StageComplex(sphere(6), frozenset()), list(read),
+                                           dual)
+        assert read == {n: _fields(p) for n, p in direct.items()}
+
+
+def test_finite_cli_commands_track_no_transform(monkeypatch, capsys):
+    tracked = _spy_reductions(monkeypatch)
+    for space in ("point", "circle", "torus", "rp2", "delta(3)", "sphere(2)", "sphere(3)"):
+        for command in ("homology", "bm-homology", "cohomology", "cohomology-c"):
+            for coeff in ("z", "z/2", "q"):
+                assert cli.main([command, space, "--coeff", coeff, "--json"]) == 0
+    capsys.readouterr()
+    assert tracked and all(t == () for t in tracked)
+
+
+def test_a_non_composing_pair_is_refused_before_any_basis_is_read(monkeypatch):
+    tracked = _spy_reductions(monkeypatch)
+    d1 = boundary_matrix(torus(), 1)
+    wrong = IntMatrix.identity(d1.cols)
+    with pytest.raises(MatrixError, match="boundaries do not compose to zero"):
+        present_homology(d1, wrong)
+    with pytest.raises(MatrixError, match="boundaries do not compose to zero"):
+        present_homology(wrong.transpose(), d1.transpose(), factors=((), ()))
+    assert tracked == []
+    with pytest.raises(MatrixError, match="boundary shapes disagree"):
+        present_homology(d1, IntMatrix.identity(d1.rows))
 
 
 # -------------------------------------------------------- finite homology

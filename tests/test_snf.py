@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ctlhom.chainalg import boundary_matrix
-from ctlhom.corpus import torus
-from ctlhom.snf import TRANSFORMS, IntMatrix, MatrixError, smith_normal_form
+from ctlhom.corpus import SPACES, sphere, standard_simplex, torus
+from ctlhom.snf import (TRANSFORMS, IntMatrix, MatrixError, invariant_factors,
+                        smith_normal_form)
+from ctlhom.sset import FiniteSimplicialSet
 
 GOLDEN = json.loads((Path(__file__).parent / "snf_golden.json").read_text())
 
@@ -203,3 +205,41 @@ def test_invariant_factor_chain(m):
 def test_transpose_has_the_same_factors(m):
     assert (smith_normal_form(m).invariant_factors
             == smith_normal_form(m.transpose()).invariant_factors)
+
+
+@st.composite
+def factor_cases(draw):
+    """Matrices of shape 0..8 with entries in -4..4, with some rows and
+    columns zeroed, and some with every +-1 doubled so no entry is a unit."""
+    m = draw(int_matrices(max_size=8, max_entry=4))
+    zero_rows = draw(st.sets(st.integers(0, 7)))
+    zero_cols = draw(st.sets(st.integers(0, 7)))
+    no_units = draw(st.booleans())
+    return IntMatrix(m.rows, m.cols, (
+        (0 if i in zero_rows or j in zero_cols else 2 * x if no_units and abs(x) == 1 else x
+         for j, x in enumerate(row)) for i, row in enumerate(m.data)))
+
+
+@given(factor_cases())
+@example(IntMatrix.zeros(0, 0))
+@example(IntMatrix.zeros(3, 5))
+@example(IntMatrix.from_rows([[2, 4], [6, 8]]))
+@example(IntMatrix.from_rows([[0, 1, 0], [0, 0, 0], [3, 2, 0]]))
+@settings(max_examples=300)
+def test_free_pivots_give_the_smith_factors(m):
+    """Invariant factors do not depend on the pivots, so unit elimination
+    with its own pivot order finds those of the fixed-pivot reduction."""
+    assert invariant_factors(m) == smith_normal_form(m, ()).invariant_factors
+
+
+def test_free_pivots_give_the_smith_factors_of_every_finite_boundary():
+    """Every boundary matrix, and its transpose, of the finite corpus."""
+    spaces = [build() for build, _ in SPACES.values()]
+    spaces = [X for X in spaces if isinstance(X, FiniteSimplicialSet)]
+    spaces += [sphere(n) for n in range(2, 9)] + [standard_simplex(n) for n in range(2, 8)]
+    assert len(spaces) == 17
+    for X in spaces:
+        for n in range(X.top_dim + 2):
+            for m in (boundary_matrix(X, n), boundary_matrix(X, n).transpose()):
+                assert invariant_factors(m) == smith_normal_form(m, ()).invariant_factors, \
+                    (X.name, n)

@@ -106,6 +106,28 @@ def test_simplex_validation_messages_and_repr():
     assert repr(Simplex((1, 0), v)) == "Simplex(s[1, 0] 'v')"
 
 
+def test_make_checks_fields_as_the_constructor_does():
+    """namedtuple's ``_make`` (and ``_replace``, which calls it) goes through
+    ``__new__``, so neither builds a simplex or cell the constructor refuses."""
+    v = Cell(0, "v")
+    for build in (lambda: Simplex._make(((0, 1), v)),
+                  lambda: Simplex((0,), v)._replace(word=(0, 1))):
+        with pytest.raises(SimplicialError) as err:
+            build()
+        assert str(err.value) == "degeneracy word (0, 1) is not strictly decreasing"
+    with pytest.raises(SimplicialError, match="out of range over a 0-cell"):
+        Simplex._make([(1,), v])
+    with pytest.raises(SimplicialError) as err:
+        Cell._make((-1, "x"))
+    assert str(err.value) == "cell dimension must be non-negative"
+    with pytest.raises(SimplicialError, match="not strictly decreasing"):
+        FiniteSimplicialSet({0: ["v"], 3: ["t"]},
+                            {(3, "t"): (Simplex._make(((0, 1), v)),) * 4})
+    assert Simplex._make([[1, 0], v]) == Simplex((1, 0), v)
+    assert type(Simplex._make(((), v))) is Simplex
+    assert Cell._make((2, "t")) == Cell(2, "t") and type(Cell._make((2, "t"))) is Cell
+
+
 def test_plain_tuples_are_refused_where_a_simplex_is_required():
     from ctlhom.chainalg import Cochain
 
