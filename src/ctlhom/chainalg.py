@@ -918,35 +918,35 @@ def pullback(f: SimplicialMap, cochain: Cochain) -> Cochain:
     return Cochain(f.source, cochain.degree, _pulled(f, cochain))
 
 
-def pullback_periodic(f, cochain: Cochain, depth: int, max_depth: int = 12):
+def pullback_periodic(f, cochain: Cochain, depth: int):
     """Pullback of a compactly supported cochain along a periodic map.
 
     Requires the map to be proper — otherwise the preimage support would be
     infinite and the result would not be compactly supported; raises
-    ControlError in that case.  The result is computed at increasing stages
-    until its support stops growing, and returned on the source stage where
-    it settled.
+    ControlError in that case.  Copy c lands in target cells glued at most
+    ``longest`` copies earlier (``Exhaustion._walks``), so the pullback is
+    read once, on source stage max(depth, s + longest), s the deepest target
+    stage in the support.
     """
     from .sset import PeriodicMap, is_proper_map
 
     if not isinstance(f, PeriodicMap):
         raise SimplicialError("pullback_periodic needs a periodic map")
-    proper = is_proper_map(f, max_depth=max_depth)
+    proper = is_proper_map(f)
     if not proper.ok:
         raise ControlError(
             "pullback of compactly supported cochains needs a proper map: "
             + (proper.witness or "not proper")
         )
-    previous = None
-    for d in range(depth, max_depth + 1):
-        level = f.level_map(d)
-        pulled = _pulled(level, cochain)
-        if previous is not None and pulled == previous[1]:
-            return Cochain(level.source, cochain.degree, pulled)
-        previous = (d, pulled)
-    raise ControlError(
-        f"pullback support kept growing through depth {max_depth}"
-    )
+    stage = depth
+    if f.target_is_exhaustion:
+        lag = max((longest for _, longest in f.target._walks), default=0)
+        for cell in cochain.values:
+            if cell not in f.target._glued:
+                raise SimplicialError("cochain does not live on the map's target")
+            stage = max(stage, f.target._glued[cell][0] + lag)
+    level = f.level_map(stage)
+    return Cochain(level.source, cochain.degree, _pulled(level, cochain))
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .chainalg import (
     THEORY_DRIVERS,
 )
 from .corpus import (
-    FIXTURES,
     PARAMETRIC,
     SPACES,
     SpaceFormatError,
@@ -38,7 +37,6 @@ from .corpus import (
 from .ctlset import ControlError
 from .sset import (
     Exhaustion,
-    FiniteSimplicialSet,
     PresentationError,
     SimplicialError,
     is_locally_finite,

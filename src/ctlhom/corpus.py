@@ -517,10 +517,14 @@ def save_space(space, path: str):
 
 def load_space(path: str):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SpaceFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise SpaceFormatError(f"{path}: JSON nested too deeply") from exc
     except OSError as exc:
         raise SpaceFormatError(f"{path}: {exc.strerror}") from exc
     return space_from_json(doc)

@@ -11,10 +11,10 @@ and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from operator import gt
 
 from . import delta
@@ -593,6 +593,29 @@ class Exhaustion:
             self._glue_stage(added, frontier_chains)
         return self._stages[depth]
 
+    @cached_property
+    def _walks(self) -> tuple:
+        """Per chain, where its in-boundary cells go: the cell at in-position
+        k takes the out-position of ``into[k]`` in the next copy.  The steps
+        are injective, so a walk ends or is a cycle, whose base cells are in
+        every copy: ``cycles`` maps the slab cell at each cycle position to the
+        base cells that take it in turn; ``longest`` is the longest walk that ends."""
+        walks = []
+        for base_cells, into, out in self._resolved:
+            at = {c: k for k, c in enumerate(out)}
+            steps = [at.get(c) for c in into]
+            cycles, longest = {}, 0
+            for k in range(len(into)):
+                walk = [k]
+                while (j := steps[walk[-1]]) not in (None, k):
+                    walk.append(j)
+                if j is None:
+                    longest = max(longest, len(walk))
+                else:
+                    cycles[into[k]] = tuple(base_cells[i] for i in walk)
+            walks.append((cycles, longest))
+        return tuple(walks)
+
     def __repr__(self):
         return f"Exhaustion({self.name or '?'}: base {self.base!r}, {len(self.attachments)} chain(s))"
 
@@ -658,43 +681,38 @@ class LocalFinitenessReport:
     notes: list[str] = field(default_factory=list)
 
 
-def is_locally_finite(X, probe_depth: int = 3) -> LocalFinitenessReport:
+def is_locally_finite(X) -> LocalFinitenessReport:
     """Certify that every vertex is adjacent to finitely many nondegenerate
     simplices.
 
-    Finite complexes are locally finite outright.  For exhaustions the
-    certificate compares vertex stars across consecutive stages: every vertex
-    existing at stage i must have equal stars at stages i+1 and i+2 (one step
-    of settling is allowed for the slab that attaches at the frontier).  This
-    is sound for the periodic presentations expressible here; a vertex whose
-    star keeps growing is reported as the witness.  A negative
-    ``probe_depth`` compares no stages and is refused.
+    Finite complexes are locally finite outright.  On an exhaustion a vertex
+    in every copy sits on a cycle of ``Exhaustion._walks``, and its star
+    grows for ever exactly when a cell that copies add meets that cycle; the
+    witness is the one the earliest copy from 2 on adds to, ties going to
+    the first base vertex.  Otherwise the stars of the stage-3 vertices are
+    read at stage 4 + ``longest``, past the last copy glued onto any of them.
     """
-    if probe_depth < 0:
-        raise SimplicialError("probe_depth must be at least 0")
     if isinstance(X, FiniteSimplicialSet):
         deepest, vertices, note = X, X.cells(0), "finite complex: every star is finite"
     else:
-        stages = [X.truncate(i) for i in range(probe_depth + 3)]
-        for i in range(probe_depth + 1):
-            # stages nest with unchanged faces, so a star grows from stage i+1
-            # to i+2 by exactly the added cells whose closure holds the vertex
-            after = stages[i + 2]
-            gained = {}
-            for c in after.added:
-                for v in after.complex.vertices_of(c):
-                    gained.setdefault(v, []).append(c.id)
-            for v in stages[i].complex.cells(0):
-                if v in gained:
-                    grown = sorted(gained[v])
+        unbounded = {b for (_, into, _), (cycles, _) in zip(X._resolved, X._walks)
+                     for c in X.slab.all_cells() if c not in into
+                     for v in X.slab.vertices_of(c) for b in cycles.get(v, ())}
+        unbounded = [v for v in X.base.cells(0) if v in unbounded]
+        for depth in count(2) if unbounded else ():  # each gains once round its cycle
+            stage = X.truncate(depth)
+            for v in unbounded:
+                grown = sorted(c.id for c in stage.added if v in stage.complex.vertices_of(c))
+                if grown:
                     return LocalFinitenessReport(
                         ok=False,
                         witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
-                        notes=[f"star grew between stages {i + 1} and {i + 2}"],
+                        notes=[f"star grew between stages {depth - 1} and {depth}"],
                     )
-        deepest = stages[probe_depth + 2].complex
-        vertices = stages[probe_depth].complex.cells(0)
-        note = f"stars stabilized across stages 1..{probe_depth + 2}"
+        depth = 4 + max((longest for _, longest in X._walks), default=0)
+        deepest = X.truncate(depth).complex
+        vertices = X.truncate(3).complex.cells(0)
+        note = f"stars stabilized across stages 1..{depth}"
     sizes = {v.id: len(deepest.star(v)) for v in vertices}
     return LocalFinitenessReport(
         ok=True,
@@ -792,16 +810,26 @@ class PeriodicMap:
         self.name = name
         if len(self.slab_rules) != len(source.attachments):
             raise SimplicialError("need one slab rule per attachment chain")
-        self._levels = {}
 
     @property
     def target_is_exhaustion(self) -> bool:
         return isinstance(self.target, Exhaustion)
 
+    @cached_property
+    def _slab_images(self) -> tuple:
+        """Per source chain, (slab cell, rule value) for each cell a copy adds,
+        in slab order; in-boundary cells are glued to cells assigned before."""
+        images = []
+        for a, (rule, (_, into, _)) in enumerate(zip(self.slab_rules, self.source._resolved)):
+            added = [c for c in self.source.slab.all_cells() if c not in into]
+            missing = [c for c in added if rule.cell_map.get(c) is None]
+            if missing:
+                raise SimplicialError(f"slab rule {a} is missing a value for {missing[0]}")
+            images.append([(c, rule.cell_map[c]) for c in added])
+        return tuple(images)
+
     def level_map(self, depth: int) -> SimplicialMap:
         """The finite stage map K_depth(source) -> stage-or-target, validated."""
-        if depth in self._levels:
-            return self._levels[depth]
         src_complex = self.source.truncate(depth).complex
         tgt_complex = (self.target.truncate(depth).complex if self.target_is_exhaustion
                        else self.target)
@@ -811,18 +839,11 @@ class PeriodicMap:
                 trans = self.source.translations[(a, c)]
                 translate = (None if rule.target_attachment is None
                              else self.target.translations[(rule.target_attachment, c)])
-                for slab_cell, spot in trans.items():
-                    if spot in mapping:
-                        continue  # shared boundary cell, already assigned
-                    img = rule.cell_map.get(slab_cell)
-                    if img is None:
-                        raise SimplicialError(f"slab rule {a} is missing a value for {slab_cell}")
-                    if translate is not None:
-                        img = Simplex(img.word, translate[img.core])
-                    mapping[spot] = img
-        level = self._levels[depth] = SimplicialMap(
-            src_complex, tgt_complex, mapping, name=f"{self.name or 'map'}[{depth}]")
-        return level
+                for cell, img in self._slab_images[a]:
+                    mapping[trans[cell]] = (img if translate is None
+                                            else Simplex(img.word, translate[img.core]))
+        return SimplicialMap(src_complex, tgt_complex, mapping,
+                             name=f"{self.name or 'map'}[{depth}]")
 
     def __repr__(self):
         return f"PeriodicMap({self.name or '?'})"
@@ -847,62 +868,41 @@ class PropernessReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _fiber_counts(level: SimplicialMap) -> dict:
-    counts = {}
-    for cell in level.source.all_cells():
-        core = level.mapping[cell].core
-        counts[core] = counts.get(core, 0) + 1
-    return counts
+def _fiber_counts(level: SimplicialMap) -> Counter:
+    return Counter(level.mapping[cell].core for cell in level.source.all_cells())
 
 
-def is_proper_map(f, max_depth: int = 8, window: int = 2) -> PropernessReport:
-    """Check levelwise properness: finitely many nondegenerate source
+def _infinite_fibers(f: PeriodicMap) -> set:
+    """The target simplices that cells of infinitely many copies map to: a
+    collapse rule sends every copy onto the same ones, a periodic rule copy
+    c into copy c of its target chain, where only cells on its cycles recur."""
+    fibers = set()
+    for rule, images in zip(f.slab_rules, f._slab_images):
+        if rule.target_attachment is None:
+            fibers.update(img for _, img in images)
+        else:
+            cycles = f.target._walks[rule.target_attachment][0]
+            fibers.update(Simplex(img.word, b) for _, img in images for b in cycles.get(img.core, ()))
+    return fibers
+
+
+def is_proper_map(f) -> PropernessReport:
+    """Decide levelwise properness: finitely many nondegenerate source
     simplices over (a degeneracy of) each nondegenerate target simplex.
 
-    Finite maps are proper with the fiber bound reported.  For periodic maps
-    the fibers are counted at successive stages; a fiber may still fill in
-    one stage after its target simplex appears (the next copy attaches), so
-    growth is only flagged at simplices present two stages back.  The map is
-    certified proper once no such fiber grows for ``window`` consecutive
-    stages, and reported non-proper with the growing fiber as witness
-    otherwise.  Sound for periodic presentations.  A probe that ends before
-    either happens (``max_depth`` too small for the window) is undetermined
-    and raises SimplicialError rather than certifying anything.
+    Finite maps are proper with the fiber bound reported.  A periodic map is
+    proper exactly when no target simplex takes cells of infinitely many
+    copies (``_infinite_fibers``); the witness is the first such core in
+    target order, with its fiber sizes at depths 1..8.
     """
-    if window < 1:
-        raise SimplicialError("window must be at least 1")
     if isinstance(f, SimplicialMap):
-        counts = _fiber_counts(f)
-        return PropernessReport(ok=True, max_fiber=max(counts.values(), default=0))
-    levels = []  # (target, fiber counts) by depth
-    quiet = 0
-    history = {}
-    for depth in range(max_depth + 1):
-        level = f.level_map(depth)
-        counts = _fiber_counts(level)
-        levels.append((level.target, counts))
-        if depth >= 2:
-            before = levels[depth - 1][1]
-            # in cell order, so that equally long histories tie the same way
-            grew = {y: (before.get(y, 0), counts.get(y, 0))
-                    for y in levels[depth - 2][0].all_cells()
-                    if counts.get(y, 0) > before.get(y, 0)}
-            for y, sizes in grew.items():
-                history.setdefault(y, []).append(sizes)
-            quiet = 0 if grew else quiet + 1
-            if quiet >= window:
-                return PropernessReport(
-                    ok=True,
-                    max_fiber=max(counts.values(), default=0),
-                    notes=[f"fibers settled for {window} stages by depth {depth}"],
-                )
-    worst = max(history, key=lambda y: len(history[y]), default=None)
-    if worst is None:
-        raise SimplicialError(
-            f"properness undetermined within max_depth {max_depth}: fibers "
-            f"neither settled for {window} stages nor grew"
-        )
-    sizes = [a for a, _ in history[worst]] + [history[worst][-1][1]]
+        return PropernessReport(ok=True, max_fiber=max(_fiber_counts(f).values(), default=0))
+    cores = {img.core for img in _infinite_fibers(f)}
+    if not cores:
+        return PropernessReport(ok=True, notes=["no simplex takes cells of infinitely many copies"])
+    order = (f.target.base if f.target_is_exhaustion else f.target).all_cells()
+    worst = next(y for y in order if y in cores)
+    sizes = [_fiber_counts(f.level_map(d))[worst] for d in range(1, 9)]
     return PropernessReport(
         ok=False,
         witness=f"fiber over {worst.id!r} keeps growing: sizes {sizes}",
@@ -962,8 +962,6 @@ def family_is_controlled(X, family) -> bool:
     if isinstance(family, DegeneracyTowerFamily):
         return False
     if isinstance(family, (AllCellsFamily, PerSlabFamily)):
-        if isinstance(X, FiniteSimplicialSet):
-            return True
         return is_locally_finite(X).ok
     raise SimplicialError(f"unknown family kind {type(family).__name__}")
 
@@ -980,46 +978,28 @@ class EquivalenceReport:
     agree: bool
 
 
-def proper_controlled_equivalence(f, max_depth: int = 8, window: int = 2) -> EquivalenceReport:
+def proper_controlled_equivalence(f) -> EquivalenceReport:
     """Compare levelwise properness against the controlled-map conditions.
 
     The controlled side takes the canonical generating family (all
     nondegenerate simplices, stagewise) and requires (1) its image family to
-    be controlled in the target — per-vertex member counts must settle — and
-    (2) fibers over single simplices restricted to the family to be finite.
-    The two sides must agree on every fixture; both reports carry witnesses.
+    be controlled in the target, which holds when each periodic rule's
+    target is locally finite (collapse images form a finite set), and (2)
+    the fibers over single simplices (``_infinite_fibers``) to be finite.
+    Properness reads fibers over cores, so the two sides are decided apart.
     """
-    proper = is_proper_map(f, max_depth=max_depth, window=window)
+    proper = is_proper_map(f)
     if isinstance(f, SimplicialMap):
         # finite complexes: the image family is finite, fibers are finite
         return EquivalenceReport(proper.ok, proper.witness, True, None, proper.ok is True)
-
-    # image family controlledness: count distinct image members per target
-    # vertex across stages; counts at a vertex may settle one stage after
-    # the vertex appears (the next copy still attaches to it), so compare
-    # with that lag, like the star-stabilization certificate
-    history = []  # (target vertices, member count per vertex) by depth
-    quiet = 0
-    for depth in range(max_depth + 1):
-        level = f.level_map(depth)
-        members = {level.eval(level.source.simplex(c)) for c in level.source.all_cells()}
-        counts = {}
-        for m in members:
-            for v in level.target.vertices_of(m.core):
-                counts[v] = counts.get(v, 0) + 1
-        history.append((level.target.cells(0), counts))
-        if depth >= 2:
-            before = history[depth - 1][1]
-            grew = any(counts.get(v, 0) > before.get(v, 0) for v in history[depth - 2][0])
-            quiet = 0 if grew else quiet + 1
-            if quiet >= window:
-                break
-    if quiet < window:
-        controlled_ok, controlled_witness = False, "image family member counts keep growing at some vertex"
-    elif not proper.ok:
-        # condition (2): fibers over the canonical family must be finite,
-        # which is exactly the properness fiber check
-        controlled_ok, controlled_witness = False, f"restricted fibers are infinite ({proper.witness})"
+    periodic = any(rule.target_attachment is not None for rule in f.slab_rules)
+    target_lf = is_locally_finite(f.target) if periodic else None
+    infinite = _infinite_fibers(f)
+    if target_lf is not None and not target_lf.ok:
+        controlled_ok = False
+        controlled_witness = f"image family member counts keep growing ({target_lf.witness})"
+    elif infinite:
+        controlled_ok, controlled_witness = False, f"restricted fibers are infinite over {min(infinite)!r}"
     else:
         controlled_ok, controlled_witness = True, None
     return EquivalenceReport(proper.ok, proper.witness, controlled_ok, controlled_witness,

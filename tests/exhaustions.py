@@ -1,6 +1,21 @@
-"""Exhaustions the tests build that the corpus does not register."""
+"""Exhaustions and periodic maps the tests build that the corpus does not
+register."""
 
-from ctlhom.sset import Attachment, Cell, Exhaustion, FiniteSimplicialSet, Simplex
+from ctlhom.corpus import infinite_star, ray
+from ctlhom.sset import (
+    Attachment,
+    Cell,
+    Exhaustion,
+    FiniteSimplicialSet,
+    PeriodicMap,
+    Simplex,
+    SlabRule,
+    identity_periodic_map,
+)
+
+
+def _v(name) -> Simplex:
+    return Simplex((), Cell(0, name))
 
 
 def relay() -> Exhaustion:
@@ -25,3 +40,73 @@ def relay() -> Exhaustion:
     attachment = Attachment(base_ids=("o", "l0"), slab_in_ids=("pin", "lin"),
                             slab_out_ids=("pout", "lout"))
     return Exhaustion(base, slab, [attachment], name="relay")
+
+
+def long_tail() -> Exhaustion:
+    """Each copy glues in at (p, q) and out at (q, r), so a vertex is glued
+    into two copies after its own: b1 gains the edge qr in copy 1 and ps in
+    copy 2, and then no more.  Every star is finite."""
+    base = FiniteSimplicialSet({0: ["b0", "b1"]}, {}, name="long-tail-base")
+    slab = FiniteSimplicialSet(
+        {0: ["p", "q", "r", "s"], 1: ["ps", "qr"]},
+        {(1, "ps"): (_v("s"), _v("p")), (1, "qr"): (_v("r"), _v("q"))},
+        name="long-tail-slab",
+    )
+    attachment = Attachment(base_ids=("b0", "b1"), slab_in_ids=("p", "q"),
+                            slab_out_ids=("q", "r"))
+    return Exhaustion(base, slab, [attachment], name="long_tail")
+
+
+def bead_string() -> Exhaustion:
+    """Every copy glues in and out at the base vertex o and adds a bead, an
+    edge away from it: o is in every copy, yet every star is finite."""
+    base = FiniteSimplicialSet({0: ["o"]}, {}, name="origin")
+    slab = FiniteSimplicialSet(
+        {0: ["pin", "x", "y"], 1: ["bead"]},
+        {(1, "bead"): (_v("y"), _v("x"))},
+        name="bead-slab",
+    )
+    attachment = Attachment(base_ids=("o",), slab_in_ids=("pin",), slab_out_ids=("pin",))
+    return Exhaustion(base, slab, [attachment], name="bead_string")
+
+
+def ray_onto_beads() -> PeriodicMap:
+    """Not proper, into a locally finite target: copy c of the ray lands on
+    the in-boundary vertex of copy c of ``bead_string``, which is o in every
+    copy."""
+    return PeriodicMap(
+        ray(), bead_string(),
+        base_map={Cell(0, "o"): _v("o")},
+        slab_rules=[SlabRule(target_attachment=0, cell_map={
+            Cell(0, "pin"): _v("pin"),
+            Cell(0, "pout"): _v("pin"),
+            Cell(1, "seg"): Simplex((0,), Cell(0, "pin")),
+        })],
+        name="onto-beads",
+    )
+
+
+def dots_into_tail() -> PeriodicMap:
+    """Proper, with each copy landing a copy back: copy c of a row of dots
+    (the ray without its edges) sends its new dot to the in-boundary vertex
+    q of copy c of ``long_tail``, the vertex r that copy c - 1 glued on (b1
+    for c = 1)."""
+    dots = Exhaustion(
+        FiniteSimplicialSet({0: ["o"]}, {}, name="origin"),
+        FiniteSimplicialSet({0: ["pin", "pout"]}, {}, name="dot-slab"),
+        [Attachment(base_ids=("o",), slab_in_ids=("pin",), slab_out_ids=("pout",))],
+        name="dots",
+    )
+    return PeriodicMap(
+        dots, long_tail(),
+        base_map={Cell(0, "o"): _v("b0")},
+        slab_rules=[SlabRule(target_attachment=0, cell_map={
+            Cell(0, "pin"): _v("p"), Cell(0, "pout"): _v("q")})],
+        name="dots-into-tail",
+    )
+
+
+def star_identity() -> PeriodicMap:
+    """The identity of ``infinite_star``: proper, but its image family
+    crowds the vertex o."""
+    return identity_periodic_map(infinite_star())

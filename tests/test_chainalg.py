@@ -59,6 +59,7 @@ from ctlhom.sset import (
     standard_simplex,
 )
 from ctlhom.snf import IntMatrix, MatrixError
+from exhaustions import dots_into_tail
 
 
 # ------------------------------------------------------------- coefficients
@@ -537,6 +538,31 @@ def test_periodic_pullback_along_the_fold():
     pulled = pullback_periodic(fold, phi, depth=2)
     assert {c.id: v for c, v in pulled.values.items()} \
         == {"a0c1.seg": 1, "a1c1.seg": 1}
+
+
+def test_periodic_pullback_keeps_support_past_a_gap():
+    """The support skips copy 2, and a depth past it computes as well: the
+    pullback is taken once, one stage (the ray's longest walk) past the
+    deepest stage of the support."""
+    fold = fold_line_to_ray()
+    phi = Cochain(fold.target.truncate(3).complex, 1,
+                  {Cell(1, "a0c1.seg"): 1, Cell(1, "a0c3.seg"): 1})
+    for depth, stage in ((1, 4), (20, 20)):
+        pulled = pullback_periodic(fold, phi, depth=depth)
+        assert pulled.complex is fold.source.truncate(stage).complex
+        assert {c.id: v for c, v in pulled.values.items()} \
+            == {"a0c1.seg": 1, "a1c1.seg": 1, "a0c3.seg": 1, "a1c3.seg": 1}
+
+
+def test_periodic_pullback_reaches_copies_that_land_a_copy_back():
+    """Copy 3 of the dots lands on the vertex r that copy 2 of the tail glued
+    on, so the cell over stage 2's support is found at a later stage."""
+    f = dots_into_tail()
+    phi = Cochain(f.target.truncate(2).complex, 0, {Cell(0, "a0c2.r"): 1})
+    pulled = pullback_periodic(f, phi, depth=1)
+    assert {c.id: v for c, v in pulled.values.items()} == {"a0c3.pout": 1}
+    with pytest.raises(SimplicialError, match="does not live on the map's target"):
+        pullback_periodic(f, Cochain(standard_simplex(1), 0, {Cell(0, "0"): 1}), depth=1)
 
 
 # ------------------------------------------------------- the limit pairing

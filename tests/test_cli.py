@@ -16,6 +16,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
 from ctlhom import cli
 from ctlhom.corpus import balloon_ray, build, infinite_star, save_space
 from ctlhom.laws import LawResult
+from exhaustions import long_tail
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "output-schema.json").read_text())
@@ -237,10 +238,34 @@ def test_local_finiteness_failure_exit(capsys, tmp_path):
     assert run(capsys, "homology", str(path))[0] == 3
 
 
+def test_long_walks_are_answered(capsys, tmp_path):
+    """Every star of the long tail is finite, though a base vertex gains
+    cells two copies after it is glued on."""
+    path = tmp_path / "tail.json"
+    save_space(long_tail(), str(path))
+    code, doc = run_json(capsys, "check", str(path))
+    assert code == 0 and doc["locally_finite"] is True
+    code, doc = run_json(capsys, "homology", str(path))
+    assert code == 0
+    assert doc["groups"]["0"]["pretty"] == "Z^2"
+
+
 def test_malformed_space_file_exit(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format": "something-else"}')
     assert run(capsys, "homology", str(path))[0] == 3
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'{"format": "ctlhom-space", "name": "\xff"}', "not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+], ids=["not-utf8", "deeply-nested"])
+def test_unreadable_space_file_exit(capsys, tmp_path, content, message):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    code, out = run(capsys, "homology", str(path))
+    assert code == 3
+    assert message in out
 
 
 def test_space_file_with_a_non_string_name_exit(capsys, tmp_path):

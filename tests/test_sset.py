@@ -2,20 +2,22 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctlhom import delta, sset
-
+from ctlhom.chainalg import AbelianGroup, homology
 from ctlhom.corpus import (
     balloon_ray,
     circle,
     cylinder,
     cylinder_projection,
     fold_line_to_ray,
+    identity_on,
     infinite_star,
     line,
     plane,
@@ -28,8 +30,10 @@ from ctlhom.corpus import (
 from ctlhom.delta import all_monotone_maps, compose, identity
 from ctlhom.sset import (
     AllCellsFamily,
+    Attachment,
     Cell,
     DegeneracyTowerFamily,
+    Exhaustion,
     FiniteFamily,
     FiniteSimplicialSet,
     PerSlabFamily,
@@ -41,6 +45,7 @@ from ctlhom.sset import (
     apply_ordinal_map,
     degeneracy,
     face,
+    facet_complex,
     family_is_controlled,
     identity_periodic_map,
     identity_simplicial_map,
@@ -49,7 +54,14 @@ from ctlhom.sset import (
     proper_controlled_equivalence,
     standard_simplex,
 )
-from exhaustions import relay
+from exhaustions import (
+    bead_string,
+    dots_into_tail,
+    long_tail,
+    ray_onto_beads,
+    relay,
+    star_identity,
+)
 
 D2 = standard_simplex(2)
 
@@ -393,10 +405,32 @@ def test_infinite_star_is_caught():
     report = is_locally_finite(infinite_star())
     assert not report.ok
     assert "o" in report.witness
-    # a negative probe depth compares no stages, so it may not certify
-    for depth in (-1, -2):
-        with pytest.raises(SimplicialError, match="probe_depth must be at least 0"):
-            is_locally_finite(infinite_star(), probe_depth=depth)
+
+
+def _probed_local_finiteness(X, probe_depth):
+    """The stage probe that decided local finiteness before the gluing walks
+    did, kept as an oracle: every vertex of stage i must have equal stars at
+    stages i+1 and i+2, for i up to ``probe_depth``.  It is wrong on walks
+    longer than one copy (``long_tail``)."""
+    stages = [X.truncate(i) for i in range(probe_depth + 3)]
+    for i in range(probe_depth + 1):
+        after = stages[i + 2]
+        gained = {}
+        for c in after.added:
+            for v in after.complex.vertices_of(c):
+                gained.setdefault(v, []).append(c.id)
+        for v in stages[i].complex.cells(0):
+            if v in gained:
+                return sset.LocalFinitenessReport(
+                    ok=False,
+                    witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {sorted(gained[v])[:3]})",
+                    notes=[f"star grew between stages {i + 1} and {i + 2}"],
+                )
+    deepest = stages[probe_depth + 2].complex
+    sizes = {v.id: len(deepest.star(v)) for v in stages[probe_depth].complex.cells(0)}
+    return sset.LocalFinitenessReport(
+        ok=True, max_star=max(sizes.values(), default=0), star_sizes=sizes,
+        notes=[f"stars stabilized across stages 1..{probe_depth + 2}"])
 
 
 LOCAL_FINITENESS_GOLDEN = json.loads(
@@ -408,10 +442,84 @@ _PROBED = {"ray": ray, "line": line, "plane": plane, "cylinder": cylinder,
 @pytest.mark.parametrize("key", sorted(LOCAL_FINITENESS_GOLDEN))
 def test_local_finiteness_reports_are_pinned(key):
     """The whole report, witness, notes and star sizes included, at each
-    probe depth."""
+    probe depth of the oracle."""
     name, depth = key.split()
-    report = is_locally_finite(_PROBED[name](), probe_depth=int(depth))
+    report = _probed_local_finiteness(_PROBED[name](), int(depth))
     assert repr(report) == LOCAL_FINITENESS_GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(k for k in LOCAL_FINITENESS_GOLDEN
+                                       if k.endswith(" 3") or k.startswith("infinite_star")))
+def test_local_finiteness_is_read_from_the_gluing(key):
+    """The library gives the oracle's report at probe depth 3, and its
+    refusal of the infinite star, from the walks."""
+    name, _ = key.split()
+    assert repr(is_locally_finite(_PROBED[name]())) == LOCAL_FINITENESS_GOLDEN[key]
+
+
+def test_long_walks_are_locally_finite():
+    """b1 gains cells in copies 1 and 2 and then leaves; the probe took the
+    second gain for a star that keeps growing."""
+    space = long_tail()
+    assert not _probed_local_finiteness(space, 3).ok
+    report = is_locally_finite(space)
+    assert report.ok
+    assert report.notes == ["stars stabilized across stages 1..6"]
+    stars = _stars(space.truncate(24).complex, space.truncate(3).complex.cells(0))
+    assert report.star_sizes == {v.id: n for v, n in stars.items()}
+    assert homology(space).groups == {0: AbelianGroup(2), 1: AbelianGroup(0)}
+
+
+def test_a_kept_vertex_without_added_cells_is_locally_finite():
+    assert is_locally_finite(bead_string()).ok
+
+
+def _stars(K, vertices) -> dict:
+    """Star sizes by definition: the cells whose vertex closure holds v."""
+    counts = Counter(v for x in K.all_cells() for v in K.vertices_of(x))
+    return {v: counts[v] for v in vertices}
+
+
+@st.composite
+def gluings(draw):
+    """A random slab on at most five vertices, glued along one or two
+    chains of at most four vertices each onto a discrete base."""
+    slab_vertices = [str(v) for v in range(draw(st.integers(2, 5)))]
+    facets = draw(st.lists(st.lists(st.sampled_from(slab_vertices), min_size=2, max_size=3,
+                                    unique=True), max_size=4))
+    slab = facet_complex(facets + [[v] for v in slab_vertices], name="slab")
+    base_ids = [f"b{i}" for i in range(draw(st.integers(1, 4)))]
+    base = FiniteSimplicialSet({0: base_ids}, {}, name="base")
+    attachments = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(0, min(4, len(base_ids), len(slab_vertices))))
+        attachments.append(Attachment(
+            base_ids=draw(st.permutations(base_ids))[:size],
+            slab_in_ids=draw(st.permutations(slab_vertices))[:size],
+            slab_out_ids=draw(st.permutations(slab_vertices))[:size],
+        ))
+    return Exhaustion(base, slab, attachments, name="random")
+
+
+@settings(max_examples=200, deadline=None)
+@given(gluings())
+def test_local_finiteness_matches_stars_on_random_gluings(space):
+    """With at most four in-positions a cycle has at most four positions
+    and a walk at most four copies, so a star of stage 8 still growing
+    between stages 16 and 24 grows for ever, and one that is not was final
+    by stage 12."""
+    vertices = space.truncate(8).complex.cells(0)
+    before = _stars(space.truncate(16).complex, vertices)
+    after = _stars(space.truncate(24).complex, vertices)
+    growing = [v for v in vertices if after[v] > before[v]]
+    report = is_locally_finite(space)
+    assert report.ok == (not growing)
+    if report.ok:
+        early = space.truncate(3).complex.cells(0)
+        assert report.star_sizes == {v.id: n for v, n in _stars(space.truncate(24).complex,
+                                                                 early).items()}
+    else:
+        assert any(report.witness.startswith(f"vertex {v.id!r} ") for v in growing)
 
 
 def _stars_by_definition(X):
@@ -504,23 +612,52 @@ def test_properness_witness_does_not_depend_on_hash_order(seed):
     assert out.stdout == PROJECTION_WITNESS + "\n"
 
 
-def test_short_properness_probe_is_undetermined():
-    # depth 2 is the first stage whose fibers are compared, so depth 1 proves nothing
-    with pytest.raises(SimplicialError, match="undetermined within max_depth 1"):
-        is_proper_map(cylinder_projection(), max_depth=1)
-    assert not is_proper_map(cylinder_projection(), max_depth=2).ok
-    with pytest.raises(SimplicialError, match="undetermined within max_depth 2"):
-        is_proper_map(fold_line_to_ray(), max_depth=2)
-    assert is_proper_map(fold_line_to_ray(), max_depth=3).ok
-    # the equivalence report starts from the properness probe, so it refuses too
-    with pytest.raises(SimplicialError, match="undetermined"):
-        proper_controlled_equivalence(cylinder_projection(), max_depth=1)
+FIXTURE_MAPS = {
+    "fold_line_to_ray": fold_line_to_ray,
+    "cylinder_projection": cylinder_projection,
+    **{f"identity {name}": (lambda name=name: identity_on(name))
+       for name in ("ray", "line", "plane", "cylinder")},
+    "ray_onto_beads": ray_onto_beads,
+    "dots_into_tail": dots_into_tail,
+    "star_identity": star_identity,
+}
 
 
-def test_properness_window_must_be_positive():
-    for f in (cylinder_projection(), fold_line_to_ray()):
-        with pytest.raises(SimplicialError, match="window must be at least 1"):
-            is_proper_map(f, window=0)
+def _fibers(level, cells) -> dict:
+    counts = Counter(level.mapping[c].core for c in level.source.all_cells())
+    return {y: counts[y] for y in cells}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_MAPS))
+def test_properness_matches_fibers_on_level_maps(name):
+    """Every walk of these targets is at most two copies long and every
+    cycle one position, so a fiber over a cell of target stage 4 that
+    changes between levels 8 and 16 grows for ever."""
+    f = FIXTURE_MAPS[name]()
+    target = f.target.truncate(4).complex if f.target_is_exhaustion else f.target
+    cells = list(target.all_cells())
+    settled = _fibers(f.level_map(8), cells) == _fibers(f.level_map(16), cells)
+    assert is_proper_map(f).ok == settled
+
+
+def test_maps_onto_a_kept_vertex_are_not_proper():
+    """Every copy of the ray lands on o, which every copy of the locally
+    finite bead string glues in at."""
+    f = ray_onto_beads()
+    assert is_locally_finite(f.target).ok
+    report = proper_controlled_equivalence(f)
+    assert report.proper_witness == "fiber over 'o' keeps growing: sizes [3, 5, 7, 9, 11, 13, 15, 17]"
+    assert not report.controlled_ok and report.agree
+    assert report.controlled_witness == "restricted fibers are infinite over Simplex('o')"
+
+
+def test_image_family_in_a_target_that_is_not_locally_finite_is_not_controlled():
+    """The identity is proper, but its images crowd the star of o; the
+    equivalence holds only between locally finite spaces."""
+    report = proper_controlled_equivalence(star_identity())
+    assert report.proper_ok and not report.controlled_ok and not report.agree
+    assert report.controlled_witness == ("image family member counts keep growing (vertex "
+                                         "'o' keeps gaining simplices (e.g. ['a0c2.spoke']))")
 
 
 def test_equivalence_agrees_on_positive_cases():
