@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 from .snf import IntMatrix, MatrixError, invariant_factors, smith_normal_form
 from .sset import (
@@ -316,7 +317,7 @@ class HomologyPresentation:
 
 
 def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
-                     reduce=None, factors=None) -> HomologyPresentation:
+                     factors=None) -> HomologyPresentation:
     """Present ker(boundary_in)/im(boundary_out).
 
     ``boundary_in`` consumes the degree (one column per basis element);
@@ -325,9 +326,7 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
     (``factors``, when given): the free rank is the basis size less both
     ranks, the torsion the factors of ``boundary_out`` above 1.  The basis
     is built when first read, reading only V, V^-1 of boundary_in and U,
-    U^-1 of the relations.  ``reduce(matrix, track)`` (``smith_normal_form``
-    by default) reduces either boundary, tracking at least those; a caller
-    presenting neighbouring degrees passes one that shares reductions.
+    U^-1 of the relations.
     """
     if boundary_in.cols != boundary_out.rows:
         raise MatrixError(
@@ -338,20 +337,20 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
     f_in, f_out = factors or (invariant_factors(boundary_in), invariant_factors(boundary_out))
     group = AbelianGroup(boundary_in.cols - len(f_in) - len(f_out),
                          tuple(f for f in f_out if f > 1))
-    return HomologyPresentation(group, boundary_in.cols, lambda: _basis(
-        boundary_in, boundary_out, reduce or smith_normal_form))
+    return HomologyPresentation(group, boundary_in.cols,
+                                lambda: _basis(boundary_in, boundary_out))
 
 
-def _basis(boundary_in: IntMatrix, boundary_out: IntMatrix, reduce) -> dict:
+def _basis(boundary_in: IntMatrix, boundary_out: IntMatrix) -> dict:
     """A presentation's basis fields, from fixed-pivot Smith reductions."""
     if boundary_in.is_zero():
         # no pivots: V = I, and the relations are boundary_out itself
         r, k = 0, boundary_in.cols
         v_inv = IntMatrix.identity(k)
-        dec_y = reduce(boundary_out, ("u", "u_inv"))
+        dec_y = smith_normal_form(boundary_out, ("u", "u_inv"))
         gen_matrix = dec_y.u_inv
     else:
-        dec = reduce(boundary_in, ("v", "v_inv"))
+        dec = smith_normal_form(boundary_in, ("v", "v_inv"))
         r = dec.rank
         k = boundary_in.cols - r
         v_inv = dec.v_inv
@@ -457,18 +456,24 @@ def _pull(cells: tuple, vector) -> tuple:
     return tuple(0 if i is None else vector[i] for i in cells)
 
 
-def _check_chain_map(cells, cells_below, d_source, d_target, context):
-    """Each source boundary column, pushed along the degree-below map, must
-    be the target boundary column at the cell's image (zero if none)."""
-    target_cols = d_target.transpose().entries
-    for i, col in zip(cells, d_source.transpose().entries):
-        pushed = {}
-        for r, a in col.items():
-            if cells_below[r] is not None:
-                pushed[cells_below[r]] = pushed.get(cells_below[r], 0) + a
-        image = {} if i is None else target_cols[i]
-        if {r: a for r, a in pushed.items() if a} != image:
-            raise MatrixError(f"{context}: transition does not commute with the boundary")
+def _chain_map(source: StageComplex, target: StageComplex, top: int, total: bool,
+               theory: str, stages: str) -> list:
+    """A stage transition's cell maps in degrees 0..top, checked to be a chain
+    map: each source boundary column, pushed along the map a degree below,
+    must be the target boundary column at the cell's image (zero if none)."""
+    maps = [_cell_map(source.basis(n), target.basis(n), total) for n in range(top + 1)]
+    for n in range(1, top + 1):  # boundary 0 is zero
+        below, target_cols = maps[n - 1], target.boundary(n).transpose().entries
+        for i, col in zip(maps[n], source.boundary(n).transpose().entries):
+            pushed = {}
+            for r, a in col.items():
+                if below[r] is not None:
+                    pushed[below[r]] = pushed.get(below[r], 0) + a
+            image = {} if i is None else target_cols[i]
+            if {r: a for r, a in pushed.items() if a} != image:
+                raise MatrixError(f"{theory} degree {n} stages {stages}: "
+                                  "transition does not commute with the boundary")
+    return maps
 
 
 # --------------------------------------------------------------------------
@@ -498,33 +503,17 @@ def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
     """The stage's presentations in the given degrees, of its chains or,
     when ``dual``, of its cochains: the coboundary out of degree n is the
     transpose of the boundary into it.  Their groups share the stage's
-    invariant factors.  A degree with zero in-boundary has its neighbour's
-    in-boundary as relations; when both degrees' bases are read, that
-    matrix is reduced once, tracking all four transforms."""
+    invariant factors."""
     step = -1 if dual else 1
     shift = 1 if dual else 0  # boundary_in(n) is boundary n + shift, or its transpose
-    transposes = {}
 
+    @cache
     def boundary_in(n):
-        if dual and n not in transposes:
-            transposes[n] = stage.boundary(n + 1).transpose()
-        return transposes[n] if dual else stage.boundary(n)
+        return stage.boundary(n + 1).transpose() if dual else stage.boundary(n)
 
-    wanted = [n for n in degrees if n >= 0]
-    shared = {id(boundary_in(n + step)) for n in wanted
-              if n + step in wanted and boundary_in(n).is_zero()}
-    reductions = {}
-
-    def reduce(m, track):
-        if id(m) not in shared:
-            return smith_normal_form(m, track)
-        if id(m) not in reductions:
-            reductions[id(m)] = smith_normal_form(m)
-        return reductions[id(m)]
-
-    return {n: present_homology(boundary_in(n), boundary_in(n + step), reduce,
+    return {n: present_homology(boundary_in(n), boundary_in(n + step),
                                 (stage.factors(n + shift), stage.factors(n + step + shift)))
-            for n in wanted}
+            for n in degrees if n >= 0}
 
 
 def _default_max_degree(space) -> int:
@@ -621,7 +610,8 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     complexes, which reverses the map on classes.  So the classes move from
     stage i to i+1 (a colimit) exactly when ``relative == dual``.
 
-    Every transition the window covers is checked to be a chain map.  From
+    Every transition the window covers is checked once to be a chain map,
+    on every boundary the presentations read (up to degree max + 1).  From
     the stage the slab certificate names, the transitions are isomorphisms
     without a test, and a later stage is read as that stage, whose groups
     it has.
@@ -654,21 +644,16 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
         have.update(_present_degrees(stage(i), [n for n in wanted if n not in have], dual))
         return {n: have[n] for n in wanted}
 
-    def transition_is_iso(i, n):
-        """Whether the degree-n transition between stages i and i+1 is an
-        isomorphism on classes, after checking it is a chain map."""
-        a, b = (i + 1, i) if relative else (i, i + 1)  # chain-level direction
-        source, target = stage(a), stage(b)
-        cells = _cell_map(source.basis(n), target.basis(n), total=not relative)
-        below = _cell_map(source.basis(n - 1), target.basis(n - 1), total=not relative)
-        _check_chain_map(cells, below, source.boundary(n), target.boundary(n),
-                         f"{theory} degree {n} stages {i}{'<-' if relative else '->'}{i + 1}")
+    def transition_is_iso(i, n, cells):
+        """Whether the degree-n transition between stages i and i+1, on the
+        cell map ``cells``, is an isomorphism on classes."""
         if certified is not None and i >= certified:
             return True
+        a, b = (i + 1, i) if relative else (i, i + 1)  # chain-level direction
         if dual:
             return is_transition_isomorphism(presentations[b][n], presentations[a][n],
                                              lambda v: _pull(cells, v))
-        size = len(target.basis(n))
+        size = len(stage(b).basis(n))
         return is_transition_isomorphism(presentations[a][n], presentations[b][n],
                                          lambda v: _push(cells, size, v))
 
@@ -692,9 +677,13 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
                     (n, [render_group(g) for g in history[n]]) for n in unsettled
                 ],
             )
-        for n, p in present(depth + 1, unsettled).items():
+        presented = present(depth + 1, unsettled)
+        a, b = (depth + 1, depth) if relative else (depth, depth + 1)
+        maps = _chain_map(stage(a), stage(b), max(degrees) + 1, not relative, theory,
+                          f"{depth}{'<-' if relative else '->'}{depth + 1}")
+        for n, p in presented.items():
             history[n].append(p.group)
-            if transition_is_iso(depth, n):
+            if transition_is_iso(depth, n, maps[n]):
                 quiet[n] += 1
                 if quiet[n] >= window:
                     stabilized[n] = depth + 1 - window

@@ -681,34 +681,46 @@ class LocalFinitenessReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _crowding(X: Exhaustion, selected) -> LocalFinitenessReport | None:
+    """The refusal when copies of the selected slab cells (per chain, copied
+    into every copy) crowd a vertex star, or None.  A selected cell on a
+    cycle of ``Exhaustion._walks`` is the same base cell in every copy; any
+    other is new in each copy, and crowds the base vertices that take a cycle
+    vertex of its closure.  The witness is the one the earliest copy from 2
+    on adds to, ties going to the first base vertex."""
+    crowded = {b for cells, (cycles, _) in zip(selected, X._walks)
+               for c in cells if c not in cycles
+               for v in X.slab.vertices_of(c) for b in cycles.get(v, ())}
+    crowded = [v for v in X.base.cells(0) if v in crowded]
+    for depth in count(2) if crowded else ():  # each gains once round its cycle
+        stage = X.truncate(depth)
+        copies = {X.translations[(a, depth)][c] for a, cells in enumerate(selected) for c in cells}
+        for v in crowded:
+            grown = sorted(c.id for c in copies if v in stage.complex.vertices_of(c))
+            if grown:
+                return LocalFinitenessReport(
+                    ok=False,
+                    witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
+                    notes=[f"star grew between stages {depth - 1} and {depth}"],
+                )
+    return None
+
+
 def is_locally_finite(X) -> LocalFinitenessReport:
     """Certify that every vertex is adjacent to finitely many nondegenerate
     simplices.
 
-    Finite complexes are locally finite outright.  On an exhaustion a vertex
-    in every copy sits on a cycle of ``Exhaustion._walks``, and its star
-    grows for ever exactly when a cell that copies add meets that cycle; the
-    witness is the one the earliest copy from 2 on adds to, ties going to
-    the first base vertex.  Otherwise the stars of the stage-3 vertices are
-    read at stage 4 + ``longest``, past the last copy glued onto any of them.
-    """
+    Finite complexes are locally finite outright; an exhaustion is unless
+    the cells that copies add crowd a star (``_crowding``).  Then the stars of
+    the stage-3 vertices are read at stage 4 + ``longest``, past the last copy
+    glued onto any of them."""
     if isinstance(X, FiniteSimplicialSet):
         deepest, vertices, note = X, X.cells(0), "finite complex: every star is finite"
     else:
-        unbounded = {b for (_, into, _), (cycles, _) in zip(X._resolved, X._walks)
-                     for c in X.slab.all_cells() if c not in into
-                     for v in X.slab.vertices_of(c) for b in cycles.get(v, ())}
-        unbounded = [v for v in X.base.cells(0) if v in unbounded]
-        for depth in count(2) if unbounded else ():  # each gains once round its cycle
-            stage = X.truncate(depth)
-            for v in unbounded:
-                grown = sorted(c.id for c in stage.added if v in stage.complex.vertices_of(c))
-                if grown:
-                    return LocalFinitenessReport(
-                        ok=False,
-                        witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
-                        notes=[f"star grew between stages {depth - 1} and {depth}"],
-                    )
+        refusal = _crowding(X, [[c for c in X.slab.all_cells() if c not in into]
+                                for _, into, _ in X._resolved])
+        if refusal is not None:
+            return refusal
         depth = 4 + max((longest for _, longest in X._walks), default=0)
         deepest = X.truncate(depth).complex
         vertices = X.truncate(3).complex.cells(0)
@@ -950,20 +962,26 @@ class DegeneracyTowerFamily:
 def family_is_controlled(X, family) -> bool:
     """Whether each vertex star meets only finitely many family members.
 
-    Finite families always qualify.  The full nondegenerate family (and any
-    per-slab periodic selection) is controlled exactly when the complex is
-    locally finite: each vertex sees finitely many copies, each contributing
-    finitely many members.  A degeneracy tower concentrates infinitely many
-    members over its core's vertices and is never controlled on a nonempty
-    complex.
-    """
+    Finite families always qualify, and so does every family on a finite
+    complex but a degeneracy tower, which concentrates infinitely many members
+    over its core's vertices.  On an exhaustion, all cells (or those of one
+    dimension) and a per-slab selection are slab cells copied into every copy,
+    controlled unless they crowd a star (``_crowding``)."""
     if isinstance(family, FiniteFamily):
         return True
     if isinstance(family, DegeneracyTowerFamily):
         return False
-    if isinstance(family, (AllCellsFamily, PerSlabFamily)):
-        return is_locally_finite(X).ok
-    raise SimplicialError(f"unknown family kind {type(family).__name__}")
+    if not isinstance(family, (AllCellsFamily, PerSlabFamily)):
+        raise SimplicialError(f"unknown family kind {type(family).__name__}")
+    if isinstance(X, FiniteSimplicialSet):
+        return True
+    if isinstance(family, AllCellsFamily):
+        cells = [c for c in X.slab.all_cells() if family.dim in (None, c.dim)]
+    else:
+        cells = family.slab_cells
+        if not all(map(X.slab.has_cell, cells)) or not all(map(X.base.has_cell, family.base_cells)):
+            raise SimplicialError(f"unknown cell in {family!r}")
+    return _crowding(X, [cells] * len(X.attachments)) is None
 
 
 # --------------------------------------------------------------------------
@@ -983,21 +1001,24 @@ def proper_controlled_equivalence(f) -> EquivalenceReport:
 
     The controlled side takes the canonical generating family (all
     nondegenerate simplices, stagewise) and requires (1) its image family to
-    be controlled in the target, which holds when each periodic rule's
-    target is locally finite (collapse images form a finite set), and (2)
-    the fibers over single simplices (``_infinite_fibers``) to be finite.
-    Properness reads fibers over cores, so the two sides are decided apart.
-    """
+    be controlled in the target: collapse images form a finite set, and the
+    image cores of each periodic rule, copied into its target chain, must not
+    crowd a star (``_crowding``); and (2) the fibers over single simplices
+    (``_infinite_fibers``) to be finite.  Properness reads fibers over cores,
+    so the two sides are decided apart."""
     proper = is_proper_map(f)
     if isinstance(f, SimplicialMap):
         # finite complexes: the image family is finite, fibers are finite
         return EquivalenceReport(proper.ok, proper.witness, True, None, proper.ok is True)
-    periodic = any(rule.target_attachment is not None for rule in f.slab_rules)
-    target_lf = is_locally_finite(f.target) if periodic else None
+    images = [set() for _ in f.target.attachments] if f.target_is_exhaustion else []
+    for rule, slab_images in zip(f.slab_rules, f._slab_images):
+        if rule.target_attachment is not None:
+            images[rule.target_attachment].update(img.core for _, img in slab_images)
+    crowding = _crowding(f.target, images) if images else None
     infinite = _infinite_fibers(f)
-    if target_lf is not None and not target_lf.ok:
+    if crowding is not None:
         controlled_ok = False
-        controlled_witness = f"image family member counts keep growing ({target_lf.witness})"
+        controlled_witness = f"image family member counts keep growing ({crowding.witness})"
     elif infinite:
         controlled_ok, controlled_witness = False, f"restricted fibers are infinite over {min(infinite)!r}"
     else:

@@ -110,3 +110,28 @@ def star_identity() -> PeriodicMap:
     """The identity of ``infinite_star``: proper, but its image family
     crowds the vertex o."""
     return identity_periodic_map(infinite_star())
+
+
+def ray_beside_a_star() -> PeriodicMap:
+    """Proper and controlled in a target that is not locally finite: the ray
+    maps onto the ray-like chain 0 (in pin, out pout) of a target whose
+    chain 1 is an infinite star (in = out = pin, a seg and a spoke at o per
+    copy), so no image but o and the first seg meets the star of o."""
+    base = FiniteSimplicialSet({0: ["o"]}, {}, name="origin")
+    slab = FiniteSimplicialSet(
+        {0: ["pin", "pout", "tip"], 1: ["seg", "spoke"]},
+        {(1, "seg"): (_v("pout"), _v("pin")), (1, "spoke"): (_v("tip"), _v("pin"))},
+        name="seg-and-spoke",
+    )
+    target = Exhaustion(base, slab, [
+        Attachment(base_ids=("o",), slab_in_ids=("pin",), slab_out_ids=("pout",)),
+        Attachment(base_ids=("o",), slab_in_ids=("pin",), slab_out_ids=("pin",)),
+    ], name="ray_and_star")
+    return PeriodicMap(
+        ray(), target,
+        base_map={Cell(0, "o"): _v("o")},
+        slab_rules=[SlabRule(target_attachment=0, cell_map={
+            Cell(0, "pin"): _v("pin"), Cell(0, "pout"): _v("pout"),
+            Cell(1, "seg"): Simplex((), Cell(1, "seg"))})],
+        name="ray-beside-a-star",
+    )

@@ -37,10 +37,12 @@ from ctlhom.sset import (
     FiniteFamily,
     FiniteSimplicialSet,
     PerSlabFamily,
+    PeriodicMap,
     PresentationError,
     SimplicialError,
     SimplicialMap,
     Simplex,
+    SlabRule,
     all_simplices,
     apply_ordinal_map,
     degeneracy,
@@ -58,6 +60,7 @@ from exhaustions import (
     bead_string,
     dots_into_tail,
     long_tail,
+    ray_beside_a_star,
     ray_onto_beads,
     relay,
     star_identity,
@@ -620,6 +623,7 @@ FIXTURE_MAPS = {
     "ray_onto_beads": ray_onto_beads,
     "dots_into_tail": dots_into_tail,
     "star_identity": star_identity,
+    "ray_beside_a_star": ray_beside_a_star,
 }
 
 
@@ -660,6 +664,29 @@ def test_image_family_in_a_target_that_is_not_locally_finite_is_not_controlled()
                                          "'o' keeps gaining simplices (e.g. ['a0c2.spoke']))")
 
 
+def test_images_that_avoid_an_infinite_star_are_controlled():
+    """The target's chain 1 crowds o, but only o and the first seg of the
+    images meet o's star: the map is proper and controlled, though its
+    target is not locally finite."""
+    f = ray_beside_a_star()
+    assert not is_locally_finite(f.target).ok
+    report = proper_controlled_equivalence(f)
+    assert report.proper_ok and report.controlled_ok and report.agree
+
+
+def test_controlled_verdicts_read_no_stage(monkeypatch):
+    """A true verdict comes from the gluing alone: no local-finiteness report
+    and no stage past the base."""
+    monkeypatch.setattr(sset, "is_locally_finite", None)
+    X = infinite_star()
+    assert family_is_controlled(X, AllCellsFamily(0))
+    assert family_is_controlled(X, PerSlabFamily(slab_cells=(Cell(0, "tip"),)))
+    maps = [fold_line_to_ray(), ray_beside_a_star(), dots_into_tail()]
+    assert all(proper_controlled_equivalence(f).controlled_ok for f in maps)
+    spaces = [X] + [Y for f in maps for Y in (f.source, f.target)]
+    assert [len(Y._stages) for Y in spaces] == [1] * len(spaces)
+
+
 def test_equivalence_agrees_on_positive_cases():
     for f in (identity_periodic_map(line()), fold_line_to_ray()):
         report = proper_controlled_equivalence(f)
@@ -688,3 +715,82 @@ def test_family_controlledness():
 
 def test_all_cells_family_needs_local_finiteness():
     assert not family_is_controlled(infinite_star(), AllCellsFamily(1))
+
+
+def test_families_that_avoid_the_crowded_vertex_are_controlled():
+    """Each tip of the infinite star is in one copy, and o's star holds no
+    tip: at stage 6 every star holds exactly one 0-cell."""
+    K = infinite_star().truncate(6).complex
+    assert all(sum(x.dim == 0 for x in K.star(v)) == 1 for v in K.cells(0))
+    assert family_is_controlled(infinite_star(), AllCellsFamily(0))
+    assert family_is_controlled(infinite_star(), PerSlabFamily(slab_cells=(Cell(0, "tip"),)))
+    assert not family_is_controlled(infinite_star(), PerSlabFamily(slab_cells=(Cell(1, "spoke"),)))
+
+
+def test_per_slab_family_refuses_an_unknown_cell():
+    for family in (PerSlabFamily(slab_cells=(Cell(0, "tip"),)),
+                   PerSlabFamily(base_cells=(Cell(0, "pin"),))):
+        with pytest.raises(SimplicialError, match="unknown cell"):
+            family_is_controlled(line(), family)
+
+
+def _growing(space, members) -> list:
+    """The stage-8 vertices whose star meets more of the members (a set of
+    simplices per depth) at stage 24 than at stage 16, counted by definition.
+    With at most four in-positions per chain, as in ``gluings``, those are
+    the stars that meet infinitely many members."""
+    K = space.truncate(24).complex
+    vertices = space.truncate(8).complex.cells(0)
+    before, after = (Counter(v for y in members(depth) for v in K.vertices_of(y.core))
+                     for depth in (16, 24))
+    return [v for v in vertices if after[v] > before[v]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(gluings(), st.data())
+def test_controlled_families_match_member_counts_on_random_gluings(space, data):
+    """All cells, all of one dimension, or a random per-slab selection."""
+    cells = list(space.slab.all_cells())
+    family = data.draw(st.one_of(
+        st.sampled_from([AllCellsFamily(), AllCellsFamily(0), AllCellsFamily(1), AllCellsFamily(2)]),
+        st.lists(st.sampled_from(cells), unique=True).map(
+            lambda chosen: PerSlabFamily(slab_cells=chosen))))
+
+    def members(depth):
+        if isinstance(family, AllCellsFamily):
+            chosen = [x for x in space.truncate(depth).complex.all_cells()
+                      if family.dim in (None, x.dim)]
+        else:
+            chosen = [space.translations[(a, c)][x] for a in range(len(space.attachments))
+                      for c in range(1, depth + 1) for x in family.slab_cells]
+        return {Simplex((), x) for x in chosen}
+
+    assert family_is_controlled(space, family) == (not _growing(space, members))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gluings(), st.data())
+def test_image_family_matches_member_counts_on_random_gluings(space, data):
+    """Condition (1) on the inclusion of the exhaustion glued the same way
+    from a random subcomplex of the slab (every vertex kept): proper, with
+    no infinite fiber, so it is controlled exactly when its images, copies
+    of the kept cells, crowd no star of the target."""
+    kept = [c for c in space.slab.all_cells()
+            if c.dim and data.draw(st.booleans(), label=c.id)]
+    sub = facet_complex([c.id.split(".") for c in kept]
+                        + [[v.id] for v in space.slab.cells(0)], name="sub-slab")
+    identity = lambda X: {c: Simplex((), c) for c in X.all_cells()}
+    f = PeriodicMap(Exhaustion(space.base, sub, space.attachments, name="sub"), space,
+                    identity(space.base),
+                    [SlabRule(a, identity(sub)) for a in range(len(space.attachments))])
+
+    def members(depth):
+        level = f.level_map(depth)
+        return {level.mapping[c] for c in level.source.all_cells()}
+
+    growing = _growing(space, members)
+    report = proper_controlled_equivalence(f)
+    assert report.proper_ok and report.controlled_ok == (not growing)
+    if growing:
+        assert any(report.controlled_witness.startswith(
+            f"image family member counts keep growing (vertex {v.id!r} ") for v in growing)
