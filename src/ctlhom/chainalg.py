@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from itertools import chain, count
 
 from .snf import IntMatrix, MatrixError, invariant_factors, smith_normal_form
 from .sset import (
@@ -79,11 +79,7 @@ class Coefficients:
 
     @property
     def label(self) -> str:
-        if self.kind == "z":
-            return "Z"
-        if self.kind == "q":
-            return "Q"
-        return f"Z/{self.modulus}"
+        return {"z": "Z", "q": "Q"}.get(self.kind) or f"Z/{self.modulus}"
 
     def __repr__(self):
         return f"Coefficients({self.label})"
@@ -154,12 +150,7 @@ TRIVIAL_GROUP = AbelianGroup(0)
 def render_group(g: AbelianGroup, coeff: Coefficients = INTEGER) -> str:
     if g.is_trivial:
         return "0"
-    if coeff.kind == "z":
-        free_symbol = "Z"
-    elif coeff.kind == "q":
-        free_symbol = "Q"
-    else:
-        free_symbol = f"(Z/{coeff.modulus})"
+    free_symbol = f"({coeff.label})" if coeff.kind == "zmod" else coeff.label
     parts = []
     if g.free_rank == 1:
         parts.append(free_symbol.strip("()"))
@@ -225,24 +216,7 @@ def boundary_matrix(X: FiniteSimplicialSet, n: int,
     """The boundary C_n -> C_{n-1} on normalized chains, as a matrix with
     one column per n-cell.  Degenerate faces vanish; cells in ``excluded``
     are dropped from both the basis and the targets (relative complex)."""
-    source = [c for c in X.cells(n) if c not in excluded]
-    target = [c for c in X.cells(n - 1) if c not in excluded]
-    if n <= 0:
-        return IntMatrix.zeros(len(target), len(source))
-    index = {c: i for i, c in enumerate(target)}
-    cols = []
-    for cell in source:
-        col = {}
-        for i in range(n + 1):
-            fv = X.face(cell, i)
-            if not fv.is_nondegenerate:
-                continue
-            at = index.get(fv.core)
-            if at is None:
-                continue
-            col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
-        cols.append(col)
-    return _from_columns(len(target), cols)
+    return StageComplex(X, frozenset(excluded)).boundary(n)
 
 
 def unnormalized_boundary_matrix(X: FiniteSimplicialSet, n: int) -> IntMatrix:
@@ -259,14 +233,39 @@ def unnormalized_boundary_matrix(X: FiniteSimplicialSet, n: int) -> IntMatrix:
             at = index[apply_ordinal_map(X, x, delta.coface(n - 1, i))]
             col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
         cols.append(col)
-    return _from_columns(len(target), cols)
+    return _rows(len(target), cols)
 
 
-def _from_columns(rows: int, cols) -> IntMatrix:
-    """The matrix with the given ``{row: value}`` dict per column; entries
-    that cancelled to zero are dropped."""
-    cols = [{i: x for i, x in col.items() if x} for col in cols]
-    return IntMatrix.from_entries(len(cols), rows, cols).transpose()
+def _rows(rows: int, columns: list) -> IntMatrix:
+    """The matrix with the given ``{row: value}`` dict per column, built by
+    rows in one pass; entries that cancelled to zero are dropped."""
+    out = [{} for _ in range(rows)]
+    for k, col in enumerate(columns):
+        for r, x in col.items():
+            if x:
+                out[r][k] = x
+    return IntMatrix.from_entries(rows, len(columns), out)
+
+
+def _column(X: FiniteSimplicialSet, cell: Cell) -> dict:
+    """A cell's normalized boundary column, over the positions of the cells
+    a degree below: degenerate faces vanish, cancelled entries are dropped."""
+    col = {}
+    for i, fv in enumerate(X._faces[cell]):
+        if not fv.word:
+            at = X._position[fv.core]
+            col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
+    return {r: x for r, x in col.items() if x}
+
+
+def _columns(X: FiniteSimplicialSet, n: int) -> list:
+    """The boundary columns of X's n-cells, rows at their positions: the
+    leading columns of the complex X is a stage of, each assembled once, on
+    first read, and shared by every stage that has its cell."""
+    store = getattr(X, "_grown", X)._boundary_columns.setdefault(n, [])
+    cells = X.cells(n)
+    store.extend(_column(X, cell) for cell in cells[len(store):])
+    return store[:len(cells)]
 
 
 # --------------------------------------------------------------------------
@@ -302,9 +301,7 @@ class HomologyPresentation:
     def reduce(self, vector) -> tuple:
         vec = tuple(int(v) for v in vector)
         if len(vec) != self.basis_size:
-            raise MatrixError(
-                f"cycle has length {len(vec)}, basis has {self.basis_size}"
-            )
+            raise MatrixError(f"cycle has length {len(vec)}, basis has {self.basis_size}")
         y = self._v_inv.apply(vec)
         if any(y[i] != 0 for i in range(self._rank)):
             raise MatrixError("vector is not a cycle")
@@ -329,9 +326,8 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
     U^-1 of the relations.
     """
     if boundary_in.cols != boundary_out.rows:
-        raise MatrixError(
-            f"boundary shapes disagree: in-cols {boundary_in.cols}, out-rows {boundary_out.rows}"
-        )
+        raise MatrixError(f"boundary shapes disagree: in-cols {boundary_in.cols}, "
+                          f"out-rows {boundary_out.rows}")
     if not (boundary_in @ boundary_out).is_zero():
         raise MatrixError("boundaries do not compose to zero")
     f_in, f_out = factors or (invariant_factors(boundary_in), invariant_factors(boundary_out))
@@ -381,7 +377,7 @@ def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
         return True
     cols = [dict(enumerate(img)) for img in images]
     cols += [{i: d} for i, d in enumerate(target.orders) if d >= 2]
-    return invariant_factors(_from_columns(k, cols)) == (1,) * k
+    return invariant_factors(_rows(k, cols)) == (1,) * k
 
 
 def is_transition_isomorphism(source: HomologyPresentation,
@@ -401,45 +397,58 @@ def is_transition_isomorphism(source: HomologyPresentation,
 
 @dataclass
 class StageComplex:
-    """One truncation's chain data: the stage complex, the basis per degree
-    (possibly relative to the frontier), boundary matrices and their
-    invariant factors."""
+    """One truncation's chain data: the stage complex, the cells left out of
+    its basis (the frontier, for a relative stage) and the frontier the next
+    stage is glued along.  Its columns are those of the growing complex, rows
+    at their positions there (``_columns``); its matrices re-index them to
+    the basis, and their invariant factors are kept."""
 
     complex: FiniteSimplicialSet
     excluded: frozenset
-    _bases: dict = field(default_factory=dict)
+    frontier: frozenset = frozenset()
+    _columns: dict = field(default_factory=dict)
     _matrices: dict = field(default_factory=dict)
     _factors: dict = field(default_factory=dict)
 
     def basis(self, n: int) -> tuple:
-        if n not in self._bases:
-            self._bases[n] = tuple(
-                c for c in self.complex.cells(n) if c not in self.excluded
-            )
-        return self._bases[n]
+        cells = self.complex.cells(n)
+        return tuple(c for c in cells if c not in self.excluded) if self.excluded else cells
 
-    def boundary(self, n: int) -> IntMatrix:
-        if n not in self._matrices:
-            self._matrices[n] = boundary_matrix(self.complex, n, self.excluded)
-        return self._matrices[n]
+    def columns(self, n: int) -> list:
+        if n not in self._columns:
+            self._columns[n] = _columns(self.complex, n)
+        return self._columns[n]
 
-    def factors(self, n: int) -> tuple:
+    def positions(self, cells, n: int) -> set:
+        return {self.complex._position[c] for c in cells if c.dim == n}
+
+    def boundary(self, n: int, transposed: bool = False) -> IntMatrix:
+        """The boundary out of degree n on the basis, by rows; ``transposed``,
+        the coboundary into degree n, whose rows are the columns."""
+        if (n, transposed) not in self._matrices:
+            cols, rows = self.columns(n), len(self.basis(n - 1))
+            if self.excluded:
+                index = dict(zip((r for r, c in enumerate(self.complex.cells(n - 1))
+                                  if c not in self.excluded), count()))
+                cols = [{index[r]: x for r, x in col.items() if r in index}
+                        for c, col in zip(self.complex.cells(n), cols) if c not in self.excluded]
+            self._matrices[n, transposed] = (IntMatrix.from_entries(len(cols), rows, cols)
+                                             if transposed else _rows(rows, cols))
+        return self._matrices[n, transposed]
+
+    def factors(self, n: int, transposed: bool = False) -> tuple:
         """The invariant factors of ``boundary(n)``, and of its transpose."""
         if n not in self._factors:
-            self._factors[n] = invariant_factors(self.boundary(n))
+            self._factors[n] = invariant_factors(self.boundary(n, transposed))
         return self._factors[n]
 
 
-def _cell_map(source: tuple, target: tuple, total: bool) -> tuple:
+def _cell_map(source: tuple, target: tuple) -> tuple:
     """A stage transition on one basis: for each source cell its index in
-    the target basis, or None where the cell maps to zero.  An inclusion is
-    total; a projection modulo the frontier sends the cells it drops to
-    zero."""
+    the target basis, or None where the cell maps to zero (a projection
+    modulo the frontier sends the cells it drops to zero)."""
     index = {c: i for i, c in enumerate(target)}
-    cells = tuple(index.get(c) for c in source)
-    if total and None in cells:
-        raise MatrixError(f"{source[cells.index(None)]} missing from the larger basis")
-    return cells
+    return tuple(index.get(c) for c in source)
 
 
 def _push(cells: tuple, size: int, vector) -> tuple:
@@ -456,24 +465,39 @@ def _pull(cells: tuple, vector) -> tuple:
     return tuple(0 if i is None else vector[i] for i in cells)
 
 
-def _chain_map(source: StageComplex, target: StageComplex, top: int, total: bool,
-               theory: str, stages: str) -> list:
-    """A stage transition's cell maps in degrees 0..top, checked to be a chain
-    map: each source boundary column, pushed along the map a degree below,
-    must be the target boundary column at the cell's image (zero if none)."""
-    maps = [_cell_map(source.basis(n), target.basis(n), total) for n in range(top + 1)]
-    for n in range(1, top + 1):  # boundary 0 is zero
-        below, target_cols = maps[n - 1], target.boundary(n).transpose().entries
-        for i, col in zip(maps[n], source.boundary(n).transpose().entries):
-            pushed = {}
-            for r, a in col.items():
-                if below[r] is not None:
-                    pushed[below[r]] = pushed.get(below[r], 0) + a
-            image = {} if i is None else target_cols[i]
-            if {r: a for r, a in pushed.items() if a} != image:
-                raise MatrixError(f"{theory} degree {n} stages {stages}: "
-                                  "transition does not commute with the boundary")
-    return maps
+def _check_chain_map(source: StageComplex, target: StageComplex, top: int, total: bool,
+                     theory: str, stages: str):
+    """Check a transition between two stages of one growing complex to be a
+    chain map in degrees 0..top: each source cell goes to itself, or to zero
+    where the target's basis lacks it (a projection modulo the frontier); an
+    inclusion (``total``) may lack none.  Both read the same columns, rows
+    at the same positions, so only what the transition changes is read: the
+    smaller stage's columns must lead the larger's and reach no row past it
+    or only the target's basis has; an inclusion's new columns meet the
+    smaller stage only along its frontier; the new and dropped columns a
+    projection sends to zero miss the rows both bases keep."""
+    small, large = (source, target) if total else (target, source)
+    xs, xt = ({n: s.positions(s.excluded, n) for n in range(top + 1)} for s in (source, target))
+    for n in range(top + 1) if total else ():
+        cells = source.complex.cells(n)
+        missing = [p for p in xt[n] - xs[n] if p < len(cells)]
+        if missing:
+            raise MatrixError(f"{cells[min(missing)]} missing from the larger basis")
+    for n in range(1, top + 1):
+        cut, below = len(small.complex.cells(n)), len(small.complex.cells(n - 1))
+        held, cols = small.columns(n), large.columns(n)
+        fault = (cols[:cut] != held or max(chain.from_iterable(held), default=-1) >= below
+                 or not (xs[n - 1] - xt[n - 1]).isdisjoint(chain.from_iterable(held)))
+        if total:
+            glued, end = small.positions(small.frontier, n - 1), len(large.complex.cells(n - 1))
+            fault |= any(not below <= r < end and r not in glued for col in cols[cut:] for r in col)
+        else:
+            gone = xs[n - 1] | xt[n - 1]
+            fault |= any(r < below and r not in gone
+                         for p in chain(range(cut, len(cols)), xt[n] - xs[n]) for r in cols[p])
+        if fault:
+            raise MatrixError(f"{theory} degree {n} stages {stages}: "
+                              "transition does not commute with the boundary")
 
 
 # --------------------------------------------------------------------------
@@ -506,24 +530,38 @@ def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
     invariant factors."""
     step = -1 if dual else 1
     shift = 1 if dual else 0  # boundary_in(n) is boundary n + shift, or its transpose
-
-    @cache
-    def boundary_in(n):
-        return stage.boundary(n + 1).transpose() if dual else stage.boundary(n)
-
-    return {n: present_homology(boundary_in(n), boundary_in(n + step),
-                                (stage.factors(n + shift), stage.factors(n + step + shift)))
+    return {n: present_homology(stage.boundary(n + shift, dual),
+                                stage.boundary(n + step + shift, dual),
+                                (stage.factors(n + shift, dual),
+                                 stage.factors(n + step + shift, dual)))
             for n in degrees if n >= 0}
+
+
+def _kept(space, key, make):
+    """``make()``, made once per space object and kept in its memo."""
+    if key not in space._memo:
+        space._memo[key] = make()
+    return space._memo[key]
+
+
+def _stage(space, depth: int, relative: bool) -> StageComplex:
+    return _kept(space, ("stage", depth, relative), lambda: _stage_for(space, depth, relative))
+
+
+def _presented(space, depth: int, relative: bool, dual: bool, degrees) -> dict:
+    """Stage ``depth``'s presentations in the given degrees, each made once
+    per exhaustion."""
+    have = _kept(space, ("presented", depth, relative, dual), dict)
+    wanted = [n for n in degrees if n not in have]
+    if wanted:
+        have.update(_present_degrees(_stage(space, depth, relative), wanted, dual))
+    return {n: have[n] for n in degrees}
 
 
 def _default_max_degree(space) -> int:
     if isinstance(space, FiniteSimplicialSet):
         return max(space.top_dim, 0)
     return max(space.base.top_dim, space.slab.top_dim, 0)
-
-
-def _space_label(space, fallback: str) -> str:
-    return getattr(space, "name", None) or fallback
 
 
 def _convert_results(theory, space_label, coeff, cohomological,
@@ -550,18 +588,9 @@ def _convert_results(theory, space_label, coeff, cohomological,
             f"{coeff.label} groups derived from the integral computation by "
             "the universal coefficient splitting"
         ]
-    return TheoryResult(
-        theory=theory,
-        space=space_label,
-        coefficients=coeff,
-        groups=groups,
-        stabilized_at=stab,
-        window=window,
-        depth_used=depth_used,
-        caveats=caveats,
-        presentations=presentations if coeff.kind == "z" else None,
-        bases=bases if coeff.kind == "z" else None,
-    )
+    integral_kept = coeff.kind == "z"  # the bases present the integral groups only
+    return TheoryResult(theory, space_label, coeff, groups, stab, window, depth_used, caveats,
+                        presentations if integral_kept else None, bases if integral_kept else None)
 
 
 # --------------------------------------------------------------------------
@@ -569,8 +598,8 @@ def _convert_results(theory, space_label, coeff, cohomological,
 
 def _stage_for(space, depth: int, relative: bool) -> StageComplex:
     trunc = space.truncate(depth)
-    excluded = frozenset(trunc.frontier) if relative else frozenset()
-    return StageComplex(trunc.complex, excluded)
+    frontier = frozenset(trunc.frontier)
+    return StageComplex(trunc.complex, frontier if relative else frozenset(), frontier)
 
 
 def _slab_certified_from(space, relative: bool):
@@ -614,47 +643,42 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     on every boundary the presentations read (up to degree max + 1).  From
     the stage the slab certificate names, the transitions are isomorphisms
     without a test, and a later stage is read as that stage, whose groups
-    it has.
+    it has.  The local-finiteness report, the certificate, the stages and
+    their presentations are kept on the space object, for the other
+    theories and the pairing.
 
     Returns the presentations at ``depth_used``, that stage, the degrees'
     stabilization depths, ``depth_used`` and the caveats.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    lf = is_locally_finite(space)
+    lf = _kept(space, "locally finite", lambda: is_locally_finite(space))
     if not lf.ok:
-        raise SimplicialError(
-            f"space is not locally finite: {lf.witness}"
-        )
-    certified = _slab_certified_from(space, relative)
-    stages = {}
-    presentations = {}
+        raise SimplicialError(f"space is not locally finite: {lf.witness}")
+    certified = _kept(space, ("certified", relative),
+                      lambda: _slab_certified_from(space, relative))
 
     def stage(i) -> StageComplex:
-        if i not in stages:
-            stages[i] = _stage_for(space, i, relative)
-        return stages[i]
+        return _stage(space, i, relative)
 
     def present(i, wanted) -> dict:
-        """Stage i's presentations, made for the wanted degrees it lacks: a
-        degree is read until it stabilizes, and at ``depth_used``."""
-        if certified is not None:
-            i = min(i, certified)
-        have = presentations.setdefault(i, {})
-        have.update(_present_degrees(stage(i), [n for n in wanted if n not in have], dual))
-        return {n: have[n] for n in wanted}
+        """Stage i's presentations in the wanted degrees: a degree is read
+        until it stabilizes, and at ``depth_used``."""
+        return _presented(space, i if certified is None else min(i, certified),
+                          relative, dual, wanted)
 
-    def transition_is_iso(i, n, cells):
-        """Whether the degree-n transition between stages i and i+1, on the
-        cell map ``cells``, is an isomorphism on classes."""
+    def transition_is_iso(i, n):
+        """Whether the degree-n transition between stages i and i+1 is an
+        isomorphism on classes."""
         if certified is not None and i >= certified:
             return True
         a, b = (i + 1, i) if relative else (i, i + 1)  # chain-level direction
+        cells = _cell_map(stage(a).basis(n), stage(b).basis(n))
         if dual:
-            return is_transition_isomorphism(presentations[b][n], presentations[a][n],
+            return is_transition_isomorphism(present(b, [n])[n], present(a, [n])[n],
                                              lambda v: _pull(cells, v))
         size = len(stage(b).basis(n))
-        return is_transition_isomorphism(presentations[a][n], presentations[b][n],
+        return is_transition_isomorphism(present(a, [n])[n], present(b, [n])[n],
                                          lambda v: _push(cells, size, v))
 
     stabilized = {}
@@ -668,22 +692,17 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
         if depth + 1 > max_depth:
             worst = unsettled[0]
             raise NonStabilizationError(
-                f"{theory} degree {worst} did not stabilize within depth "
-                f"{max_depth} (window {window}); groups so far: "
-                + ", ".join(render_group(g) for g in history[worst]),
-                theory=theory,
-                degree=worst,
-                history=[
-                    (n, [render_group(g) for g in history[n]]) for n in unsettled
-                ],
-            )
+                f"{theory} degree {worst} did not stabilize within depth {max_depth} (window "
+                f"{window}); groups so far: " + ", ".join(map(render_group, history[worst])),
+                theory=theory, degree=worst,
+                history=[(n, [render_group(g) for g in history[n]]) for n in unsettled])
         presented = present(depth + 1, unsettled)
         a, b = (depth + 1, depth) if relative else (depth, depth + 1)
-        maps = _chain_map(stage(a), stage(b), max(degrees) + 1, not relative, theory,
-                          f"{depth}{'<-' if relative else '->'}{depth + 1}")
+        _check_chain_map(stage(a), stage(b), max(degrees) + 1, not relative, theory,
+                         f"{depth}{'<-' if relative else '->'}{depth + 1}")
         for n, p in presented.items():
             history[n].append(p.group)
-            if transition_is_iso(depth, n, maps[n]):
+            if transition_is_iso(depth, n):
                 quiet[n] += 1
                 if quiet[n] >= window:
                     stabilized[n] = depth + 1 - window
@@ -691,16 +710,12 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
                 quiet[n] = 0
         depth += 1
     depth_used = max(stabilized.values(), default=0)
-    caveats = [
-        "transition maps verified to be isomorphisms for "
-        f"{window} consecutive stages; the periodic presentation is assumed "
-        "to keep them isomorphisms beyond the probed depth"
-    ]
+    caveats = ["transition maps verified to be isomorphisms for "
+               f"{window} consecutive stages; the periodic presentation is assumed "
+               "to keep them isomorphisms beyond the probed depth"]
     if relative != dual:
-        caveats.append(
-            "limit computed as the stable value; the derived limit vanishes "
-            "because the probed transitions are isomorphisms (Mittag-Leffler)"
-        )
+        caveats.append("limit computed as the stable value; the derived limit vanishes "
+                       "because the probed transitions are isomorphisms (Mittag-Leffler)")
     return present(depth_used, degrees), stage(depth_used), stabilized, depth_used, caveats
 
 
@@ -729,13 +744,9 @@ def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
             space, tag, degrees, window, max_depth, relative, dual)
         finite_caveat = None
     result = _convert_results(
-        tag, _space_label(space, "space"), coeff,
-        cohomological=dual,
-        stabilized_at=stabilized, window=window, depth_used=depth_used,
-        caveats=caveats,
-        presentations=final, bases={n: stage.basis(n) for n in degrees},
-        max_degree=max_degree,
-    )
+        tag, getattr(space, "name", None) or "space", coeff, cohomological=dual,
+        stabilized_at=stabilized, window=window, depth_used=depth_used, caveats=caveats,
+        presentations=final, bases={n: stage.basis(n) for n in degrees}, max_degree=max_degree)
     if finite_caveat:  # after the coefficient caveat
         result.caveats.append(finite_caveat)
     return result
@@ -923,10 +934,8 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
         raise SimplicialError("pullback_periodic needs a periodic map")
     proper = is_proper_map(f)
     if not proper.ok:
-        raise ControlError(
-            "pullback of compactly supported cochains needs a proper map: "
-            + (proper.witness or "not proper")
-        )
+        raise ControlError("pullback of compactly supported cochains needs a proper map: "
+                           + (proper.witness or "not proper"))
     stage = depth
     if f.target_is_exhaustion:
         lag = max((longest for _, longest in f.target._walks), default=0)
@@ -963,26 +972,16 @@ def pairing_matrix(space, degree: int, window: int = 3,
     if degree < 0:
         raise ValueError("degree must be at least 0")
     if isinstance(space, FiniteSimplicialSet):
-        depth = None
-        stage = StageComplex(space, frozenset())
+        depth, stage = None, StageComplex(space, frozenset())
+        pres, dual_pres = (_present_degrees(stage, [degree], dual)[degree] for dual in (False, True))
     else:
-        bm = bm_homology(space, INTEGER, max_degree=degree, window=window,
-                         max_depth=max_depth)
-        cc = cohomology_c(space, INTEGER, max_degree=degree, window=window,
-                          max_depth=max_depth)
-        depth = max(bm.depth_used, cc.depth_used)
-        stage = _stage_for(space, depth, relative=True)
-    pres = _present_degrees(stage, [degree], dual=False)[degree]
-    dual_pres = _present_degrees(stage, [degree], dual=True)[degree]
+        depth = max(driver(space, INTEGER, max_degree=degree, window=window,
+                           max_depth=max_depth).depth_used for driver in (bm_homology, cohomology_c))
+        pres, dual_pres = (_presented(space, depth, True, dual, [degree])[degree]
+                           for dual in (False, True))
     matrix = tuple(tuple(sum(a * b for a, b in zip(phi, c)) for c in pres.generators)
                    for phi in dual_pres.generators)
-    return PairingResult(
-        degree=degree,
-        depth=depth,
-        bm_group=pres.group,
-        cc_group=dual_pres.group,
-        matrix=matrix,
-    )
+    return PairingResult(degree, depth, pres.group, dual_pres.group, matrix)
 
 
 # --------------------------------------------------------------------------
@@ -990,9 +989,7 @@ def pairing_matrix(space, degree: int, window: int = 3,
 
 def euler_characteristic(result: TheoryResult) -> int:
     """Alternating sum of free ranks over the computed degrees."""
-    return sum(
-        (-1) ** n * g.free_rank for n, g in sorted(result.groups.items())
-    )
+    return sum((-1) ** n * g.free_rank for n, g in sorted(result.groups.items()))
 
 
 def induced_on_homology(f: SimplicialMap, degree: int):

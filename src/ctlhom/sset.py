@@ -68,9 +68,7 @@ class Simplex(namedtuple("Simplex", "word core")):
             if not all(map(gt, word, word[1:])):
                 raise SimplicialError(f"degeneracy word {word} is not strictly decreasing")
             if word[0] > core.dim + len(word) - 1:
-                raise SimplicialError(
-                    f"degeneracy word {word} out of range over a {core.dim}-cell"
-                )
+                raise SimplicialError(f"degeneracy word {word} out of range over a {core.dim}-cell")
         return tuple.__new__(cls, (word, core))
 
     @property
@@ -125,8 +123,10 @@ class FiniteSimplicialSet:
         self.name = name
         self._cells = {}
         self._faces = {}
+        self._position = {}  # each cell's index among the cells of its dimension
         self._vertex_closure = {}
         self._stars = None
+        self._boundary_columns = {}  # per degree, as chainalg assembles them on first read
 
     def _glue(self, added: dict):
         """Add cells in place, after the cells already here in each
@@ -141,6 +141,7 @@ class FiniteSimplicialSet:
                 raise PresentationError(f"duplicate cell ids in dimension {n}")
         for n, new in by_dim.items():
             self._faces.update(dict.fromkeys(new, ()))
+            self._position.update(zip(new, count(len(self.cells(n)))))
             self._cells[n] = self._cells.get(n, ()) + tuple(new)
         self._cells = dict(sorted(self._cells.items()))
         for cell, faces in added.items():
@@ -155,20 +156,14 @@ class FiniteSimplicialSet:
         n, i = cell.dim, cell.id
         fs = tuple(faces)
         if len(fs) != n + 1:
-            raise PresentationError(
-                f"{n}-cell {i!r} needs {n + 1} faces, got {len(fs)}"
-            )
+            raise PresentationError(f"{n}-cell {i!r} needs {n + 1} faces, got {len(fs)}")
         for k, fv in enumerate(fs):
             if not isinstance(fv, Simplex):
                 raise PresentationError(f"face {k} of {i!r} is not a simplex")
             if fv.core.dim + len(fv.word) != n - 1:
-                raise PresentationError(
-                    f"face {k} of {n}-cell {i!r} has dimension {fv.dim}"
-                )
+                raise PresentationError(f"face {k} of {n}-cell {i!r} has dimension {fv.dim}")
             if fv.core not in self._faces:
-                raise PresentationError(
-                    f"face {k} of {i!r} references unknown cell {fv.core}"
-                )
+                raise PresentationError(f"face {k} of {i!r} references unknown cell {fv.core}")
         self._faces[cell] = fs
 
     # -- accessors ---------------------------------------------------------
@@ -261,9 +256,7 @@ class FiniteSimplicialSet:
                     lhs = face(self, fs[j], i) if dj is None else dj[i]
                     rhs = face(self, fs[i], j - 1) if di is None else di[j - 1]
                     if lhs != rhs:
-                        bad.append(
-                            f"d_{i} d_{j} != d_{j - 1} d_{i} at {n}-cell {cell.id!r}"
-                        )
+                        bad.append(f"d_{i} d_{j} != d_{j - 1} d_{i} at {n}-cell {cell.id!r}")
         return bad
 
     def __repr__(self):
@@ -437,6 +430,7 @@ class _Stage(FiniteSimplicialSet):
         self._grown = grown
         self._counts = {n: len(cells) for n, cells in grown._cells.items()}
         self._faces = grown._faces  # read only for the stage's own cells
+        self._position = grown._position
         self._glued = glued
         self._stars = None
         self._depth = depth
@@ -533,6 +527,7 @@ class Exhaustion:
             self._resolved.append((base_cells, into, out))
         self._check_copy_ids()
         self.translations = {}
+        self._memo = {}  # what chainalg's theories keep: report, certificates, stages
         self._complex = object.__new__(FiniteSimplicialSet)
         self._complex._begin(name)
         self._glued = {}  # cell -> (the depth it was glued at, its faces)
@@ -653,9 +648,7 @@ def _check_gluing_iso(X, x_cells, Y, y_cells, where: str):
     pair = {}
     for xc, yc in zip(x_cells, y_cells):
         if xc.dim != yc.dim:
-            raise PresentationError(
-                f"{where}: {xc.id!r} and {yc.id!r} differ in dimension"
-            )
+            raise PresentationError(f"{where}: {xc.id!r} and {yc.id!r} differ in dimension")
         pair[xc] = yc
     for xc, yc in pair.items():
         if xc.dim == 0:
@@ -699,10 +692,8 @@ def _crowding(X: Exhaustion, selected) -> LocalFinitenessReport | None:
             grown = sorted(c.id for c in copies if v in stage.complex.vertices_of(c))
             if grown:
                 return LocalFinitenessReport(
-                    ok=False,
-                    witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
-                    notes=[f"star grew between stages {depth - 1} and {depth}"],
-                )
+                    ok=False, witness=f"vertex {v.id!r} keeps gaining simplices (e.g. {grown[:3]})",
+                    notes=[f"star grew between stages {depth - 1} and {depth}"])
     return None
 
 
@@ -726,12 +717,8 @@ def is_locally_finite(X) -> LocalFinitenessReport:
         vertices = X.truncate(3).complex.cells(0)
         note = f"stars stabilized across stages 1..{depth}"
     sizes = {v.id: len(deepest.star(v)) for v in vertices}
-    return LocalFinitenessReport(
-        ok=True,
-        max_star=max(sizes.values(), default=0),
-        star_sizes=sizes,
-        notes=[note],
-    )
+    return LocalFinitenessReport(ok=True, max_star=max(sizes.values(), default=0),
+                                 star_sizes=sizes, notes=[note])
 
 
 # --------------------------------------------------------------------------
@@ -915,10 +902,7 @@ def is_proper_map(f) -> PropernessReport:
     order = (f.target.base if f.target_is_exhaustion else f.target).all_cells()
     worst = next(y for y in order if y in cores)
     sizes = [_fiber_counts(f.level_map(d))[worst] for d in range(1, 9)]
-    return PropernessReport(
-        ok=False,
-        witness=f"fiber over {worst.id!r} keeps growing: sizes {sizes}",
-    )
+    return PropernessReport(ok=False, witness=f"fiber over {worst.id!r} keeps growing: sizes {sizes}")
 
 
 # --------------------------------------------------------------------------
@@ -959,28 +943,47 @@ class DegeneracyTowerFamily:
     base: Simplex
 
 
+def _has_cell(X, cell) -> bool:
+    """Whether a finite complex, or a stage of an exhaustion, has the cell:
+    copy d of the slab cell ``id`` on chain a is named ``a{a}c{d}.{id}``."""
+    if isinstance(X, FiniteSimplicialSet):
+        return X.has_cell(cell)
+    match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
+    copied = match and int(match[1]) < len(X._resolved) and X._slab_lookup.get(match[3])
+    return X.base.has_cell(cell) or (bool(copied) and copied.dim == cell.dim
+                                     and copied not in X._resolved[int(match[1])][1])
+
+
 def family_is_controlled(X, family) -> bool:
     """Whether each vertex star meets only finitely many family members.
 
-    Finite families always qualify, and so does every family on a finite
-    complex but a degeneracy tower, which concentrates infinitely many members
-    over its core's vertices.  On an exhaustion, all cells (or those of one
-    dimension) and a per-slab selection are slab cells copied into every copy,
-    controlled unless they crowd a star (``_crowding``)."""
+    A family naming a cell the space lacks (a finite complex has no slab),
+    or a negative dimension, is refused.  Finite families always qualify,
+    and so does every family on a finite complex but a degeneracy tower,
+    which concentrates infinitely many members over its core's vertices.  On
+    an exhaustion, all cells (or those of one dimension) and a per-slab
+    selection are slab cells copied into every copy, controlled unless they
+    crowd a star (``_crowding``)."""
+    finite = isinstance(X, FiniteSimplicialSet)
     if isinstance(family, FiniteFamily):
-        return True
-    if isinstance(family, DegeneracyTowerFamily):
-        return False
-    if not isinstance(family, (AllCellsFamily, PerSlabFamily)):
-        raise SimplicialError(f"unknown family kind {type(family).__name__}")
-    if isinstance(X, FiniteSimplicialSet):
-        return True
-    if isinstance(family, AllCellsFamily):
-        cells = [c for c in X.slab.all_cells() if family.dim in (None, c.dim)]
+        named = [(X, getattr(m, "core", m)) for m in family.members]
+    elif isinstance(family, DegeneracyTowerFamily):
+        named = [(X, family.base.core)]
+    elif isinstance(family, PerSlabFamily):
+        named = ([(X if finite else X.base, c) for c in family.base_cells]
+                 + [(None if finite else X.slab, c) for c in family.slab_cells])
+    elif isinstance(family, AllCellsFamily):
+        named = []
+        if family.dim is not None and family.dim < 0:
+            raise SimplicialError(f"negative dimension in {family!r}")
     else:
-        cells = family.slab_cells
-        if not all(map(X.slab.has_cell, cells)) or not all(map(X.base.has_cell, family.base_cells)):
-            raise SimplicialError(f"unknown cell in {family!r}")
+        raise SimplicialError(f"unknown family kind {type(family).__name__}")
+    if not all(Y is not None and isinstance(c, Cell) and _has_cell(Y, c) for Y, c in named):
+        raise SimplicialError(f"unknown cell in {family!r}")
+    if finite or isinstance(family, (FiniteFamily, DegeneracyTowerFamily)):
+        return not isinstance(family, DegeneracyTowerFamily)
+    cells = (family.slab_cells if isinstance(family, PerSlabFamily)
+             else [c for c in X.slab.all_cells() if family.dim in (None, c.dim)])
     return _crowding(X, [cells] * len(X.attachments)) is None
 
 

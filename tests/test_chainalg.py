@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlhom import chainalg, cli, snf
+from ctlhom import chainalg, cli, snf, sset
 from ctlhom.chainalg import (
     INTEGER,
     RATIONAL,
@@ -392,16 +394,15 @@ def test_window_and_depth_are_respected():
 
 
 def test_transition_check_rejects_a_non_chain_map(monkeypatch):
-    # stage 2 of the line gets its edge boundaries rotated: still ∂∂ = 0,
-    # but the transitions into and out of stage 2 are no chain maps
+    # stage 2 of the line gets its edge boundary columns rotated: still
+    # ∂∂ = 0, but the transitions into and out of stage 2 are no chain maps
     original = chainalg._stage_for
 
     def skewed(space, depth, relative):
         stage = original(space, depth, relative)
         if depth == 2:
-            d1 = stage.boundary(1)
-            stage._matrices[1] = IntMatrix(
-                d1.rows, d1.cols, tuple(row[1:] + row[:1] for row in d1.data))
+            d1 = stage.columns(1)
+            stage._columns[1] = d1[1:] + d1[:1]
         return stage
 
     monkeypatch.setattr(chainalg, "_stage_for", skewed)
@@ -420,9 +421,7 @@ def test_transition_check_reads_the_boundary_above_the_top_degree(monkeypatch, t
     def dropped(space, depth, relative):
         stage = original(space, depth, relative)
         if depth == 0:
-            d2 = stage.boundary(2)
-            stage._matrices[2] = IntMatrix.from_entries(
-                d2.rows, d2.cols, [{j: x for j, x in row.items() if j} for row in d2.entries])
+            stage._columns[2] = [{}] + stage.columns(2)[1:]
         return stage
 
     monkeypatch.setattr(chainalg, "_stage_for", dropped)
@@ -447,6 +446,96 @@ def test_inclusion_needs_every_cell_in_the_larger_stage(monkeypatch):
     for driver in (homology, cohomology):
         with pytest.raises(MatrixError, match="missing from the larger basis"):
             driver(line())
+
+
+def _planted(monkeypatch, depth, plant):
+    """Build every stage as usual, and call ``plant(stage)`` on the stage at
+    ``depth`` as it is built."""
+    original = chainalg._stage_for
+
+    def planted(space, d, relative):
+        stage = original(space, d, relative)
+        if d == depth:
+            plant(stage)
+        return stage
+
+    monkeypatch.setattr(chainalg, "_stage_for", planted)
+
+
+@pytest.mark.parametrize("tag", sorted(THEORY_DRIVERS))
+def test_the_check_reads_where_a_copy_is_glued(monkeypatch, tag):
+    # an edge of copy 2 also meets the origin, a stage-1 vertex off the
+    # frontier that copy 2 is glued along; the entry goes into the column
+    # every stage shares, so the stages agree on all they both have, and only
+    # the check of the new columns sees it: an inclusion's new columns meet
+    # stage 1 off its frontier, and a projection sends the edge to zero but
+    # not its boundary
+    def meet_origin(stage):
+        at = stage.complex._position
+        stage.columns(1)[at[Cell(1, "a0c2.seg")]][at[Cell(0, "o")]] = 1
+
+    _planted(monkeypatch, 2, meet_origin)
+    arrow = "<-" if tag in ("H_BM", "H_c") else "->"
+    with pytest.raises(MatrixError, match=f"^{tag} degree 1 stages 1{arrow}2: transition "
+                                          "does not commute with the boundary$"):
+        THEORY_DRIVERS[tag](line())
+
+
+def test_projection_check_reads_the_new_frontier_rows(monkeypatch):
+    # an edge of copy 1, kept by the projection from stage 2, also meets the
+    # far end of copy 2, a new frontier vertex: stage 2 drops that row with
+    # its frontier, so only the check of the new frontier rows sees it
+    def reach_out(stage):
+        at = stage.complex._position
+        stage.columns(1)[at[Cell(1, "a0c1.seg")]][at[Cell(0, "a0c2.pout")]] = 1
+
+    _planted(monkeypatch, 2, reach_out)
+    for tag in ("H_BM", "H_c"):
+        with pytest.raises(MatrixError, match=f"^{tag} degree 1 stages 1<-2: transition "
+                                              "does not commute with the boundary$"):
+            THEORY_DRIVERS[tag](line())
+
+
+def test_each_column_is_assembled_once_per_exhaustion(monkeypatch):
+    assembled = Counter()
+    real = chainalg._column
+
+    def spy(X, cell):
+        assembled[getattr(X, "_grown", X), cell] += 1
+        return real(X, cell)
+
+    monkeypatch.setattr(chainalg, "_column", spy)
+    space = cylinder()
+    bm_homology(space, window=48, max_depth=60)
+    deepest = space.truncate(len(space._stages) - 1).complex
+    assert len(space._stages) > 48 and set(assembled.values()) == {1}
+    assert all((space._complex, c) in assembled for n in (1, 2) for c in deepest.cells(n))
+
+
+@pytest.mark.parametrize("space,degree,calls", [(cylinder, 1, 11), (plane, 2, 15)])
+def test_the_pairing_presents_each_stage_once(monkeypatch, space, degree, calls):
+    """The two stage systems share the slab certificate, and the final stage
+    reuses their presentations."""
+    made = []
+    real = chainalg.present_homology
+    monkeypatch.setattr(chainalg, "present_homology",
+                        lambda *args, **kwargs: made.append(1) or real(*args, **kwargs))
+    pairing_matrix(space(), degree)
+    assert len(made) == calls
+
+
+def test_the_engine_reads_local_finiteness_and_stages_through_module_bindings(monkeypatch):
+    """A tracer that rebinds ``chainalg.is_locally_finite`` and
+    ``Exhaustion.truncate`` sees the engine's calls; the report is made once
+    per space object."""
+    calls = Counter()
+    lf, truncate = chainalg.is_locally_finite, sset.Exhaustion.truncate
+    monkeypatch.setattr(chainalg, "is_locally_finite",
+                        lambda X: calls.update(["lf"]) or lf(X))
+    monkeypatch.setattr(sset.Exhaustion, "truncate",
+                        lambda X, depth: calls.update(["truncate"]) or truncate(X, depth))
+    pairing_matrix(cylinder(), 1)
+    assert calls["lf"] == 1 and calls["truncate"] > 0
 
 
 # --------------------------------------------------- chains and the pairing

@@ -47,7 +47,7 @@ def _transition_is_iso(space, relative, dual, i, n) -> bool:
     source, target = _stage_for(space, a, relative), _stage_for(space, b, relative)
     p_source = _present_degrees(source, [n], dual)[n]
     p_target = _present_degrees(target, [n], dual)[n]
-    cells = _cell_map(source.basis(n), target.basis(n), total=not relative)
+    cells = _cell_map(source.basis(n), target.basis(n))
     if dual:
         return is_transition_isomorphism(p_target, p_source, lambda v: _pull(cells, v))
     size = len(target.basis(n))

@@ -734,6 +734,30 @@ def test_per_slab_family_refuses_an_unknown_cell():
             family_is_controlled(line(), family)
 
 
+@pytest.mark.parametrize("space,family", [
+    (line, FiniteFamily([Cell(0, "nope")])),
+    (line, FiniteFamily([Cell(0, "a0c3.pin")])),  # copies do not add their in-boundary
+    (line, FiniteFamily([Cell(1, "a2c1.seg")])),  # the line has two chains
+    (line, FiniteFamily([Simplex((0,), Cell(0, "nope"))])),
+    (line, DegeneracyTowerFamily(Simplex((), Cell(3, "nope")))),
+    (torus, FiniteFamily([Cell(0, "nope")])),
+    (torus, PerSlabFamily(slab_cells=(Cell(0, "0"),))),  # a finite complex has no slab
+    (torus, PerSlabFamily(base_cells=(Cell(0, "nope"),))),
+], ids=["unknown", "in-boundary-copy", "third-chain", "degenerate", "tower", "finite-unknown",
+        "finite-slab", "finite-base"])
+def test_every_family_kind_refuses_a_cell_the_space_lacks(space, family):
+    with pytest.raises(SimplicialError, match="^unknown cell in "):
+        family_is_controlled(space(), family)
+
+
+def test_families_name_the_cells_of_every_copy():
+    assert family_is_controlled(line(), FiniteFamily([Cell(1, "a0c5.seg"), Cell(0, "a1c2.pout")]))
+    assert family_is_controlled(torus(), PerSlabFamily(base_cells=(Cell(0, "0"),)))
+    assert not family_is_controlled(torus(), DegeneracyTowerFamily(Simplex((), Cell(1, "0.1"))))
+    with pytest.raises(SimplicialError, match="negative dimension"):
+        family_is_controlled(line(), AllCellsFamily(-1))
+
+
 def _growing(space, members) -> list:
     """The stage-8 vertices whose star meets more of the members (a set of
     simplices per depth) at stage 24 than at stage 16, counted by definition.
