@@ -339,30 +339,22 @@ def present_homology(boundary_in: IntMatrix, boundary_out: IntMatrix,
 
 def _basis(boundary_in: IntMatrix, boundary_out: IntMatrix) -> dict:
     """A presentation's basis fields, from fixed-pivot Smith reductions."""
-    if boundary_in.is_zero():
-        # no pivots: V = I, and the relations are boundary_out itself
-        r, k = 0, boundary_in.cols
-        v_inv = IntMatrix.identity(k)
-        dec_y = smith_normal_form(boundary_out, ("u", "u_inv"))
-        gen_matrix = dec_y.u_inv
-    else:
-        dec = smith_normal_form(boundary_in, ("v", "v_inv"))
-        r = dec.rank
-        k = boundary_in.cols - r
-        v_inv = dec.v_inv
-        # the first r rows vanish, as the boundaries compose to zero
-        relations = (v_inv @ boundary_out).entries[r:]
-        dec_y = smith_normal_form(
-            IntMatrix.from_entries(k, boundary_out.cols, relations), ("u", "u_inv"))
-        kernel = IntMatrix.from_entries(boundary_in.cols, k, (
-            {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
-        gen_matrix = kernel @ dec_y.u_inv
+    dec = smith_normal_form(boundary_in, ("v", "v_inv"))
+    r = dec.rank
+    k = boundary_in.cols - r
+    # the first r rows vanish, as the boundaries compose to zero
+    relations = (dec.v_inv @ boundary_out).entries[r:]
+    dec_y = smith_normal_form(
+        IntMatrix.from_entries(k, boundary_out.cols, relations), ("u", "u_inv"))
+    kernel = IntMatrix.from_entries(boundary_in.cols, k, (
+        {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
+    gen_matrix = kernel @ dec_y.u_inv
     # the Smith order (1s, then growing factors, then 0s) without the 1s
     orders_all = list(dec_y.invariant_factors) + [0] * (k - dec_y.rank)
     kept = tuple(i for i, d in enumerate(orders_all) if d != 1)
     return {"orders": tuple(orders_all[i] for i in kept),
             "generators": tuple(gen_matrix.col(i) for i in kept),
-            "_v_inv": v_inv, "_rank": r, "_u_y": dec_y.u, "_kept": kept}
+            "_v_inv": dec.v_inv, "_rank": r, "_u_y": dec_y.u, "_kept": kept}
 
 
 def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
@@ -537,27 +529,6 @@ def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
             for n in degrees if n >= 0}
 
 
-def _kept(space, key, make):
-    """``make()``, made once per space object and kept in its memo."""
-    if key not in space._memo:
-        space._memo[key] = make()
-    return space._memo[key]
-
-
-def _stage(space, depth: int, relative: bool) -> StageComplex:
-    return _kept(space, ("stage", depth, relative), lambda: _stage_for(space, depth, relative))
-
-
-def _presented(space, depth: int, relative: bool, dual: bool, degrees) -> dict:
-    """Stage ``depth``'s presentations in the given degrees, each made once
-    per exhaustion."""
-    have = _kept(space, ("presented", depth, relative, dual), dict)
-    wanted = [n for n in degrees if n not in have]
-    if wanted:
-        have.update(_present_degrees(_stage(space, depth, relative), wanted, dual))
-    return {n: have[n] for n in degrees}
-
-
 def _default_max_degree(space) -> int:
     if isinstance(space, FiniteSimplicialSet):
         return max(space.top_dim, 0)
@@ -630,6 +601,55 @@ def _slab_certified_from(space, relative: bool):
     return 1 if relative else 0
 
 
+class _StageSystem:
+    """The stages of one exhaustion, absolute or ``relative`` to the
+    frontier, with their presentations and the slab certificate, behind the
+    local-finiteness gate.  Stages, and presentations per stage and
+    variance, are each made once and kept in two dicts on the space beside
+    the certificate, so the other theories and the pairing share them; the
+    space keeps no object that refers back to it."""
+
+    def __init__(self, space, relative: bool):
+        memo = space._memo
+        if "locally finite" not in memo:
+            memo["locally finite"] = is_locally_finite(space)
+        if not memo["locally finite"].ok:
+            raise SimplicialError(f"space is not locally finite: {memo['locally finite'].witness}")
+        if ("stages", relative) not in memo:
+            memo["stages", relative] = ({}, {}, _slab_certified_from(space, relative))
+        self.space, self.relative = space, relative
+        self._stages, self._presented, self.certified = memo["stages", relative]
+
+    def stage(self, i: int) -> StageComplex:
+        if i not in self._stages:
+            self._stages[i] = _stage_for(self.space, i, self.relative)
+        return self._stages[i]
+
+    def present(self, i: int, dual: bool, degrees) -> dict:
+        """Stage i's presentations in the given degrees; from the certified
+        stage on, those of that stage, whose groups every later stage has."""
+        if self.certified is not None:
+            i = min(i, self.certified)
+        have = self._presented.setdefault((i, dual), {})
+        wanted = [n for n in degrees if n not in have]
+        if wanted:
+            have.update(_present_degrees(self.stage(i), wanted, dual))
+        return {n: have[n] for n in degrees}
+
+    def transition_is_iso(self, i: int, n: int, dual: bool) -> bool:
+        """Whether the degree-n transition between stages i and i+1 is an
+        isomorphism on classes; from the certified stage on, it is."""
+        if self.certified is not None and i >= self.certified:
+            return True
+        a, b = (i + 1, i) if self.relative else (i, i + 1)  # chain-level direction
+        cells = _cell_map(self.stage(a).basis(n), self.stage(b).basis(n))
+        source, target = self.present(a, dual, [n])[n], self.present(b, dual, [n])[n]
+        if dual:
+            return is_transition_isomorphism(target, source, lambda v: _pull(cells, v))
+        size = len(self.stage(b).basis(n))
+        return is_transition_isomorphism(source, target, lambda v: _push(cells, size, v))
+
+
 def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     """Shared limit/colimit engine over exhaustion stages.
 
@@ -640,52 +660,20 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     stage i to i+1 (a colimit) exactly when ``relative == dual``.
 
     Every transition the window covers is checked once to be a chain map,
-    on every boundary the presentations read (up to degree max + 1).  From
-    the stage the slab certificate names, the transitions are isomorphisms
-    without a test, and a later stage is read as that stage, whose groups
-    it has.  The local-finiteness report, the certificate, the stages and
-    their presentations are kept on the space object, for the other
-    theories and the pairing.
+    on every boundary the presentations read (up to degree max + 1).  A
+    degree is presented until it stabilizes, and at ``depth_used``.
 
     Returns the presentations at ``depth_used``, that stage, the degrees'
     stabilization depths, ``depth_used`` and the caveats.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    lf = _kept(space, "locally finite", lambda: is_locally_finite(space))
-    if not lf.ok:
-        raise SimplicialError(f"space is not locally finite: {lf.witness}")
-    certified = _kept(space, ("certified", relative),
-                      lambda: _slab_certified_from(space, relative))
-
-    def stage(i) -> StageComplex:
-        return _stage(space, i, relative)
-
-    def present(i, wanted) -> dict:
-        """Stage i's presentations in the wanted degrees: a degree is read
-        until it stabilizes, and at ``depth_used``."""
-        return _presented(space, i if certified is None else min(i, certified),
-                          relative, dual, wanted)
-
-    def transition_is_iso(i, n):
-        """Whether the degree-n transition between stages i and i+1 is an
-        isomorphism on classes."""
-        if certified is not None and i >= certified:
-            return True
-        a, b = (i + 1, i) if relative else (i, i + 1)  # chain-level direction
-        cells = _cell_map(stage(a).basis(n), stage(b).basis(n))
-        if dual:
-            return is_transition_isomorphism(present(b, [n])[n], present(a, [n])[n],
-                                             lambda v: _pull(cells, v))
-        size = len(stage(b).basis(n))
-        return is_transition_isomorphism(present(a, [n])[n], present(b, [n])[n],
-                                         lambda v: _push(cells, size, v))
-
+    system = _StageSystem(space, relative)
     stabilized = {}
     quiet = {n: 0 for n in degrees}
     history = {n: [] for n in degrees}
     depth = 0
-    for n, p in present(0, degrees).items():
+    for n, p in system.present(0, dual, degrees).items():
         history[n].append(p.group)
     while len(stabilized) < len(degrees):
         unsettled = [n for n in degrees if n not in stabilized]
@@ -696,13 +684,13 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
                 f"{window}); groups so far: " + ", ".join(map(render_group, history[worst])),
                 theory=theory, degree=worst,
                 history=[(n, [render_group(g) for g in history[n]]) for n in unsettled])
-        presented = present(depth + 1, unsettled)
+        presented = system.present(depth + 1, dual, unsettled)
         a, b = (depth + 1, depth) if relative else (depth, depth + 1)
-        _check_chain_map(stage(a), stage(b), max(degrees) + 1, not relative, theory,
-                         f"{depth}{'<-' if relative else '->'}{depth + 1}")
+        _check_chain_map(system.stage(a), system.stage(b), max(degrees) + 1, not relative,
+                         theory, f"{depth}{'<-' if relative else '->'}{depth + 1}")
         for n, p in presented.items():
             history[n].append(p.group)
-            if transition_is_iso(depth, n):
+            if system.transition_is_iso(depth, n, dual):
                 quiet[n] += 1
                 if quiet[n] >= window:
                     stabilized[n] = depth + 1 - window
@@ -716,7 +704,8 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     if relative != dual:
         caveats.append("limit computed as the stable value; the derived limit vanishes "
                        "because the probed transitions are isomorphisms (Mittag-Leffler)")
-    return present(depth_used, degrees), stage(depth_used), stabilized, depth_used, caveats
+    return (system.present(depth_used, dual, degrees), system.stage(depth_used), stabilized,
+            depth_used, caveats)
 
 
 # tag -> (relative, dual, caveat on a finite complex)
@@ -928,7 +917,7 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
     read once, on source stage max(depth, s + longest), s the deepest target
     stage in the support.
     """
-    from .sset import PeriodicMap, is_proper_map
+    from .sset import PeriodicMap, _glue_depth, is_proper_map
 
     if not isinstance(f, PeriodicMap):
         raise SimplicialError("pullback_periodic needs a periodic map")
@@ -940,9 +929,10 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
     if f.target_is_exhaustion:
         lag = max((longest for _, longest in f.target._walks), default=0)
         for cell in cochain.values:
-            if cell not in f.target._glued:
+            glued = _glue_depth(f.target, cell)
+            if glued is None:
                 raise SimplicialError("cochain does not live on the map's target")
-            stage = max(stage, f.target._glued[cell][0] + lag)
+            stage = max(stage, glued + lag)
     level = f.level_map(stage)
     return Cochain(level.source, cochain.degree, _pulled(level, cochain))
 
@@ -977,7 +967,8 @@ def pairing_matrix(space, degree: int, window: int = 3,
     else:
         depth = max(driver(space, INTEGER, max_degree=degree, window=window,
                            max_depth=max_depth).depth_used for driver in (bm_homology, cohomology_c))
-        pres, dual_pres = (_presented(space, depth, True, dual, [degree])[degree]
+        system = _StageSystem(space, True)
+        pres, dual_pres = (system.present(depth, dual, [degree])[degree]
                            for dual in (False, True))
     matrix = tuple(tuple(sum(a * b for a, b in zip(phi, c)) for c in pres.generators)
                    for phi in dual_pres.generators)

@@ -190,14 +190,13 @@ class FiniteSimplicialSet:
 
     def face(self, cell: Cell, i: int) -> Simplex:
         """Stored face assignment d_i of a nondegenerate simplex."""
-        faces = self._faces.get(cell)
-        if faces is None:
+        if not self.has_cell(cell):
             raise SimplicialError(f"unknown cell {cell}")
         if cell.dim == 0:
             raise SimplicialError("0-simplices have no faces")
         if not 0 <= i <= cell.dim:
             raise SimplicialError(f"face index {i} outside 0..{cell.dim}")
-        return faces[i]
+        return self._faces[cell][i]
 
     def simplex(self, cell: Cell) -> Simplex:
         if not self.has_cell(cell):
@@ -282,7 +281,7 @@ def apply_ordinal_map(X, x: Simplex, f: MonotoneMap) -> Simplex:
     epi, faces = _factor_action(x.word, f)
     y = Simplex((), x.core)
     for i in faces:
-        y = _face_step(X, y, i)
+        y = face(X, y, i)
     if epi is None:
         return y
     return Simplex(_degenerate_by(y.word, epi), y.core)
@@ -306,25 +305,19 @@ def _degenerate_by(word: tuple[int, ...], epi: MonotoneMap) -> tuple[int, ...]:
     return tuple(reversed(delta.codegeneracy_word(total)))
 
 
-def _face_step(X, y: Simplex, i: int) -> Simplex:
-    """One face operator applied to a possibly degenerate simplex."""
-    if y.is_nondegenerate:
-        return X.face(y.core, i)
-    return apply_ordinal_map(X, y, delta.coface(y.dim - 1, i))
-
-
 def face(X, x, i: int) -> Simplex:
     """The i-th face of a simplex (Cell or Simplex) of X."""
     if isinstance(x, Cell):
         x = X.simplex(x)
-    if x.dim == 0:
+    n = x.dim
+    if n == 0:
         raise SimplicialError("0-simplices have no faces")
-    if not 0 <= i <= x.dim:
-        raise SimplicialError(f"face index {i} outside 0..{x.dim}")
+    if not 0 <= i <= n:
+        raise SimplicialError(f"face index {i} outside 0..{n}")
     if not x.word:
         # the stored face; the general action below returns the same simplex
         return X.face(x.core, i)
-    return apply_ordinal_map(X, x, delta.coface(x.dim - 1, i))
+    return apply_ordinal_map(X, x, delta.coface(n - 1, i))
 
 
 def degeneracy(X, x, j: int) -> Simplex:
@@ -421,19 +414,16 @@ class Attachment:
 
 class _Stage(FiniteSimplicialSet):
     """The cells of a growing complex glued at or before a depth: a prefix
-    of its cells in every dimension.  ``glued`` maps every cell of the grown
-    complex to the depth it was glued at and its faces, so that one lookup
-    both fetches a cell's faces and refuses a cell glued later."""
+    of its cells in every dimension, so a cell is here exactly when its
+    position in its dimension is below this stage's count there."""
 
-    def __init__(self, grown: FiniteSimplicialSet, glued: dict, depth: int, name):
+    def __init__(self, grown: FiniteSimplicialSet, name):
         self.name = name
         self._grown = grown
         self._counts = {n: len(cells) for n, cells in grown._cells.items()}
         self._faces = grown._faces  # read only for the stage's own cells
         self._position = grown._position
-        self._glued = glued
         self._stars = None
-        self._depth = depth
 
     @cached_property
     def _cells(self) -> dict:
@@ -444,18 +434,8 @@ class _Stage(FiniteSimplicialSet):
         return sum(self._counts.values())
 
     def has_cell(self, cell: Cell) -> bool:
-        entry = self._glued.get(cell)
-        return entry is not None and entry[0] <= self._depth
-
-    def face(self, cell: Cell, i: int) -> Simplex:
-        entry = self._glued.get(cell)
-        if entry is None or entry[0] > self._depth:
-            raise SimplicialError(f"unknown cell {cell}")
-        if cell.dim == 0:
-            raise SimplicialError("0-simplices have no faces")
-        if not 0 <= i <= cell.dim:
-            raise SimplicialError(f"face index {i} outside 0..{cell.dim}")
-        return entry[1][i]
+        at = self._position.get(cell)
+        return at is not None and at < self._counts.get(cell.dim, 0)
 
     def vertices_of(self, cell: Cell) -> frozenset:
         if not self.has_cell(cell):
@@ -527,10 +507,9 @@ class Exhaustion:
             self._resolved.append((base_cells, into, out))
         self._check_copy_ids()
         self.translations = {}
-        self._memo = {}  # what chainalg's theories keep: report, certificates, stages
+        self._memo = {}  # what chainalg's theories keep: report, stages, presentations
         self._complex = object.__new__(FiniteSimplicialSet)
         self._complex._begin(name)
-        self._glued = {}  # cell -> (the depth it was glued at, its faces)
         self._stages = []
         self._glue_stage({c: base._faces[c] for c in base.all_cells()},
                          [list(r[0]) for r in self._resolved])
@@ -560,9 +539,8 @@ class Exhaustion:
     def _glue_stage(self, added: dict, frontier_chains: list):
         depth = len(self._stages)
         self._complex._glue(added)
-        self._glued.update((c, (depth, self._complex._faces[c])) for c in added)
         self._stages.append(Truncation(
-            depth, _Stage(self._complex, self._glued, depth, f"{self.name or 'exhaustion'}[{depth}]"),
+            depth, _Stage(self._complex, f"{self.name or 'exhaustion'}[{depth}]"),
             frontier_chains, tuple(added), self.translations,
         ))
 
@@ -943,15 +921,22 @@ class DegeneracyTowerFamily:
     base: Simplex
 
 
-def _has_cell(X, cell) -> bool:
-    """Whether a finite complex, or a stage of an exhaustion, has the cell:
-    copy d of the slab cell ``id`` on chain a is named ``a{a}c{d}.{id}``."""
-    if isinstance(X, FiniteSimplicialSet):
-        return X.has_cell(cell)
+def _glue_depth(X: Exhaustion, cell) -> int | None:
+    """The first stage of an exhaustion that has the cell, or None if none
+    has it: 0 for a base cell, and d for copy d of the slab cell ``id`` that
+    copies on chain a add, named ``a{a}c{d}.{id}``."""
+    if X.base.has_cell(cell):
+        return 0
     match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
     copied = match and int(match[1]) < len(X._resolved) and X._slab_lookup.get(match[3])
-    return X.base.has_cell(cell) or (bool(copied) and copied.dim == cell.dim
-                                     and copied not in X._resolved[int(match[1])][1])
+    if copied and copied.dim == cell.dim and copied not in X._resolved[int(match[1])][1]:
+        return int(match[2])
+    return None
+
+
+def _has_cell(X, cell) -> bool:
+    """Whether a finite complex, or a stage of an exhaustion, has the cell."""
+    return X.has_cell(cell) if isinstance(X, FiniteSimplicialSet) else _glue_depth(X, cell) is not None
 
 
 def family_is_controlled(X, family) -> bool:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -61,7 +63,7 @@ from ctlhom.sset import (
     standard_simplex,
 )
 from ctlhom.snf import IntMatrix, MatrixError
-from exhaustions import dots_into_tail
+from exhaustions import dots_into_tail, relay
 
 
 # ------------------------------------------------------------- coefficients
@@ -538,6 +540,32 @@ def test_the_engine_reads_local_finiteness_and_stages_through_module_bindings(mo
     assert calls["lf"] == 1 and calls["truncate"] > 0
 
 
+RUNS = {**{f"{tag} {build.__name__}": (build, driver)
+           for tag, driver in THEORY_DRIVERS.items()
+           for build in (cylinder, plane, balloon_ray, relay)},
+        "pairing cylinder": (cylinder, lambda X: pairing_matrix(X, 1)),
+        "pairing plane": (plane, lambda X: pairing_matrix(X, 2))}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_a_theory_run_leaves_no_reference_cycle_through_its_space(run):
+    """What a run keeps on the space refers to none of its objects, so the
+    space is freed by reference counting alone when it is dropped."""
+    build, driver = RUNS[run]
+    gc.disable()
+    try:
+        space = build()
+        try:
+            driver(space)
+        except NonStabilizationError:
+            pass
+        freed = weakref.ref(space)
+        del space
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 # --------------------------------------------------- chains and the pairing
 
 def test_boundary_of_a_chain_matches_the_matrix():
@@ -648,6 +676,17 @@ def test_periodic_pullback_keeps_support_past_a_gap():
         assert pulled.complex is fold.source.truncate(stage).complex
         assert {c.id: v for c, v in pulled.values.items()} \
             == {"a0c1.seg": 1, "a1c1.seg": 1, "a0c3.seg": 1, "a1c3.seg": 1}
+
+
+def test_periodic_pullback_reads_the_support_stage_from_copy_names():
+    """Where a support cell is glued is read from its name, so a cochain on
+    an equal target, truncated further than the map's own, pulls back as on
+    the map's target, whatever that has glued so far."""
+    fold = fold_line_to_ray()
+    phi = Cochain(ray().truncate(3).complex, 1, {Cell(1, "a0c3.seg"): 1})
+    pulled = pullback_periodic(fold, phi, depth=1)
+    assert pulled.complex is fold.source.truncate(4).complex
+    assert {c.id: v for c, v in pulled.values.items()} == {"a0c3.seg": 1, "a1c3.seg": 1}
 
 
 def test_periodic_pullback_reaches_copies_that_land_a_copy_back():

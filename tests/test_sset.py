@@ -393,6 +393,33 @@ def test_stages_are_subcomplexes():
             assert big.has_cell(c)
 
 
+def _check_glue_depths(space):
+    """The glue-depth rule on copy names gives each cell of stage 8 the
+    first stage that has it, and None for names that no stage has."""
+    stages = [space.truncate(d).complex for d in range(9)]
+    for cell in stages[8].all_cells():
+        assert sset._glue_depth(space, cell) == next(
+            d for d, K in enumerate(stages) if K.has_cell(cell)), cell
+    slab = list(space.slab.all_cells())
+    absent = [Cell(c.dim, f"a{len(space.attachments)}c1.{c.id}") for c in slab]  # no such chain
+    absent += [Cell(c.dim + 1, f"a0c1.{c.id}") for c in slab]  # a wrong dimension
+    absent += [Cell(c.dim, f"a{a}c1.{c.id}")  # the in-boundary is glued, never copied
+               for a, (_, into, _) in enumerate(space._resolved) for c in into]
+    for cell in absent:
+        if not space.base.has_cell(cell):
+            assert sset._glue_depth(space, cell) is None and not stages[8].has_cell(cell), cell
+
+
+@pytest.mark.parametrize("build", [
+    ray, line, plane, cylinder, balloon_ray, infinite_star, relay, long_tail, bead_string,
+    lambda: dots_into_tail().source, lambda: ray_beside_a_star().target,
+    lambda: _ray_with_base_vertex("a0c2.pin"),
+], ids=["ray", "line", "plane", "cylinder", "balloon_ray", "infinite_star", "relay",
+        "long_tail", "bead_string", "dots", "ray_and_star", "base_named_like_a_copy"])
+def test_the_glue_depth_rule_matches_stage_membership(build):
+    _check_glue_depths(build())
+
+
 # -------------------------------------------------------- local finiteness
 
 @pytest.mark.parametrize("space,star", [
@@ -523,6 +550,12 @@ def test_local_finiteness_matches_stars_on_random_gluings(space):
                                                                  early).items()}
     else:
         assert any(report.witness.startswith(f"vertex {v.id!r} ") for v in growing)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gluings())
+def test_the_glue_depth_rule_matches_stage_membership_on_random_gluings(space):
+    _check_glue_depths(space)
 
 
 def _stars_by_definition(X):
