@@ -315,23 +315,22 @@ class ControlledMap:
                 )
             mapping = a.mapping
             try:
-                fits = (mapping.keys() >= src._members and tgt._members is not None
-                        and tgt._members.issuperset(map(mapping.__getitem__, src.elements)))
+                fits = (mapping.keys() == src._members and tgt._members is not None
+                        and tgt._members.issuperset(mapping.values()))
             except TypeError:  # an unhashable value: word the error below
                 fits = False
             if fits:
                 return
-            # one pass; a missing value is reported before one outside the target
-            missing, outside = [], []
-            for x in src.elements:
-                if x not in mapping:
-                    missing.append(x)
-                elif not outside and mapping[x] not in tgt:
-                    outside.append(mapping[x])
+            # a missing value is reported before one outside the target, then extra keys
+            missing = [x for x in src.elements if x not in mapping]
             if missing:
                 raise ControlError(f"assignment missing values for {missing}")
-            if outside:
-                raise ControlError(f"value {outside[0]!r} outside target carrier")
+            for x in src.elements:
+                if mapping[x] not in tgt:
+                    raise ControlError(f"value {mapping[x]!r} outside target carrier")
+            extra = [x for x in mapping if x not in src]
+            if extra:
+                raise ControlError(f"assignment has values for {extra} outside source carrier")
         elif isinstance(a, ConstantAssignment):
             if a.value not in tgt:
                 raise ControlError(f"constant value {a.value!r} outside target carrier")
@@ -418,8 +417,19 @@ def validate_map(f: ControlledMap) -> MapReport:
     return report
 
 
+def _unchecked_map(source, target, assignment) -> ControlledMap:
+    """A map known to pass ``ControlledMap.__post_init__``, built without it."""
+    m = object.__new__(ControlledMap)
+    m.source, m.target, m.assignment = source, target, assignment
+    return m
+
+
 def compose(g: ControlledMap, f: ControlledMap) -> ControlledMap:
-    """g after f; the assignment catalogue is closed under composition."""
+    """g after f; the assignment catalogue is closed under composition.
+
+    Two tables compose unchecked, as the composite cannot fail the checks: a
+    checked table's keys are exactly its source's elements, so the
+    composite's keys are f's source and its values are g's, in g's target."""
     if f.target is not g.source:
         if f.target.carrier != g.source.carrier:
             raise ControlError("cannot compose: carriers do not line up")
@@ -430,8 +440,8 @@ def compose(g: ControlledMap, f: ControlledMap) -> ControlledMap:
     if isinstance(fa, TableAssignment):
         if isinstance(ga, TableAssignment):
             table = dict(zip(fa.mapping, map(ga.mapping.__getitem__, fa.mapping.values())))
-        else:
-            table = {x: ga.evaluate(y) for x, y in fa.mapping.items()}
+            return _unchecked_map(f.source, g.target, TableAssignment(table))
+        table = {x: ga.evaluate(y) for x, y in fa.mapping.items()}
         return ControlledMap(f.source, g.target, TableAssignment(table))
 
     if isinstance(fa, ConstantAssignment):

@@ -10,7 +10,7 @@ words on either side of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 
@@ -18,31 +18,30 @@ class DeltaError(ValueError):
     """Ill-formed ordinal map, out-of-range index, or mismatched composition."""
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A weakly increasing map {0..source_dim} -> {0..target_dim}, stored pointwise."""
+class MonotoneMap(namedtuple("MonotoneMap", "source_dim target_dim values")):
+    """A weakly increasing map {0..source_dim} -> {0..target_dim}, stored
+    pointwise, as a ``(source_dim, target_dim, values)`` tuple (equal to the
+    plain one) that hashes and compares in C."""
 
-    source_dim: int
-    target_dim: int
-    values: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked by __new__
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.source_dim < 0 or self.target_dim < 0:
+    def __new__(cls, source_dim: int, target_dim: int, values):
+        values = tuple(values)
+        if source_dim < 0 or target_dim < 0:
             raise DeltaError("ordinal dimension must be non-negative")
-        if len(self.values) != self.source_dim + 1:
-            raise DeltaError(
-                f"expected {self.source_dim + 1} values, got {len(self.values)}"
-            )
+        if len(values) != source_dim + 1:
+            raise DeltaError(f"expected {source_dim + 1} values, got {len(values)}")
         prev = 0
-        for v in self.values:
+        for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise DeltaError(f"non-integer value {v!r}")
-            if not 0 <= v <= self.target_dim:
-                raise DeltaError(f"value {v} outside target ordinal 0..{self.target_dim}")
+            if not 0 <= v <= target_dim:
+                raise DeltaError(f"value {v} outside target ordinal 0..{target_dim}")
             if v < prev:
-                raise DeltaError(f"values {self.values} are not weakly increasing")
+                raise DeltaError(f"values {values} are not weakly increasing")
             prev = v
+        return tuple.__new__(cls, (source_dim, target_dim, values))
 
     def __call__(self, i: int) -> int:
         if not 0 <= i <= self.source_dim:

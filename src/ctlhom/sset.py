@@ -210,6 +210,8 @@ class FiniteSimplicialSet:
         cached = self._vertex_closure.get(cell)
         if cached is not None:
             return cached
+        if not self.has_cell(cell):
+            raise SimplicialError(f"unknown cell {cell}")
         if cell.dim == 0:
             result = frozenset((cell,))
         else:
@@ -279,6 +281,8 @@ def apply_ordinal_map(X, x: Simplex, f: MonotoneMap) -> Simplex:
             f"ordinal map into dimension {f.target_dim} applied to a {x.dim}-simplex"
         )
     epi, faces = _factor_action(x.word, f)
+    if not faces and not X.has_cell(x.core):  # a face walk checks through X.face
+        raise SimplicialError(f"unknown cell {x.core}")
     y = Simplex((), x.core)
     for i in faces:
         y = face(X, y, i)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from ctlhom.ctlset import (
     ALL,
@@ -144,6 +145,21 @@ def test_table_values_must_lie_in_the_target():
     assert ["a"] not in ABC and "a" in ABC and "a" not in N
 
 
+def test_table_keys_must_be_exactly_the_source():
+    src = min_ctl(finite_carrier([0]))
+    with pytest.raises(ControlError, match=r"^assignment has values for \[99\] outside source carrier$"):
+        ControlledMap(src, src, TableAssignment({0: 0, 99: "zzz"}))
+    # a missing value, then a value outside the target, are reported first
+    with pytest.raises(ControlError, match=r"missing values for \['c'\]"):
+        ControlledMap(min_ctl(ABC), min_ctl(ABC), TableAssignment({"a": "a", "b": "z", "q": 0}))
+    with pytest.raises(ControlError, match="value 'z' outside target carrier"):
+        ControlledMap(min_ctl(ABC), min_ctl(ABC),
+                      TableAssignment({"a": "a", "b": "z", "c": "c", "q": 0}))
+    # the same holds for a table into the naturals
+    with pytest.raises(ControlError, match=r"values for \['q'\] outside source"):
+        ControlledMap(min_ctl(ABC), min_ctl(N), TableAssignment({"a": 0, "b": 1, "c": 2, "q": 3}))
+
+
 def test_carrier_members_leave_equality_hashing_and_repr_alone():
     again = finite_carrier(["a", "b", "c"])
     assert again == ABC and hash(again) == hash(ABC) and again is not ABC
@@ -194,6 +210,35 @@ def test_compose_requires_matching_middle_structure():
     g = ControlledMap(max_ctl(N), max_ctl(N), ShiftAssignment(0))
     with pytest.raises(ControlError):
         compose(g, f)
+
+
+@st.composite
+def composable_tables(draw):
+    """f: A -> B and g: B -> C, tables between carriers of size <= 4 with
+    elements of different types, each structure minimal or maximal."""
+    c = draw(st.integers(0, 4))
+    b = draw(st.integers(0, 4 if c else 0))
+    a = draw(st.integers(0, 4 if b else 0))
+    A, B, C = (draw(st.sampled_from((min_ctl, max_ctl)))(finite_carrier(elements))
+               for elements in (range(a), [f"b{i}" for i in range(b)],
+                                [("c", i) for i in range(c)]))
+
+    def table(X, Y):
+        xs, ys = X.carrier.elements, Y.carrier.elements
+        values = draw(st.lists(st.sampled_from(ys), min_size=len(xs), max_size=len(xs))) if ys else []
+        return ControlledMap(X, Y, TableAssignment(dict(zip(xs, values))))
+
+    return table(A, B), table(B, C)
+
+
+@given(composable_tables())
+def test_table_composites_equal_the_checked_construction(maps):
+    f, g = maps
+    gf = compose(g, f)
+    checked = ControlledMap(f.source, g.target, TableAssignment(
+        {x: g.evaluate(f.evaluate(x)) for x in f.source.carrier.elements}))
+    assert type(gf) is ControlledMap and gf == checked
+    assert list(gf.assignment.mapping) == list(checked.assignment.mapping)
 
 
 # -------------------------------------------------------------- adjunction

@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,3 +120,35 @@ def test_word_builders_accept_one_shot_iterables():
     assert from_coface_word(iter((3, 1)), 1) == from_coface_word((1, 3), 1)
     with pytest.raises(DeltaError):
         from_codegeneracy_word(iter((1, 1)), 3)
+
+
+def test_monotone_map_is_its_checked_value_tuple():
+    f = MonotoneMap(2, 3, [0, 1, 3])
+    assert f == (2, 3, (0, 1, 3)) and isinstance(f, tuple)
+    assert hash(f) == hash((f.source_dim, f.target_dim, f.values))
+    assert repr(f) == "MonotoneMap(2->3, [0, 1, 3])"
+    assert (f.is_injective, f.is_surjective, f.is_identity) == (True, False, False)
+    assert f._replace(target_dim=4) == MonotoneMap(2, 4, (0, 1, 3))
+    assert pickle.loads(pickle.dumps(f)) == f
+    with pytest.raises(AttributeError):
+        f.values = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((-1, 0, ()), "ordinal dimension must be non-negative"),
+    ((0, -1, (0,)), "ordinal dimension must be non-negative"),
+    ((1, 1, (0,)), "expected 2 values, got 1"),
+    ((1, 1, (0, 1.0)), "non-integer value 1.0"),
+    ((1, 1, (0, True)), "non-integer value True"),
+    ((1, 1, (0, 2)), "value 2 outside target ordinal 0..1"),
+    ((1, 1, (-1, 0)), "value -1 outside target ordinal 0..1"),
+    ((1, 1, [1, 0]), "values (1, 0) are not weakly increasing"),
+])
+def test_every_constructor_of_a_monotone_map_checks_it(fields, message):
+    replaced = dict(zip(MonotoneMap._fields, fields))
+    for build in (lambda: MonotoneMap(*fields), lambda: MonotoneMap._make(fields),
+                  lambda: identity(1)._replace(**replaced)):
+        with pytest.raises(DeltaError, match=f"^{re.escape(message)}$"):
+            build()

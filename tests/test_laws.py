@@ -1,10 +1,13 @@
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from ctlhom import delta, laws
 from ctlhom.ctlset import ControlledMap, TableAssignment
 from ctlhom.delta import MonotoneMap
+from ctlhom.sset import all_simplices
 
 
 def test_all_laws_hold_on_small_models():
@@ -178,3 +181,57 @@ def test_law_case_counts_are_pinned(max_carrier):
         (name, True, cases) for name, cases in zip(names, _PINNED_CASES[max_carrier])
     ]
 
+
+# ------------------------------------------------------ every case is called
+
+def _counting(monkeypatch, name):
+    """Replace ``laws.<name>`` by a wrapper that records every call's arguments."""
+    calls = []
+    real = getattr(laws, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laws, name, spy)
+    return calls
+
+
+def test_identity_law_composes_both_sides_of_every_case(monkeypatch):
+    calls = _counting(monkeypatch, "compose")
+    r = laws.category_identity(3)
+    assert r.ok and r.cases == 60
+    assert len(calls) == 2 * r.cases
+
+
+def test_associativity_composes_both_sides_of_every_case(monkeypatch):
+    # hom-set sizes b**a between carriers of sizes a -> b
+    calls = _counting(monkeypatch, "compose")
+    r = laws.category_associativity(3)
+    tuples = list(product(range(3), repeat=4)) + [(3, 3, 3, 3)]
+    triples = sum(b ** a * c ** b * d ** c for a, b, c, d in tuples)
+    inner = sum(c ** b * (d ** c + b ** a) for a, b, c, d in tuples)
+    assert r.ok and r.cases == triples == 19894
+    assert len(calls) == 2 * r.cases + inner
+
+
+def test_adjacency_law_calls_the_action_and_adjacent_on_every_case(monkeypatch):
+    actions = _counting(monkeypatch, "apply_ordinal_map")
+    pairs = _counting(monkeypatch, "adjacent")
+    r = laws.adjacency_vertex_reduction(3)
+    assert r.ok and r.cases == 25888
+    assert len(pairs) == r.cases
+    # the action once per (simplex, map into its dimension), on every space
+    spaces = list(dict.fromkeys(X for X, _, _ in actions))
+    assert [X.name for X in spaces] == ["point", "circle", "delta(2)", "sphere(1)", "rp2"]
+    expected = Counter(
+        (X, x, f)
+        for X in spaces
+        for n in range(4)
+        for x in all_simplices(X, n)
+        for k in range(4)
+        for f in delta.all_monotone_maps(k, n)
+    )
+    assert Counter(actions) == expected
+    # and adjacent once per ordered pair of simplices of one space
+    assert sum(sum(len(all_simplices(X, n)) for n in range(4)) ** 2 for X in spaces) == r.cases

@@ -249,6 +249,44 @@ def test_face_of_degeneracy_cancels():
     assert face(D2, sv, 1) == v
 
 
+_NOPE = Cell(0, "nope")
+
+
+@pytest.mark.parametrize("act", [
+    lambda X: apply_ordinal_map(X, Simplex((), _NOPE), identity(0)),
+    lambda X: degeneracy(X, Simplex((), _NOPE), 0),
+    lambda X: face(X, Simplex((0,), _NOPE), 0),
+    # d_0 s_0 e == e walks no face; d_2 s_0 e == s_0 d_1 e reads one
+    lambda X: face(X, Simplex((0,), Cell(1, "nope")), 0),
+    lambda X: face(X, Simplex((0,), Cell(1, "nope")), 2),
+], ids=["action", "degeneracy", "face", "face-no-walk", "face-walk"])
+def test_the_action_refuses_a_cell_the_complex_lacks(act):
+    with pytest.raises(SimplicialError, match=r"^unknown cell Cell\(\d, 'nope'\)$"):
+        act(circle())
+
+
+def test_vertices_of_refuses_a_cell_the_complex_lacks():
+    X = circle()
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(SimplicialError, match=r"^unknown cell Cell\(0, 'nope'\)$"):
+            X.vertices_of(_NOPE)
+    with pytest.raises(SimplicialError, match="unknown cell"):
+        sset.adjacent(X, Simplex((), _NOPE), Simplex((), _NOPE))
+    # on a stage: a cell glued later is refused, before and after the
+    # growing complex has read its vertices for a deeper stage
+    exhaustion = line()
+    small, big = exhaustion.truncate(1).complex, exhaustion.truncate(3).complex
+    later = next(c for c in big.cells(1) if not small.has_cell(c))
+    for K in (small, big):
+        with pytest.raises(SimplicialError, match="unknown cell"):
+            K.vertices_of(_NOPE)
+    with pytest.raises(SimplicialError, match="unknown cell"):
+        small.vertices_of(later)
+    assert len(big.vertices_of(later)) == 2
+    with pytest.raises(SimplicialError, match="unknown cell"):
+        small.vertices_of(later)
+
+
 def test_identity_violations_empty_on_corpus():
     for X in (D2, circle(), torus(), rp2()):
         assert X.identity_violations() == []
