@@ -113,7 +113,10 @@ class FiniteSimplicialSet:
             if len(set(ns)) != len(ns):
                 raise PresentationError(f"duplicate cell ids in dimension {n}")
         self._begin(name)
-        self._glue({Cell(n, i): faces.get((n, i)) for n, ns in ids.items() for i in ns})
+        self._glue(dict.fromkeys((Cell(n, i) for n, ns in ids.items() for i in ns), ()))
+        for cell in self.all_cells():
+            if cell.dim:
+                self._set_faces(cell, faces.get(cell))
         problems = self.identity_violations()
         if problems:
             raise PresentationError("; ".join(problems[:5]))
@@ -125,35 +128,27 @@ class FiniteSimplicialSet:
         self._faces = {}
         self._position = {}  # each cell's index among the cells of its dimension
         self._vertex_closure = {}
-        self._stars = None
         self._boundary_columns = {}  # per degree, as chainalg assembles them on first read
 
     def _glue(self, added: dict):
         """Add cells in place, after the cells already here in each
-        dimension: ``added`` maps each new Cell, in order, to its faces (None
-        when missing).  A duplicate cell adds nothing; each face is checked;
-        the simplicial identities are left to the caller."""
+        dimension: ``added`` maps each new Cell, in order, to its faces.
+        Nothing is checked here: the constructor checks the faces it is
+        given, and an exhaustion glues translations of its checked slab."""
         by_dim = {}
         for cell in added:
             by_dim.setdefault(cell.dim, []).append(cell)
-        for n, new in sorted(by_dim.items()):
-            if any(c in self._faces for c in new):
-                raise PresentationError(f"duplicate cell ids in dimension {n}")
         for n, new in by_dim.items():
-            self._faces.update(dict.fromkeys(new, ()))
             self._position.update(zip(new, count(len(self.cells(n)))))
             self._cells[n] = self._cells.get(n, ()) + tuple(new)
         self._cells = dict(sorted(self._cells.items()))
-        for cell, faces in added.items():
-            if cell.dim:
-                if faces is None:
-                    raise PresentationError(
-                        f"missing face assignments for {cell.dim}-cell {cell.id!r}")
-                self._set_faces(cell, faces)
+        self._faces.update(added)
 
     def _set_faces(self, cell: Cell, faces):
         """Check the faces of a cell of positive dimension, then store them."""
         n, i = cell.dim, cell.id
+        if faces is None:
+            raise PresentationError(f"missing face assignments for {n}-cell {i!r}")
         fs = tuple(faces)
         if len(fs) != n + 1:
             raise PresentationError(f"{n}-cell {i!r} needs {n + 1} faces, got {len(fs)}")
@@ -224,20 +219,12 @@ class FiniteSimplicialSet:
 
     def star(self, vertex: Cell) -> tuple:
         """All nondegenerate simplices whose closure contains the vertex, in
-        ``all_cells`` order.
-
-        Read from a vertex -> star index built by one pass over the cells on
-        the first call (complexes are not mutated after construction).
-        """
+        ``all_cells`` order."""
         if vertex.dim != 0:
             raise SimplicialError("stars are taken at 0-simplices")
-        if self._stars is None:
-            stars = {}
-            for x in self.all_cells():
-                for v in self.vertices_of(x):
-                    stars.setdefault(v, []).append(x)
-            self._stars = {v: tuple(xs) for v, xs in stars.items()}
-        return self._stars.get(vertex, ())
+        if not self.has_cell(vertex):
+            raise SimplicialError(f"unknown cell {vertex}")
+        return tuple(x for x in self.all_cells() if vertex in self.vertices_of(x))
 
     def identity_violations(self) -> list[str]:
         """Simplicial identity failures d_i d_j != d_{j-1} d_i, as messages;
@@ -427,7 +414,6 @@ class _Stage(FiniteSimplicialSet):
         self._counts = {n: len(cells) for n, cells in grown._cells.items()}
         self._faces = grown._faces  # read only for the stage's own cells
         self._position = grown._position
-        self._stars = None
 
     @cached_property
     def _cells(self) -> dict:
@@ -698,7 +684,8 @@ def is_locally_finite(X) -> LocalFinitenessReport:
         deepest = X.truncate(depth).complex
         vertices = X.truncate(3).complex.cells(0)
         note = f"stars stabilized across stages 1..{depth}"
-    sizes = {v.id: len(deepest.star(v)) for v in vertices}
+    stars = Counter(v for x in deepest.all_cells() for v in deepest.vertices_of(x))
+    sizes = {v.id: stars[v] for v in vertices}
     return LocalFinitenessReport(ok=True, max_star=max(sizes.values(), default=0),
                                  star_sizes=sizes, notes=[note])
 

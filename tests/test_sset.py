@@ -448,14 +448,41 @@ def _check_glue_depths(space):
             assert sset._glue_depth(space, cell) is None and not stages[8].has_cell(cell), cell
 
 
-@pytest.mark.parametrize("build", [
+every_exhaustion = pytest.mark.parametrize("build", [
     ray, line, plane, cylinder, balloon_ray, infinite_star, relay, long_tail, bead_string,
     lambda: dots_into_tail().source, lambda: ray_beside_a_star().target,
     lambda: _ray_with_base_vertex("a0c2.pin"),
 ], ids=["ray", "line", "plane", "cylinder", "balloon_ray", "infinite_star", "relay",
         "long_tail", "bead_string", "dots", "ray_and_star", "base_named_like_a_copy"])
+
+
+@every_exhaustion
 def test_the_glue_depth_rule_matches_stage_membership(build):
     _check_glue_depths(build())
+
+
+def _check_copies(space):
+    """Copies are glued without a check of their own, so stage 8 must pass
+    every check of the constructor and keep its faces when rebuilt through
+    it, and each cell of each copy must have the slab cell's faces carried
+    along that copy's translation."""
+    stage = space.truncate(8)
+    K = stage.complex
+    faces = {c: tuple(K.face(c, i) for i in range(c.dim + 1)) for c in K.all_cells() if c.dim}
+    rebuilt = FiniteSimplicialSet({n: [c.id for c in K.cells(n)] for n in K.dims()}, faces)
+    assert list(rebuilt.all_cells()) == list(K.all_cells())
+    assert all(rebuilt.face(c, i) == fv for c, fs in faces.items() for i, fv in enumerate(fs))
+    assert {d for _, d in stage.translations} == set(range(1, 9))
+    for trans in stage.translations.values():
+        for c in space.slab.all_cells():
+            if c.dim:
+                assert faces[trans[c]] == tuple(Simplex(fv.word, trans[fv.core])
+                                                for fv in space.slab._faces[c]), c
+
+
+@every_exhaustion
+def test_copies_are_translations_of_the_checked_slab(build):
+    _check_copies(build())
 
 
 # -------------------------------------------------------- local finiteness
@@ -596,6 +623,12 @@ def test_the_glue_depth_rule_matches_stage_membership_on_random_gluings(space):
     _check_glue_depths(space)
 
 
+@settings(max_examples=100, deadline=None)
+@given(gluings())
+def test_copies_are_translations_of_the_checked_slab_on_random_gluings(space):
+    _check_copies(space)
+
+
 def _stars_by_definition(X):
     return {v: tuple(x for x in X.all_cells() if v in X.vertices_of(x))
             for v in X.cells(0)}
@@ -613,12 +646,20 @@ def test_star_index_matches_the_definition_on_stages(space):
                 K.star(edge)
 
 
+def test_a_stage_refuses_the_star_of_a_vertex_glued_after_it():
+    space = ray()
+    vertex = next(c for c in space.truncate(2).added if c.dim == 0)
+    assert space.truncate(2).complex.star(vertex)
+    with pytest.raises(SimplicialError, match="unknown cell"):
+        space.truncate(1).complex.star(vertex)
+
+
 def test_star_index_matches_the_definition_on_finite_complexes():
     for X in (point(), circle(), torus(), rp2(), D2, sphere(3)):
         for v, star in _stars_by_definition(X).items():
             assert X.star(v) == star
-    # a vertex the complex does not have has an empty star
-    assert D2.star(Cell(0, "elsewhere")) == ()
+    with pytest.raises(SimplicialError, match="unknown cell"):
+        D2.star(Cell(0, "elsewhere"))
     with pytest.raises(SimplicialError, match="0-simplices"):
         D2.star(Cell(1, "0.1"))
 
