@@ -602,23 +602,19 @@ def _slab_certified_from(space, relative: bool):
 
 
 class _StageSystem:
-    """The stages of one exhaustion, absolute or ``relative`` to the
-    frontier, with their presentations and the slab certificate, behind the
-    local-finiteness gate.  Stages, and presentations per stage and
-    variance, are each made once and kept in two dicts on the space beside
-    the certificate, so the other theories and the pairing share them; the
-    space keeps no object that refers back to it."""
+    """The stages of one run over an exhaustion, absolute or ``relative`` to
+    the frontier, with their presentations and the slab certificate, behind
+    the local-finiteness gate.  Stages, and presentations per stage and
+    variance, are each made once per system; the pairing runs both of its
+    theories on one system.  The space keeps nothing of a run."""
 
     def __init__(self, space, relative: bool):
-        memo = space._memo
-        if "locally finite" not in memo:
-            memo["locally finite"] = is_locally_finite(space)
-        if not memo["locally finite"].ok:
-            raise SimplicialError(f"space is not locally finite: {memo['locally finite'].witness}")
-        if ("stages", relative) not in memo:
-            memo["stages", relative] = ({}, {}, _slab_certified_from(space, relative))
+        report = is_locally_finite(space)
+        if not report.ok:
+            raise SimplicialError(f"space is not locally finite: {report.witness}")
         self.space, self.relative = space, relative
-        self._stages, self._presented, self.certified = memo["stages", relative]
+        self._stages, self._presented = {}, {}
+        self.certified = _slab_certified_from(space, relative)
 
     def stage(self, i: int) -> StageComplex:
         if i not in self._stages:
@@ -650,25 +646,23 @@ class _StageSystem:
         return is_transition_isomorphism(source, target, lambda v: _push(cells, size, v))
 
 
-def _run_system(space, theory, degrees, window, max_depth, relative, dual):
-    """Shared limit/colimit engine over exhaustion stages.
+def _run_system(system, theory, degrees, window, max_depth, dual):
+    """Shared limit/colimit engine over the stages of ``system``.
 
-    ``relative`` uses stage-relative complexes (chains mod frontier), whose
-    chain maps project stage i+1 onto stage i; otherwise stage i includes
-    into stage i+1.  ``dual`` presents cohomology of the stage (co)chain
-    complexes, which reverses the map on classes.  So the classes move from
-    stage i to i+1 (a colimit) exactly when ``relative == dual``.
+    A relative system uses stage-relative complexes (chains mod frontier),
+    whose chain maps project stage i+1 onto stage i; otherwise stage i
+    includes into stage i+1.  ``dual`` presents cohomology of the stage
+    (co)chain complexes, which reverses the map on classes.  So the classes
+    move from stage i to i+1 (a colimit) exactly when ``relative == dual``.
 
     Every transition the window covers is checked once to be a chain map,
     on every boundary the presentations read (up to degree max + 1).  A
     degree is presented until it stabilizes, and at ``depth_used``.
 
-    Returns the presentations at ``depth_used``, that stage, the degrees'
-    stabilization depths, ``depth_used`` and the caveats.
+    Returns the degrees' stabilization depths, ``depth_used`` and the
+    caveats; the system keeps the presentations at ``depth_used``.
     """
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    system = _StageSystem(space, relative)
+    relative = system.relative
     stabilized = {}
     quiet = {n: 0 for n in degrees}
     history = {n: [] for n in degrees}
@@ -704,8 +698,7 @@ def _run_system(space, theory, degrees, window, max_depth, relative, dual):
     if relative != dual:
         caveats.append("limit computed as the stable value; the derived limit vanishes "
                        "because the probed transitions are isomorphisms (Mittag-Leffler)")
-    return (system.present(depth_used, dual, degrees), system.stage(depth_used), stabilized,
-            depth_used, caveats)
+    return stabilized, depth_used, caveats
 
 
 # tag -> (relative, dual, caveat on a finite complex)
@@ -729,8 +722,12 @@ def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
         stabilized = window = depth_used = None
         caveats = []
     else:
-        final, stage, stabilized, depth_used, caveats = _run_system(
-            space, tag, degrees, window, max_depth, relative, dual)
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        system = _StageSystem(space, relative)
+        stabilized, depth_used, caveats = _run_system(
+            system, tag, degrees, window, max_depth, dual)
+        final, stage = system.present(depth_used, dual, degrees), system.stage(depth_used)
         finite_caveat = None
     result = _convert_results(
         tag, getattr(space, "name", None) or "space", coeff, cohomological=dual,
@@ -965,9 +962,11 @@ def pairing_matrix(space, degree: int, window: int = 3,
         depth, stage = None, StageComplex(space, frozenset())
         pres, dual_pres = (_present_degrees(stage, [degree], dual)[degree] for dual in (False, True))
     else:
-        depth = max(driver(space, INTEGER, max_degree=degree, window=window,
-                           max_depth=max_depth).depth_used for driver in (bm_homology, cohomology_c))
+        if window < 1:
+            raise ValueError("window must be at least 1")
         system = _StageSystem(space, True)
+        depth = max(_run_system(system, tag, range(degree + 1), window, max_depth, dual)[1]
+                    for tag, dual in (("H_BM", False), ("H_c", True)))
         pres, dual_pres = (system.present(depth, dual, [degree])[degree]
                            for dual in (False, True))
     matrix = tuple(tuple(sum(a * b for a, b in zip(phi, c)) for c in pres.generators)

@@ -169,140 +169,103 @@ class SmithDecomposition:
         return all(b == 0 if a == 0 else b % a == 0 for a, b in zip(d, d[1:]))
 
 
-class _Worker:
-    """Sparse workspace tracking transforms alongside the matrix.
+class _Side:
+    """The rows, or the columns, of the Smith workspace: ``lines`` as
+    ``{index: value}`` dicts, zeros omitted, and ``cross``, the other
+    side's, which every operation keeps equal to their transpose.  Each
+    operation applies itself to ``along`` (U or V, stored by this side's
+    lines) and its *inverse* to ``across`` (U^-1 or V^-1, stored by the
+    crossing lines), so the inverses are certificates rather than
+    recomputations.  A transform not tracked is None and never touched."""
 
-    The matrix is kept as rows of ``{col: value}`` plus ``index[col]``, the
-    set of rows that are nonzero in that column.  Each elementary operation
-    on the matrix applies the matching operation to U (row ops) or V (column
-    ops) and the *inverse* operation to U^-1 / V^-1, so the inverses are
-    certificates rather than recomputations.  U and V^-1 are stored by rows
-    and U^-1 and V by columns: every operation then adds or swaps whole
-    sparse vectors.  A transform not in ``track`` is None and never touched.
-    """
+    __slots__ = ("lines", "cross", "along", "across", "tracked")
 
-    def __init__(self, m: IntMatrix, track):
-        self.rows = m.rows
-        self.cols = m.cols
-        self.a = [dict(r) for r in m.entries]
-        self.index = [set() for _ in range(m.cols)]
-        for i, row in enumerate(self.a):
-            for j in row:
-                self.index[j].add(i)
-        self.u = [{i: 1} for i in range(m.rows)] if "u" in track else None
-        self.ui_cols = [{i: 1} for i in range(m.rows)] if "u_inv" in track else None
-        self.v_cols = [{j: 1} for j in range(m.cols)] if "v" in track else None
-        self.vi = [{j: 1} for j in range(m.cols)] if "v_inv" in track else None
-        self.row_sides = [t for t in (self.u, self.ui_cols) if t is not None]
-        self.col_sides = [t for t in (self.v_cols, self.vi) if t is not None]
+    def __init__(self, lines, cross, along: bool, across: bool):
+        self.lines, self.cross = lines, cross
+        self.along = [{i: 1} for i in range(len(lines))] if along else None
+        self.across = [{i: 1} for i in range(len(lines))] if across else None
+        self.tracked = [t for t in (self.along, self.across) if t is not None]
 
-    # row ops: left multiplication; the inverse accumulates right of U^-1.
-    def swap_rows(self, i, j):
+    def swap(self, i, j):
         if i == j:
             return
-        a = self.a
-        # a column holding exactly one of the two rows now holds the other
-        for c in a[i].keys() ^ a[j].keys():
-            self.index[c] ^= {i, j}
-        a[i], a[j] = a[j], a[i]
-        for t in self.row_sides:
+        lines = self.lines
+        for c in lines[i].keys() | lines[j].keys():
+            line = self.cross[c]
+            x, y = line.pop(i, 0), line.pop(j, 0)
+            if y:
+                line[i] = y
+            if x:
+                line[j] = x
+        lines[i], lines[j] = lines[j], lines[i]
+        for t in self.tracked:
             t[i], t[j] = t[j], t[i]
 
-    def add_row(self, src, dst, k):
-        """row[dst] += k * row[src]"""
+    def add(self, src, dst, k):
+        """line[dst] += k * line[src]"""
         if k == 0:
             return
-        row = self.a[dst]
-        for c, y in self.a[src].items():
-            x = row.get(c, 0) + k * y
+        line, cross = self.lines[dst], self.cross
+        for c, y in self.lines[src].items():
+            x = line.get(c, 0) + k * y
             if x:
-                row[c] = x
-                self.index[c].add(dst)
+                line[c] = cross[c][dst] = x
             else:
-                del row[c]
-                self.index[c].discard(dst)
-        if self.u is not None:
-            _add_scaled(self.u[dst], self.u[src], k)
-        if self.ui_cols is not None:
-            _add_scaled(self.ui_cols[src], self.ui_cols[dst], -k)
+                del line[c], cross[c][dst]
+        if self.along is not None:
+            _add_scaled(self.along[dst], self.along[src], k)
+        if self.across is not None:
+            _add_scaled(self.across[src], self.across[dst], -k)
 
-    def negate_row(self, i):
-        for vec in [self.a[i]] + [t[i] for t in self.row_sides]:
+    def negate(self, i):
+        line, cross = self.lines[i], self.cross
+        for c, x in line.items():
+            line[c] = cross[c][i] = -x
+        for t in self.tracked:
+            vec = t[i]
             for c in vec:
                 vec[c] = -vec[c]
 
-    # column ops: right multiplication; the inverse accumulates left of V^-1.
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        index = self.index
-        for r in index[i] | index[j]:
-            row = self.a[r]
-            x = row.pop(i, 0)
-            y = row.pop(j, 0)
-            if y:
-                row[i] = y
-            if x:
-                row[j] = x
-        index[i], index[j] = index[j], index[i]
-        for t in self.col_sides:
-            t[i], t[j] = t[j], t[i]
-
-    def add_col(self, src, dst, k):
-        """col[dst] += k * col[src]"""
-        if k == 0:
-            return
-        rows = self.index[dst]
-        for r in self.index[src]:
-            row = self.a[r]
-            x = row.get(dst, 0) + k * row[src]
-            if x:
-                row[dst] = x
-                rows.add(r)
-            else:
-                del row[dst]
-                rows.discard(r)
-        if self.v_cols is not None:
-            _add_scaled(self.v_cols[dst], self.v_cols[src], k)
-        if self.vi is not None:
-            _add_scaled(self.vi[src], self.vi[dst], -k)
-
-    def clear_column(self, t) -> bool:
-        """Reduce column t below the pivot by division with remainder, in
-        ascending row order.  True when a remainder was swapped up into the
-        pivot, so the column needs another pass."""
+    def clear(self, t) -> bool:
+        """Reduce crossing line t past the pivot (t, t) by division with
+        remainder, in ascending order of line.  True when a remainder was
+        swapped up into the pivot, so the crossing line needs another pass."""
+        lines = self.lines
         dirty = False
-        # only rows t and i change while row i is handled, so later rows
+        # only lines t and i change while line i is handled, so later lines
         # keep the entries they had when the pass began
-        for i in sorted(i for i in self.index[t] if i > t):
-            q = self.a[i][t] // self.a[t][t]
-            self.add_row(t, i, -q)
-            if t in self.a[i]:
+        for i in sorted(i for i in self.cross[t] if i > t):
+            self.add(t, i, -(lines[i][t] // lines[t][t]))
+            if t in lines[i]:
                 # remainder smaller than pivot: swap it up and restart
-                self.swap_rows(t, i)
+                self.swap(t, i)
                 dirty = True
         return dirty
 
-    def clear_row(self, t) -> bool:
-        """The same for row t right of the pivot, by column operations."""
-        dirty = False
-        for j in sorted(j for j in self.a[t] if j > t):
-            q = self.a[t][j] // self.a[t][t]
-            self.add_col(t, j, -q)
-            if j in self.a[t]:
-                self.swap_cols(t, j)
-                dirty = True
-        return dirty
+
+class _Worker:
+    """Sparse workspace: the matrix kept both by rows and by columns, each
+    side carrying the transforms its operations update, U and U^-1 for
+    rows, V and V^-1 for columns.  Only the transforms in ``track`` are
+    built."""
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, m: IntMatrix, track):
+        rows = [dict(r) for r in m.entries]
+        cols = [{} for _ in range(m.cols)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        self.rows = _Side(rows, cols, "u" in track, "u_inv" in track)
+        self.cols = _Side(cols, rows, "v" in track, "v_inv" in track)
 
     def clear(self, t, column_first: bool):
-        """Clear row and column t until neither pass swaps a remainder in."""
-        first, second = ((self.clear_column, self.clear_row) if column_first
-                         else (self.clear_row, self.clear_column))
-        while True:
-            if first(t):
-                continue
-            if not second(t):
-                return
+        """Clear row and column t until neither pass swaps a remainder in:
+        row operations clear the column, column operations the row."""
+        first, second = (self.rows, self.cols) if column_first else (self.cols, self.rows)
+        while first.clear(t) or second.clear(t):
+            pass
 
 
 def _add_scaled(dst: dict, src: dict, k: int):
@@ -334,30 +297,26 @@ def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
     if not set(track) <= set(TRANSFORMS):
         raise MatrixError(f"unknown transforms in {tuple(track)}")
     w = _Worker(m, track)
-    limit = min(w.rows, w.cols)
-    t = 0
-    while t < limit:
-        pivot = _find_pivot(w, t)
+    rows, cols = w.rows, w.cols
+    for t in range(min(m.rows, m.cols)):
+        pivot = _find_pivot(rows.lines, t)
         if pivot is None:
             break
-        pi, pj = pivot
-        w.swap_rows(t, pi)
-        w.swap_cols(t, pj)
-        w.clear(t, column_first=True)
-        if w.a[t][t] < 0:
-            w.negate_row(t)
-        # divisibility sweep: the pivot must divide every later entry
-        offender = _divisibility_offender(w, t)
-        while offender is not None:
-            w.add_row(offender, t, 1)
-            # re-clear; the recursive structure keeps this terminating because
-            # gcd of the block strictly divides the old pivot
-            w.clear(t, column_first=False)
-            if w.a[t][t] < 0:
-                w.negate_row(t)
-            offender = _divisibility_offender(w, t)
-        t += 1
-    rows, cols = w.rows, w.cols
+        rows.swap(t, pivot[0])
+        cols.swap(t, pivot[1])
+        column_first = True
+        while True:
+            w.clear(t, column_first)
+            if rows.lines[t][t] < 0:
+                rows.negate(t)
+            # divisibility sweep: the pivot must divide every later entry.
+            # Folding an offending row in and clearing again terminates,
+            # because the gcd of the block strictly divides the old pivot.
+            offender = _divisibility_offender(rows.lines, t)
+            if offender is None:
+                break
+            rows.add(offender, t, 1)
+            column_first = False
 
     def emit(vectors, n, by_columns=False):
         out = None if vectors is None else IntMatrix.from_entries(n, n, vectors)
@@ -365,11 +324,11 @@ def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
 
     return SmithDecomposition(
         matrix=m,
-        diagonal=IntMatrix.from_entries(rows, cols, w.a),
-        u=emit(w.u, rows),
-        u_inv=emit(w.ui_cols, rows, by_columns=True),
-        v=emit(w.v_cols, cols, by_columns=True),
-        v_inv=emit(w.vi, cols),
+        diagonal=IntMatrix.from_entries(m.rows, m.cols, rows.lines),
+        u=emit(rows.along, m.rows),
+        u_inv=emit(rows.across, m.rows, by_columns=True),
+        v=emit(cols.along, m.cols, by_columns=True),
+        v_inv=emit(cols.across, m.cols),
     )
 
 
@@ -384,42 +343,42 @@ def invariant_factors(m: IntMatrix) -> tuple:
     "Coreduction homology algorithm" (2009).
     """
     w = _Worker(m, ())
-    rows, index = w.a, w.index
+    rows, cols = w.rows.lines, w.cols.lines
     # (nonzeros, column), pushed again whenever the column changes
-    heap = [(len(rs), j) for j, rs in enumerate(index) if rs]
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
     heapq.heapify(heap)
     eliminated = 0
     while heap:
         n, q = heapq.heappop(heap)
-        if len(index[q]) != n:
+        if len(cols[q]) != n:
             continue
-        units = [(len(rows[i]), i) for i in index[q] if rows[i][q] in (1, -1)]
+        units = [(len(rows[i]), i) for i, x in cols[q].items() if x in (1, -1)]
         if not units:
             continue
         p = min(units)[1]
-        for i in index[q] - {p}:
-            w.add_row(p, i, -rows[i][q] * rows[p][q])  # clears rows[i][q]
+        for i in cols[q].keys() - {p}:
+            w.rows.add(p, i, -rows[i][q] * rows[p][q])  # clears rows[i][q]
         for c in rows[p]:
-            index[c].discard(p)
-            if index[c]:
-                heapq.heappush(heap, (len(index[c]), c))
+            del cols[c][p]
+            if cols[c]:
+                heapq.heappush(heap, (len(cols[c]), c))
         rows[p] = {}
         eliminated += 1
     # zero rows and columns change no invariant factor
     live = [row for row in rows if row]
-    cols = {j: k for k, j in enumerate(j for j, rs in enumerate(index) if rs)}
+    kept = {j: k for k, j in enumerate(j for j, col in enumerate(cols) if col)}
     residual = IntMatrix.from_entries(
-        len(live), len(cols), ({cols[j]: x for j, x in row.items()} for row in live))
+        len(live), len(kept), ({kept[j]: x for j, x in row.items()} for row in live))
     return (1,) * eliminated + smith_normal_form(residual, ()).invariant_factors
 
 
-def _find_pivot(w: _Worker, t: int):
+def _find_pivot(rows, t: int):
     """Least |entry| in the block from (t, t), preferring a ±1 outright;
     ties go to the first entry in row-major order."""
     best = None
     best_val = None
-    for i in range(t, w.rows):
-        row_best = min(((abs(x), j) for j, x in w.a[i].items() if j >= t),
+    for i in range(t, len(rows)):
+        row_best = min(((abs(x), j) for j, x in rows[i].items() if j >= t),
                        default=None)
         if row_best is None:
             continue
@@ -431,12 +390,12 @@ def _find_pivot(w: _Worker, t: int):
     return best
 
 
-def _divisibility_offender(w: _Worker, t: int):
+def _divisibility_offender(rows, t: int):
     """First row below t with an entry the pivot does not divide."""
-    d = w.a[t][t]
+    d = rows[t][t]
     if d == 1:
         return None
-    for i in range(t + 1, w.rows):
-        if any(x % d for j, x in w.a[i].items() if j > t):
+    for i in range(t + 1, len(rows)):
+        if any(x % d for j, x in rows[i].items() if j > t):
             return i
     return None

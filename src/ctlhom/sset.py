@@ -497,7 +497,6 @@ class Exhaustion:
             self._resolved.append((base_cells, into, out))
         self._check_copy_ids()
         self.translations = {}
-        self._memo = {}  # what chainalg's theories keep: report, stages, presentations
         self._complex = object.__new__(FiniteSimplicialSet)
         self._complex._begin(name)
         self._stages = []

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctlhom.chainalg import boundary_matrix
 from ctlhom.corpus import SPACES, sphere, standard_simplex, torus
-from ctlhom.snf import (TRANSFORMS, IntMatrix, MatrixError, invariant_factors,
+from ctlhom.snf import (TRANSFORMS, IntMatrix, MatrixError, _Worker, invariant_factors,
                         smith_normal_form)
 from ctlhom.sset import FiniteSimplicialSet
 
@@ -126,6 +126,49 @@ def test_zero_and_empty_matrices():
     assert smith_normal_form(IntMatrix.zeros(3, 2)).invariant_factors == ()
     assert smith_normal_form(IntMatrix.zeros(0, 4)).rank == 0
     assert smith_normal_form(IntMatrix.zeros(4, 0)).rank == 0
+
+
+@st.composite
+def line_operations(draw):
+    """A matrix up to 5x5, empty shapes included, and a list of (side,
+    operation, arguments) on its rows and columns."""
+    m = draw(int_matrices(max_entry=4))
+    ops = []
+    for side in draw(st.lists(st.sampled_from(("rows", "cols")), max_size=12)):
+        n = m.rows if side == "rows" else m.cols
+        if n == 0:
+            continue
+        op = draw(st.sampled_from(("swap", "add", "negate")))
+        i = draw(st.integers(0, n - 1))
+        if op == "negate":
+            ops.append((side, op, (i,)))
+        elif op == "swap":
+            ops.append((side, op, (i, draw(st.integers(0, n - 1)))))
+        elif n > 1:
+            j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+            ops.append((side, op, (i, j, draw(st.integers(-3, 3)))))
+    return m, ops
+
+
+@given(line_operations())
+@settings(max_examples=300)
+def test_every_line_operation_keeps_the_certificates(case):
+    """After each swap, add or negate, on rows or on columns: the row view is
+    the transpose of the column view, U m V is the workspace, and U^-1, V^-1
+    are the inverses of U, V."""
+    m, ops = case
+    w = _Worker(m, TRANSFORMS)
+    for side, op, args in ops:
+        getattr(getattr(w, side), op)(*args)
+        rows = IntMatrix.from_entries(m.rows, m.cols, w.rows.lines)
+        assert IntMatrix.from_entries(m.cols, m.rows, w.cols.lines) == rows.transpose()
+        u = IntMatrix.from_entries(m.rows, m.rows, w.rows.along)
+        u_inv = IntMatrix.from_entries(m.rows, m.rows, w.rows.across).transpose()
+        v = IntMatrix.from_entries(m.cols, m.cols, w.cols.along).transpose()
+        v_inv = IntMatrix.from_entries(m.cols, m.cols, w.cols.across)
+        assert u @ m @ v == rows
+        assert u @ u_inv == IntMatrix.identity(m.rows)
+        assert v @ v_inv == IntMatrix.identity(m.cols)
 
 
 @given(int_matrices())
