@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -251,3 +254,105 @@ def test_min_is_left_adjoint_to_forget(size):
         assert report.ok, report.failures
         assert report.set_map_count == report.controlled_map_count
         assert report.set_map_count == len(ABC.elements) ** size
+
+
+# ------------------------------------------------- checked values are immutable
+
+TWO = min_ctl(finite_carrier([0, 1]))
+SWAP = {0: 1, 1: 0}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.__setitem__(1, "zzz"),
+    lambda t: t.update({1: "zzz"}),
+    lambda t: t.pop(0),
+    lambda t: t.__delitem__(0),
+    lambda t: t.__ior__({1: "zzz"}),
+    lambda t: t.setdefault(2, "zzz"),
+    lambda t: t.popitem(),
+    lambda t: t.clear(),
+], ids=["setitem", "update", "pop", "del", "ior", "setdefault", "popitem", "clear"])
+@pytest.mark.parametrize("made", ["checked", "composite"])
+def test_a_checked_table_cannot_be_edited(edit, made):
+    g = ControlledMap(TWO, TWO, TableAssignment(SWAP))
+    if made == "composite":
+        g = compose(g, ControlledMap(TWO, TWO, TableAssignment({0: 0, 1: 1})))
+    with pytest.raises(TypeError, match="read-only"):
+        edit(g.assignment.mapping)
+    assert g.assignment.mapping == SWAP
+
+
+def test_an_edited_table_cannot_leak_into_a_composite():
+    # once a table could be edited after its check and composed unchecked
+    g = ControlledMap(TWO, TWO, TableAssignment(SWAP))
+    f = ControlledMap(TWO, TWO, TableAssignment({0: 0, 1: 1}))
+    with pytest.raises(TypeError):
+        g.assignment.mapping[1] = "zzz"
+    with pytest.raises(TypeError):
+        table = g.assignment.mapping
+        table |= {1: "zzz"}
+    assert compose(g, f).assignment.mapping == SWAP
+
+
+def test_a_callers_dict_is_copied():
+    given = dict(SWAP)
+    g = ControlledMap(TWO, TWO, TableAssignment(given))
+    given[1] = "zzz"
+    del given[0]
+    assert g.assignment.mapping == SWAP
+
+
+@pytest.mark.parametrize("value, field, new", [
+    (lambda: ControlledMap(TWO, TWO, TableAssignment(SWAP)), "assignment", TableAssignment({})),
+    (lambda: ControlledMap(TWO, TWO, TableAssignment(SWAP)), "source", max_ctl(N)),
+    (lambda: ShiftAssignment(1, {0: 5}), "offset", -3),
+    (lambda: ShiftAssignment(1, {0: 5}), "patch", {0: -1}),
+    (lambda: ConstantAssignment(3), "value", -1),
+    (lambda: TableAssignment(SWAP), "mapping", {}),
+], ids=["map-assignment", "map-source", "shift-offset", "shift-patch", "constant-value",
+        "table-mapping"])
+def test_fields_of_checked_values_cannot_be_assigned(value, field, new):
+    with pytest.raises(AttributeError):
+        setattr(value(), field, new)
+
+
+def test_a_checked_shift_keeps_its_offset_and_patch():
+    s = ControlledMap(max_ctl(N), max_ctl(N), ShiftAssignment(1, {0: 5}))
+    with pytest.raises(AttributeError):
+        s.assignment.offset = -3
+    with pytest.raises(TypeError, match="read-only"):
+        s.assignment.patch[0] = -1
+    assert [s.evaluate(n) for n in range(3)] == [5, 2, 3]
+
+
+def test_replace_runs_the_checks():
+    g = ControlledMap(TWO, TWO, TableAssignment(SWAP))
+    with pytest.raises(ControlError, match="value 'zzz' outside target carrier"):
+        g._replace(assignment=TableAssignment({0: 1, 1: "zzz"}))
+    with pytest.raises(ControlError, match=r"missing values for \[1\]"):
+        g._replace(assignment=g.assignment._replace(mapping={0: 1}))
+    assert g._replace(target=max_ctl(finite_carrier([0, 1]))).assignment == g.assignment
+
+
+def test_checked_values_are_tuples():
+    table = TableAssignment(SWAP)
+    g = ControlledMap(TWO, TWO, table)
+    assert table == (SWAP,) and g == (TWO, TWO, (SWAP,))
+    source, target, assignment = g
+    assert (source, target, assignment) == (TWO, TWO, table)
+    assert repr(table) == "TableAssignment(mapping={0: 1, 1: 0})"
+    assert repr(ShiftAssignment(2, {0: 7})) == "ShiftAssignment(offset=2, patch={0: 7})"
+
+
+@pytest.mark.parametrize("roundtrip", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("g, table", [
+    (ControlledMap(TWO, TWO, TableAssignment(SWAP)), lambda a: a.mapping),
+    (ControlledMap(max_ctl(N), max_ctl(N), ShiftAssignment(1, {0: 5})), lambda a: a.patch),
+], ids=["table", "shift"])
+def test_checked_maps_round_trip_read_only(roundtrip, g, table):
+    again = roundtrip(g)
+    assert again == g and type(again) is ControlledMap
+    assert table(again.assignment) == table(g.assignment)
+    with pytest.raises(TypeError, match="read-only"):
+        table(again.assignment)[0] = 0

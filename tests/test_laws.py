@@ -1,11 +1,20 @@
 import time
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from ctlhom import delta, laws
-from ctlhom.ctlset import ControlledMap, TableAssignment
+from ctlhom.ctlset import (
+    AdjunctionReport,
+    ConstantAssignment,
+    ControlledMap,
+    MapReport,
+    ShiftAssignment,
+    StructureReport,
+    TableAssignment,
+)
 from ctlhom.delta import MonotoneMap
 from ctlhom.sset import all_simplices
 
@@ -235,3 +244,114 @@ def test_adjacency_law_calls_the_action_and_adjacent_on_every_case(monkeypatch):
     assert Counter(actions) == expected
     # and adjacent once per ordered pair of simplices of one space
     assert sum(sum(len(all_simplices(X, n)) for n in range(4)) ** 2 for X in spaces) == r.cases
+
+
+# ------------------------------------------- a planted fault in every law
+
+def _plant(monkeypatch, owner, name, wrong):
+    """Replace ``owner.<name>`` by ``wrong(real)``, a faulty version of it."""
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+
+
+def _verdict(r):
+    return r.ok, r.cases, r.counterexample
+
+
+def test_structure_law_reports_a_rejected_presentation(monkeypatch):
+    # every presentation with a generator is declared to break an axiom
+    _plant(monkeypatch, laws, "validate_structure", lambda real: lambda X: (
+        StructureReport(ok=False, violations=["not closed under unions"])
+        if X.structure.generators else real(X)))
+    assert _verdict(laws.generated_structure_axioms()) == (
+        False, 2, "carrier size 0, generators [()]: not closed under unions")
+
+
+def test_identity_law_reports_a_wrong_identity(monkeypatch):
+    # the identity of a 2-element carrier is the constant map at 0
+    def wrong(real):
+        def identity(X):
+            if len(X.carrier.elements) != 2:
+                return real(X)
+            return ControlledMap(X, X, TableAssignment(dict.fromkeys(X.carrier.elements, 0)))
+        return identity
+
+    _plant(monkeypatch, laws, "identity_map", wrong)
+    assert _verdict(laws.category_identity()) == (False, 7, "{0: 1} between sizes (1, 2)")
+
+
+def test_homset_law_reports_the_rejected_table(monkeypatch):
+    # maps into a 2-element carrier that hit 0 are rejected; the first
+    # is the first table of its (X, Y) block, so the count stops there
+    _plant(monkeypatch, laws, "validate_map", lambda real: lambda f: (
+        MapReport(ok=False, violations=["rejected"])
+        if len(f.target.carrier.elements) == 2 and 0 in f.assignment.mapping.values()
+        else real(f)))
+    assert _verdict(laws.homset_structure_independence()) == (
+        False, 149,
+        "{0: 0} rejected between ControlledSet(Carrier([0]), min) "
+        "and ControlledSet(Carrier([0, 1]), min)")
+
+
+def test_adjunction_law_reports_a_failed_bijection(monkeypatch):
+    # the adjunction is declared to fail from a 1-element set into max structures
+    _plant(monkeypatch, laws, "adjunction_check", lambda real: lambda S, X: (
+        AdjunctionReport(ok=False, set_map_count=1, controlled_map_count=0,
+                         failures=["first", "second", "third"])
+        if X.structure.kind == "max" and len(S.elements) == 1 else real(S, X)))
+    assert _verdict(laws.min_forget_adjunction()) == (
+        False, 34, "|S|=1, X=ControlledSet(Carrier([]), max): ['first', 'second']")
+
+
+def test_cosimplicial_law_stops_at_the_first_broken_identity(monkeypatch):
+    # coface(1, 2) answers coface(1, 1); the second identity already fails
+    _plant(monkeypatch, delta, "coface", lambda real: lambda n, i: (
+        real(1, 1) if (n, i) == (1, 2) else real(n, i)))
+    assert _verdict(laws.cosimplicial_identities()) == (
+        False, 2, "d^2 d^0 != d^0 d^1 at n=0")
+
+
+_SHIFT_BY_TWO = ShiftAssignment(2, {})  # s1 . s1, a composite but no endo of the law
+
+
+def _constant_after_shift_by_two(real):
+    # a wrong composite for the shift by two after an endo
+    def compose(g, f):
+        if g.assignment == _SHIFT_BY_TWO and not isinstance(f.assignment, TableAssignment):
+            return ControlledMap(f.source, g.target, ConstantAssignment(0))
+        return real(g, f)
+    return compose
+
+
+def _table_after_shift_by_two(real):
+    # a wrong composite for the shift by two after a table
+    def compose(g, f):
+        if g.assignment == _SHIFT_BY_TWO and isinstance(f.assignment, TableAssignment):
+            return ControlledMap(f.source, g.target, TableAssignment({0: 0, 1: 0, 2: 0}))
+        return real(g, f)
+    return compose
+
+
+_S0 = "ShiftAssignment(offset=0, patch={})"
+_S1 = "ShiftAssignment(offset=1, patch={})"
+
+
+@pytest.mark.parametrize("wrong, cases, counterexample", [
+    (lambda real: lambda g, f: SimpleNamespace(assignment="elsewhere"), 1,
+     f"{_S0} . {_S0} left the catalogue"),
+    (lambda real: lambda g, f: real(f, g), 9,
+     f"ShiftAssignment(offset=2, patch={{0: 5}}) . {_S1} at 0: 6 != 3"),
+    (_constant_after_shift_by_two, 44, f"associativity: {_S1}, {_S1}, {_S0}"),
+    (_table_after_shift_by_two, 260, f"table associativity: {_S1}, {_S1}, {{0: 0, 1: 7, 2: 3}}"),
+], ids=["leaves-the-catalogue", "pointwise-mismatch", "endo-associativity",
+        "table-associativity"])
+def test_catalogue_law_reports_each_kind_of_failure(monkeypatch, wrong, cases, counterexample):
+    _plant(monkeypatch, laws, "compose", wrong)
+    assert _verdict(laws.assignment_catalogue_closure()) == (False, cases, counterexample)
+
+
+def test_the_runner_counts_every_case_up_to_the_first_counterexample():
+    r = laws._law("demo", iter([None, None, "third fails", "never read"]))
+    assert _verdict(r) == (False, 3, "third fails") and r.note == ""
+    r = laws._law("demo", iter([None, None]), note="two cases")
+    assert _verdict(r) == (True, 2, None) and r.note == "two cases"
+    assert _verdict(laws._law("demo", iter([]))) == (True, 0, None)
