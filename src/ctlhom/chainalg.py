@@ -346,9 +346,7 @@ def _basis(boundary_in: IntMatrix, boundary_out: IntMatrix) -> dict:
     relations = (dec.v_inv @ boundary_out).entries[r:]
     dec_y = smith_normal_form(
         IntMatrix.from_entries(k, boundary_out.cols, relations), ("u", "u_inv"))
-    kernel = IntMatrix.from_entries(boundary_in.cols, k, (
-        {j - r: x for j, x in row.items() if j >= r} for row in dec.v.entries))
-    gen_matrix = kernel @ dec_y.u_inv
+    gen_matrix = dec.v.drop_cols(r) @ dec_y.u_inv  # V's last k columns span the kernel
     # the Smith order (1s, then growing factors, then 0s) without the 1s
     orders_all = list(dec_y.invariant_factors) + [0] * (k - dec_y.rank)
     kept = tuple(i for i, d in enumerate(orders_all) if d != 1)

@@ -306,9 +306,14 @@ class ShiftAssignment:
     patch: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.offset, int):
+            raise ControlError(f"shift offset must be an integer, not {self.offset!r}")
         if self.offset < 0:
             raise ControlError("shift offset must be non-negative")
         for k, v in self.patch.items():
+            for what, x in (("key", k), ("value", v)):
+                if not isinstance(x, int):
+                    raise ControlError(f"patch {what} {x!r} is not an integer")
             if k < 0 or v < 0:
                 raise ControlError("patch entries must be natural numbers")
         # patches that agree with the shift are redundant; normalize them away

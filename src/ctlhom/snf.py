@@ -20,9 +20,11 @@ class MatrixError(ValueError):
 class IntMatrix:
     """Sparse integer matrix: one ``{col: value}`` dict per row in
     ``entries``, zeros omitted.  ``data`` is the derived dense view, a tuple
-    of row tuples.  A matrix is never changed after construction."""
+    of row tuples.  A matrix is never changed after construction, so a
+    product with an identity (``is_identity``) is the other factor itself."""
 
     __slots__ = ("rows", "cols", "entries")
+    is_identity = False
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -59,7 +61,10 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_entries(n, n, ({i: 1} for i in range(n)))
+        m = object.__new__(_Identity)
+        m.rows = m.cols = n
+        m.entries = tuple({i: 1} for i in range(n))
+        return m
 
     @property
     def data(self) -> tuple:
@@ -81,6 +86,13 @@ class IntMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.entries)))
 
+    def drop_cols(self, r: int) -> "IntMatrix":
+        """The matrix without its first r columns: itself when r is 0."""
+        if r == 0:
+            return self
+        return IntMatrix.from_entries(self.rows, self.cols - r, (
+            {j - r: x for j, x in row.items() if j >= r} for row in self.entries))
+
     def transpose(self) -> "IntMatrix":
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.entries):
@@ -93,6 +105,8 @@ class IntMatrix:
             raise MatrixError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.is_identity or other.is_identity:
+            return other if self.is_identity else self
         # each left row is a sum of a * (right row k) over its nonzeros a
         right = other.entries
         out = []
@@ -119,6 +133,13 @@ class IntMatrix:
             return f"IntMatrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
         return f"IntMatrix([{body}])"
+
+
+class _Identity(IntMatrix):
+    """An identity matrix, made by ``IntMatrix.identity``."""
+
+    __slots__ = ()
+    is_identity = True
 
 
 @dataclass(frozen=True)
@@ -319,8 +340,12 @@ def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
             column_first = False
 
     def emit(vectors, n, by_columns=False):
-        out = None if vectors is None else IntMatrix.from_entries(n, n, vectors)
-        return out.transpose() if by_columns and out is not None else out
+        if vectors is None:
+            return None
+        if all(len(vec) == 1 and vec.get(i) == 1 for i, vec in enumerate(vectors)):
+            return IntMatrix.identity(n)  # no operation touched it
+        out = IntMatrix.from_entries(n, n, vectors)
+        return out.transpose() if by_columns else out
 
     return SmithDecomposition(
         matrix=m,

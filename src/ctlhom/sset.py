@@ -548,7 +548,8 @@ class Exhaustion:
                 for cell in self.slab.all_cells():
                     if cell not in trans:
                         new = trans[cell] = Cell(cell.dim, f"a{a}c{d}.{cell.id}")
-                        added[new] = tuple(Simplex(fv.word, trans[fv.core])
+                        # the slab checked each word over a core of this dimension
+                        added[new] = tuple(tuple.__new__(Simplex, (fv.word, trans[fv.core]))
                                            for fv in self.slab._faces[cell])
                 self.translations[(a, d)] = trans
                 frontier_chains.append([trans[c] for c in out])
@@ -632,13 +633,33 @@ def _check_gluing_iso(X, x_cells, Y, y_cells, where: str):
 # --------------------------------------------------------------------------
 # local finiteness
 
-@dataclass
+@dataclass(slots=True)
 class LocalFinitenessReport:
+    """Whether every vertex star is finite, or a ``witness`` whose star keeps
+    growing, set at once with ``notes``.  ``star_sizes`` maps vertices by id
+    to their star sizes and ``max_star`` is the largest: given ``_stars_at``
+    (returning a complex and the vertices to count there), both on first read."""
+
     ok: bool
     max_star: int | None = None
     witness: str | None = None
     star_sizes: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
+    _stars_at: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._stars_at is not None:
+            del self.max_star, self.star_sizes
+
+    def __getattr__(self, name):
+        # reached only for a star field not yet counted
+        if name not in ("max_star", "star_sizes") or self._stars_at is None:
+            raise AttributeError(name)
+        (K, vertices), self._stars_at = self._stars_at(), None
+        stars = Counter(v for x in K.all_cells() for v in K.vertices_of(x))
+        self.star_sizes = {v.id: stars[v] for v in vertices}
+        self.max_star = max(self.star_sizes.values(), default=0)
+        return getattr(self, name)
 
 
 def _crowding(X: Exhaustion, selected) -> LocalFinitenessReport | None:
@@ -669,24 +690,20 @@ def is_locally_finite(X) -> LocalFinitenessReport:
     simplices.
 
     Finite complexes are locally finite outright; an exhaustion is unless
-    the cells that copies add crowd a star (``_crowding``).  Then the stars of
-    the stage-3 vertices are read at stage 4 + ``longest``, past the last copy
-    glued onto any of them."""
+    the cells that copies add crowd a star (``_crowding``).  The stars are
+    counted when read: those of the stage-3 vertices, at stage 4 +
+    ``longest``, past the last copy glued onto any of them."""
     if isinstance(X, FiniteSimplicialSet):
-        deepest, vertices, note = X, X.cells(0), "finite complex: every star is finite"
+        note, stars_at = "finite complex: every star is finite", lambda: (X, X.cells(0))
     else:
         refusal = _crowding(X, [[c for c in X.slab.all_cells() if c not in into]
                                 for _, into, _ in X._resolved])
         if refusal is not None:
             return refusal
         depth = 4 + max((longest for _, longest in X._walks), default=0)
-        deepest = X.truncate(depth).complex
-        vertices = X.truncate(3).complex.cells(0)
         note = f"stars stabilized across stages 1..{depth}"
-    stars = Counter(v for x in deepest.all_cells() for v in deepest.vertices_of(x))
-    sizes = {v.id: stars[v] for v in vertices}
-    return LocalFinitenessReport(ok=True, max_star=max(sizes.values(), default=0),
-                                 star_sizes=sizes, notes=[note])
+        stars_at = lambda: (X.truncate(depth).complex, X.truncate(3).complex.cells(0))
+    return LocalFinitenessReport(ok=True, notes=[note], _stars_at=stars_at)
 
 
 # --------------------------------------------------------------------------

@@ -540,6 +540,60 @@ def test_the_engine_reads_local_finiteness_and_stages_through_module_bindings(mo
     assert calls["lf"] == 1 and calls["truncate"] > 0
 
 
+def _spy_on_depths(monkeypatch) -> dict:
+    """Record the depths ``Exhaustion.truncate`` is asked for, and the
+    stages a run's stage system reads (to present them or check a
+    transition out of them)."""
+    seen = {"truncated": [], "read": []}
+    truncate, stage = sset.Exhaustion.truncate, chainalg._StageSystem.stage
+    monkeypatch.setattr(sset.Exhaustion, "truncate",
+                        lambda X, depth: seen["truncated"].append(depth) or truncate(X, depth))
+    monkeypatch.setattr(chainalg._StageSystem, "stage",
+                        lambda system, i: seen["read"].append(i) or stage(system, i))
+    return seen
+
+
+READ_DEPTHS = {
+    "H cylinder": 3, "H plane": 3, "H relay": 12,
+    "H_BM cylinder": 4, "H_BM plane": 3, "H_BM relay": 3,
+    "H_co cylinder": 3, "H_co plane": 3, "H_co relay": 12,
+    "H_c cylinder": 4, "H_c plane": 3, "H_c relay": 3,
+    "pairing cylinder": 4, "pairing plane": 3,
+}
+
+
+@pytest.mark.parametrize("run", sorted(READ_DEPTHS))
+def test_a_run_truncates_only_the_stages_it_reads(monkeypatch, run):
+    """The local-finiteness gate builds no stage for its star counts, so
+    the deepest stage truncated is the deepest stage the run reads (the
+    relay's H and H_co read to ``max_depth`` before they refuse)."""
+    tag, name = run.split()
+    build = {"cylinder": cylinder, "plane": plane, "relay": relay}[name]
+    driver = ((lambda X: pairing_matrix(X, 1 if name == "cylinder" else 2)) if tag == "pairing"
+              else THEORY_DRIVERS[tag])
+    space = build()
+    seen = _spy_on_depths(monkeypatch)
+    try:
+        driver(space)
+    except NonStabilizationError:
+        assert run in ("H relay", "H_co relay")
+    assert max(seen["truncated"]) == max(seen["read"]) == READ_DEPTHS[run]
+
+
+def test_the_star_counts_truncate_only_when_read(monkeypatch):
+    """The cylinder's copies crowd no star, so deciding truncates nothing;
+    the star sizes are then counted at stage 4 + ``longest``, once."""
+    space = cylinder()
+    seen = _spy_on_depths(monkeypatch)
+    report = sset.is_locally_finite(space)
+    assert report.ok and seen["truncated"] == []
+    assert report.star_sizes["r0"] == report.max_star == 13
+    longest = max(longest for _, longest in space._walks)
+    assert max(seen["truncated"]) == 4 + longest == 5
+    count = len(seen["truncated"])
+    assert report.max_star == 13 and len(seen["truncated"]) == count
+
+
 RUNS = {**{f"{tag} {build.__name__}": (build, driver)
            for tag, driver in THEORY_DRIVERS.items()
            for build in (cylinder, plane, balloon_ray, relay)},

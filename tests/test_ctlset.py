@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,24 @@ def test_shift_between_max_naturals_is_controlled():
 def test_shift_rejects_negative_offset():
     with pytest.raises(ControlError):
         ShiftAssignment(-1)
+
+
+@pytest.mark.parametrize("offset,patch,message", [
+    (0.5, {}, "shift offset must be an integer, not 0.5"),
+    (1, {2: 7.25}, "patch value 7.25 is not an integer"),
+    (1, {2: "x"}, "patch value 'x' is not an integer"),
+    (1, {0.5: 3}, "patch key 0.5 is not an integer"),
+    (1, {"a": 3}, "patch key 'a' is not an integer"),
+], ids=["float offset", "float value", "text value", "float key", "text key"])
+@pytest.mark.parametrize("use", [
+    lambda a: ControlledMap(max_ctl(N), max_ctl(N), a),
+    lambda a: validate_map(ControlledMap(max_ctl(N), max_ctl(N), a)),
+], ids=["map", "validate"])
+def test_shift_refuses_what_is_not_an_integer(use, offset, patch, message):
+    """A shift leaves the naturals unless its offset and every patch entry
+    are integers; each is refused by name, before any map is made."""
+    with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
+        use(ShiftAssignment(offset, patch))
 
 
 def test_shift_drops_redundant_patches():

@@ -63,6 +63,34 @@ def test_product_matches_the_triple_loop(n, m, p, data):
 
 
 @given(shapes, shapes, st.data())
+@example(0, 4, None)
+@example(4, 0, None)
+def test_a_product_with_an_identity_is_the_plain_product(n, m, data):
+    """``@`` returns the other factor of an identity, on either side, and
+    that equals the product through the sparse loop, 0xn and nx0 included."""
+    a = IntMatrix(n, m, data.draw(int_lists(n, m)) if data else [[0] * m] * n)
+    left, right = IntMatrix.identity(n), IntMatrix.identity(m)
+    plain_left = IntMatrix.from_entries(n, n, ({i: 1} for i in range(n)))
+    plain_right = IntMatrix.from_entries(m, m, ({i: 1} for i in range(m)))
+    assert left.is_identity and not plain_left.is_identity
+    assert left @ a is a and a @ right is a
+    assert left @ a == plain_left @ a == a == a @ plain_right == a @ right
+    assert left @ left is left and left == plain_left and hash(left) == hash(plain_left)
+
+
+def test_untouched_transforms_are_marked_as_identities():
+    """A reduction that moves no line leaves its transforms the identity."""
+    zero = smith_normal_form(IntMatrix.zeros(3, 2))
+    assert all(getattr(zero, t).is_identity for t in TRANSFORMS)
+    diagonal = smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 2], [0, 0]]))
+    assert all(getattr(diagonal, t).is_identity for t in TRANSFORMS)
+    swapped = smith_normal_form(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    assert swapped.u.is_identity and swapped.u_inv.is_identity  # the pivot is in row 0
+    assert not swapped.v.is_identity and swapped.v == IntMatrix.from_rows([[0, 1], [1, 0]])
+    assert swapped.verify()
+
+
+@given(shapes, shapes, st.data())
 def test_apply_matches_the_plain_sum(n, m, data):
     a = data.draw(int_lists(n, m))
     v = data.draw(int_lists(1, m))[0]

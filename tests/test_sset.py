@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctlhom import delta, sset
-from ctlhom.chainalg import AbelianGroup, homology
+from ctlhom.chainalg import AbelianGroup, NonStabilizationError, bm_homology, homology
 from ctlhom.corpus import (
     balloon_ray,
     circle,
@@ -627,6 +627,34 @@ def test_the_glue_depth_rule_matches_stage_membership_on_random_gluings(space):
 @given(gluings())
 def test_copies_are_translations_of_the_checked_slab_on_random_gluings(space):
     _check_copies(space)
+
+
+def _check_the_report_is_a_snapshot(space, fresh):
+    """Star counts read after a run has glued stages past the count's own
+    equal those of a report on a fresh copy of the space."""
+    report = is_locally_finite(space)
+    try:
+        bm_homology(space, window=6)
+    except NonStabilizationError:
+        pass
+    except SimplicialError:
+        assert not report.ok
+    sizes, largest = report.star_sizes, report.max_star
+    again = is_locally_finite(fresh)
+    assert (sizes, largest) == (again.star_sizes, again.max_star)
+    assert report == again and repr(report) == repr(again)
+
+
+@every_exhaustion
+def test_the_local_finiteness_report_is_a_snapshot(build):
+    _check_the_report_is_a_snapshot(build(), build())
+
+
+@settings(max_examples=50, deadline=None)
+@given(gluings())
+def test_the_local_finiteness_report_is_a_snapshot_on_random_gluings(space):
+    _check_the_report_is_a_snapshot(
+        space, Exhaustion(space.base, space.slab, space.attachments, name=space.name))
 
 
 def _stars_by_definition(X):
