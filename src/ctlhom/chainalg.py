@@ -40,7 +40,6 @@ from .sset import (
     is_locally_finite,
 )
 from . import delta
-from .ctlset import ControlError
 
 
 class CoefficientError(ValueError):
@@ -918,6 +917,7 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
         raise SimplicialError("pullback_periodic needs a periodic map")
     proper = is_proper_map(f)
     if not proper.ok:
+        from .ctlset import ControlError
         raise ControlError("pullback of compactly supported cochains needs a proper map: "
                            + (proper.witness or "not proper"))
     stage = depth

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 
-from . import laws as laws_module
 from .chainalg import (
     CoefficientError,
     NonStabilizationError,
@@ -34,7 +33,6 @@ from .corpus import (
     UnknownSpaceError,
     resolve_space,
 )
-from .ctlset import ControlError
 from .sset import (
     Exhaustion,
     PresentationError,
@@ -250,7 +248,9 @@ def _cmd_check(args) -> int:
 def _cmd_laws(args) -> int:
     if args.max_carrier < 0 or args.max_carrier > 3:
         raise CoefficientError("--max-carrier must be between 0 and 3")
-    results = laws_module.run_all(args.max_carrier)
+    from . import laws
+
+    results = laws.run_all(args.max_carrier)
     ok = all(r.ok for r in results)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -334,6 +334,13 @@ def main(argv=None) -> int:
         return EXIT_OUTPUT_CLOSED
 
 
+def _loaded_control_errors() -> tuple:
+    """``(ctlset.ControlError,)`` once that module is loaded, else ``()``: none
+    can be raised before, and a refusal should not load the layer to name it."""
+    module = sys.modules.get(f"{__package__}.ctlset")
+    return () if module is None else (module.ControlError,)
+
+
 def _run(parser, args) -> int:
     try:
         _check_bounds(args)
@@ -352,7 +359,7 @@ def _run(parser, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_STABILIZATION
     except (UnknownSpaceError, SpaceFormatError, PresentationError,
-            SimplicialError, ControlError, MatrixError) as exc:
+            SimplicialError, MatrixError, *_loaded_control_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except CoefficientError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from itertools import combinations
 
 from .sset import (
@@ -499,6 +498,8 @@ def space_from_json(doc):
 def save_space(space, path: str):
     """Write a space file atomically (write to a sibling temp file, then
     rename over the target)."""
+    import tempfile
+
     doc = space_to_json(space)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -17,6 +17,7 @@ decidable in closed form.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -310,6 +311,8 @@ class ShiftAssignment:
             raise ControlError(f"shift offset must be an integer, not {self.offset!r}")
         if self.offset < 0:
             raise ControlError("shift offset must be non-negative")
+        if not isinstance(self.patch, Mapping):
+            raise ControlError(f"shift patch must be a mapping, not {self.patch!r}")
         for k, v in self.patch.items():
             for what, x in (("key", k), ("value", v)):
                 if not isinstance(x, int):

@@ -391,6 +391,8 @@ def invariant_factors(m: IntMatrix) -> tuple:
         eliminated += 1
     # zero rows and columns change no invariant factor
     live = [row for row in rows if row]
+    if not live:
+        return (1,) * eliminated
     kept = {j: k for k, j in enumerate(j for j, col in enumerate(cols) if col)}
     residual = IntMatrix.from_entries(
         len(live), len(kept), ({kept[j]: x for j, x in row.items()} for row in live))

@@ -224,30 +224,39 @@ def test_shared_reductions_give_the_unshared_presentations(dual):
             assert together[n] == alone[n], (X.name, n)
 
 
-def _spy_reductions(monkeypatch) -> list:
+def _spy_reductions(monkeypatch) -> tuple:
     """The transforms each Smith reduction tracks, in call order, whether it
-    is called from ``chainalg`` or from ``snf.invariant_factors``."""
-    tracked = []
-    real = snf.smith_normal_form
+    is called from ``chainalg`` or from ``snf.invariant_factors``, and the
+    shape of each matrix whose invariant factors are asked for."""
+    tracked, factored = [], []
+    real, real_factors = snf.smith_normal_form, snf.invariant_factors
 
     def spy(m, track=snf.TRANSFORMS):
         tracked.append(tuple(track))
         return real(m, track)
 
-    monkeypatch.setattr(snf, "smith_normal_form", spy)
-    monkeypatch.setattr(chainalg, "smith_normal_form", spy)
-    return tracked
+    def factors_spy(m):
+        factored.append((m.rows, m.cols))
+        return real_factors(m)
+
+    for module in (snf, chainalg):
+        monkeypatch.setattr(module, "smith_normal_form", spy)
+        monkeypatch.setattr(module, "invariant_factors", factors_spy)
+    return tracked, factored
 
 
 def test_finite_groups_track_no_transform(monkeypatch):
-    """The theories read groups only: their reductions build no transform
-    until a basis is read, and reading one afterwards gives the presentation
-    that presenting the degrees directly gives."""
-    tracked = _spy_reductions(monkeypatch)
+    """The theories read groups only: they take invariant factors, their
+    reductions build no transform until a basis is read, and reading one
+    afterwards gives the presentation that presenting the degrees directly
+    gives."""
+    tracked, factored = _spy_reductions(monkeypatch)
     for driver, dual in ((homology, False), (cohomology, True)):
         tracked.clear()
+        factored.clear()
         result = driver(sphere(6))
-        assert tracked and all(t == () for t in tracked), driver.__name__
+        assert factored, driver.__name__
+        assert all(t == () for t in tracked), driver.__name__
         assert all("generators" not in vars(p) for p in result.presentations.values())
         read = {n: _fields(p) for n, p in result.presentations.items()}
         assert any(t != () for t in tracked)
@@ -257,17 +266,19 @@ def test_finite_groups_track_no_transform(monkeypatch):
 
 
 def test_finite_cli_commands_track_no_transform(monkeypatch, capsys):
-    tracked = _spy_reductions(monkeypatch)
+    tracked, factored = _spy_reductions(monkeypatch)
     for space in ("point", "circle", "torus", "rp2", "delta(3)", "sphere(2)", "sphere(3)"):
         for command in ("homology", "bm-homology", "cohomology", "cohomology-c"):
             for coeff in ("z", "z/2", "q"):
+                factored.clear()
                 assert cli.main([command, space, "--coeff", coeff, "--json"]) == 0
+                assert factored, (command, space, coeff)
     capsys.readouterr()
-    assert tracked and all(t == () for t in tracked)
+    assert all(t == () for t in tracked)
 
 
 def test_a_non_composing_pair_is_refused_before_any_basis_is_read(monkeypatch):
-    tracked = _spy_reductions(monkeypatch)
+    tracked, _ = _spy_reductions(monkeypatch)
     d1 = boundary_matrix(torus(), 1)
     wrong = IntMatrix.identity(d1.cols)
     with pytest.raises(MatrixError, match="boundaries do not compose to zero"):

@@ -13,8 +13,9 @@ try:
 except ModuleNotFoundError:  # Python 3.10: pytest depends on tomli there
     import tomli as tomllib
 
-from ctlhom import cli
+from ctlhom import cli, laws
 from ctlhom.corpus import balloon_ray, build, infinite_star, save_space
+from ctlhom.ctlset import ControlError
 from ctlhom.laws import LawResult
 from exhaustions import long_tail
 
@@ -295,10 +296,22 @@ def test_space_file_with_a_base_id_a_copy_would_take_exit(capsys, tmp_path):
 def test_law_failure_exit(capsys, monkeypatch):
     broken = LawResult(name="always-wrong", ok=False, cases=1,
                        counterexample="the one case")
-    monkeypatch.setattr(cli.laws_module, "run_all", lambda mc: [broken])
+    monkeypatch.setattr(laws, "run_all", lambda mc: [broken])
     code, out = run(capsys, "laws")
     assert code == 5
     assert "always-wrong" in out
+
+
+def test_a_control_error_exits_3(capsys, monkeypatch):
+    def refuse(args):
+        raise ControlError("no such controlled map")
+
+    monkeypatch.setattr(cli, "_cmd_theory", refuse)
+    code = cli.main(["homology", "circle"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: no such controlled map\n"
 
 
 def test_closed_stdout_exits_quietly():

@@ -136,6 +136,13 @@ def test_shift_refuses_what_is_not_an_integer(use, offset, patch, message):
         use(ShiftAssignment(offset, patch))
 
 
+@pytest.mark.parametrize("patch", [[(2, 3)], None], ids=["pairs", "none"])
+def test_shift_refuses_a_patch_that_is_not_a_mapping(patch):
+    message = f"shift patch must be a mapping, not {patch!r}"
+    with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
+        ShiftAssignment(1, patch)
+
+
 def test_shift_drops_redundant_patches():
     assert ShiftAssignment(2, {3: 5}).patch == {}
     assert ShiftAssignment(2, {3: 9}).patch == {3: 9}

@@ -1,0 +1,103 @@
+"""What a process loads: ``import ctlhom`` loads no submodule, and only the
+commands that use the controlled-set layer (``ctlset``, ``laws``) load it.
+Each check runs in a fresh interpreter, since other tests load everything."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ctlhom
+from test_public_api import PUBLIC_NAMES
+
+SRC = str(Path(ctlhom.__file__).resolve().parents[1])
+
+_PRELUDE = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+def layer():
+    return sorted(n for n in ("ctlhom.ctlset", "ctlhom.laws") if n in sys.modules)
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+"""
+
+
+def _fresh(script: str, *args: str):
+    """Run ``script`` after the prelude in a new interpreter and return the
+    JSON it prints last."""
+    out = subprocess.run([sys.executable, "-c", _PRELUDE + script, SRC, *args],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_an_engine_process_never_loads_the_controlled_set_layer(tmp_path):
+    from ctlhom.corpus import infinite_star, save_space
+
+    star = tmp_path / "star.json"
+    save_space(infinite_star(), str(star))
+    steps = _fresh("""
+steps = []
+import ctlhom
+steps.append(["import ctlhom", None, layer()])
+import ctlhom.chainalg
+steps.append(["import ctlhom.chainalg", None, layer()])
+import ctlhom.cli as cli
+steps.append(["import ctlhom.cli", None, layer()])
+for argv in (["homology", "torus", "--json"], ["homology", "infinite_star"],
+             ["homology", sys.argv[2]], ["laws", "--json"]):
+    steps.append([" ".join(argv[:2]), run(argv), layer()])
+print(json.dumps(steps))
+""", str(star))
+    assert steps == [
+        ["import ctlhom", None, []],
+        ["import ctlhom.chainalg", None, []],
+        ["import ctlhom.cli", None, []],
+        ["homology torus", 0, []],
+        ["homology infinite_star", 3, []],
+        ["homology " + str(star), 3, []],
+        ["laws --json", 0, ["ctlhom.ctlset", "ctlhom.laws"]],
+    ]
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    """Read first-hand: each name is the one its defining module holds, and
+    the two names that differ from their home's are pinned by hand."""
+    wrong = _fresh("""
+import importlib, ctlhom
+wrong = []
+for name in ctlhom.__all__:
+    value = getattr(ctlhom, name)
+    if name in ("chainalg", "corpus", "ctlset", "delta", "snf", "sset"):
+        ok = value is importlib.import_module("ctlhom." + name)
+    elif name == "compose_controlled":
+        ok = value is ctlhom.ctlset.compose
+    else:
+        home = value.__module__
+        ok = home.startswith("ctlhom.") and getattr(sys.modules[home], name) is value
+    if not ok:
+        wrong.append(name)
+if ctlhom.compose is not ctlhom.delta.compose:
+    wrong.append("compose")
+print(json.dumps(wrong))
+""")
+    assert wrong == []
+
+
+def test_star_import_binds_exactly_the_pinned_names():
+    names = _fresh("""
+namespace = {}
+exec("from ctlhom import *", namespace)
+print(json.dumps(sorted(n for n in namespace if n != "__builtins__")))
+""")
+    assert names == PUBLIC_NAMES
+    assert sorted(ctlhom.__all__) == PUBLIC_NAMES
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ctlhom.no_such_name
