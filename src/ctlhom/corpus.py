@@ -483,11 +483,10 @@ def space_from_json(doc):
                     raise SpaceFormatError(
                         f"attachment #{k}: {key!r} must be a list of cell ids"
                     )
-            parsed.append(Attachment(
-                base_ids=tuple(att["base"]),
-                slab_in_ids=tuple(att["slab_in"]),
-                slab_out_ids=tuple(att["slab_out"]),
-            ))
+            try:
+                parsed.append(Attachment(att["base"], att["slab_in"], att["slab_out"]))
+            except PresentationError as exc:
+                raise SpaceFormatError(f"attachment #{k}: {exc}") from exc
         try:
             return Exhaustion(base, slab, parsed, name=name)
         except PresentationError as exc:

@@ -257,22 +257,31 @@ def validate_structure(X: ControlledSet) -> StructureReport:
 # maps
 
 _tuple_new = tuple.__new__  # builds a checked tuple past its __new__; a global reads faster
+_dict_new, _dict_update = dict.__new__, dict.update
 
 
 class ReadOnlyDict(dict):
-    """A dict whose mutators raise ``TypeError``, for the table of a checked
-    map.  It equals a plain dict, has its repr, and reads at C speed."""
+    """A dict whose mutators, ``__init__`` included, raise ``TypeError``, for
+    the table of a checked map.  It equals a plain dict, has its repr, and
+    reads at C speed.  ``_read_only`` makes one."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("a checked table is read-only")
 
-    __setitem__ = __delitem__ = __ior__ = _refuse
+    __init__ = __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
 
     def __reduce__(self):  # pickle and deepcopy would refill it item by item
-        return type(self), (dict(self),)
+        return _read_only, (dict(self),)
+
+
+def _read_only(items) -> ReadOnlyDict:
+    """A ReadOnlyDict of the given mapping or pairs, filled past ``__init__``."""
+    table = _dict_new(ReadOnlyDict)
+    _dict_update(table, items)
+    return table
 
 
 class TableAssignment(namedtuple("TableAssignment", "mapping")):
@@ -283,7 +292,7 @@ class TableAssignment(namedtuple("TableAssignment", "mapping")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # copied by __new__
 
     def __new__(cls, mapping):
-        return tuple.__new__(cls, (ReadOnlyDict(mapping),))
+        return tuple.__new__(cls, (_read_only(mapping),))
 
     def evaluate(self, x):
         return self.mapping[x]
@@ -320,7 +329,7 @@ class ShiftAssignment:
             if k < 0 or v < 0:
                 raise ControlError("patch entries must be natural numbers")
         # patches that agree with the shift are redundant; normalize them away
-        object.__setattr__(self, "patch", ReadOnlyDict(
+        object.__setattr__(self, "patch", _read_only(
             {k: v for k, v in self.patch.items() if v != k + self.offset}))
 
     def evaluate(self, x):
@@ -464,7 +473,7 @@ def compose(g: ControlledMap, f: ControlledMap) -> ControlledMap:
     if isinstance(fa, TableAssignment):
         if isinstance(ga, TableAssignment):
             fm = fa.mapping
-            table = ReadOnlyDict(zip(fm, map(ga.mapping.__getitem__, fm.values())))
+            table = _read_only(zip(fm, map(ga.mapping.__getitem__, fm.values())))
             # tuple.__new__ inline: a helper call per composite shows in the law suite
             return _tuple_new(ControlledMap, (
                 f.source, g.target, _tuple_new(TableAssignment, (table,))))

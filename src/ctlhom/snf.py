@@ -20,11 +20,9 @@ class MatrixError(ValueError):
 class IntMatrix:
     """Sparse integer matrix: one ``{col: value}`` dict per row in
     ``entries``, zeros omitted.  ``data`` is the derived dense view, a tuple
-    of row tuples.  A matrix is never changed after construction, so a
-    product with an identity (``is_identity``) is the other factor itself."""
+    of row tuples.  A matrix is never changed after construction."""
 
     __slots__ = ("rows", "cols", "entries")
-    is_identity = False
 
     def __init__(self, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
@@ -61,10 +59,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        m = object.__new__(_Identity)
-        m.rows = m.cols = n
-        m.entries = tuple({i: 1} for i in range(n))
-        return m
+        return IntMatrix.from_entries(n, n, ({i: 1} for i in range(n)))
 
     @property
     def data(self) -> tuple:
@@ -105,8 +100,6 @@ class IntMatrix:
             raise MatrixError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.is_identity or other.is_identity:
-            return other if self.is_identity else self
         # each left row is a sum of a * (right row k) over its nonzeros a
         right = other.entries
         out = []
@@ -133,13 +126,6 @@ class IntMatrix:
             return f"IntMatrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
         return f"IntMatrix([{body}])"
-
-
-class _Identity(IntMatrix):
-    """An identity matrix, made by ``IntMatrix.identity``."""
-
-    __slots__ = ()
-    is_identity = True
 
 
 @dataclass(frozen=True)
@@ -342,8 +328,6 @@ def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
     def emit(vectors, n, by_columns=False):
         if vectors is None:
             return None
-        if all(len(vec) == 1 and vec.get(i) == 1 for i, vec in enumerate(vectors)):
-            return IntMatrix.identity(n)  # no operation touched it
         out = IntMatrix.from_entries(n, n, vectors)
         return out.transpose() if by_columns else out
 

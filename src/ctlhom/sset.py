@@ -85,11 +85,9 @@ class Simplex(namedtuple("Simplex", "word core")):
         return f"Simplex(s{list(self.word)} {self.core.id!r})"
 
 
-@lru_cache(maxsize=4096)
 def _word_surjection(word: tuple[int, ...], dim: int) -> MonotoneMap:
     """The ordinal surjection dim -> dim - len(word) encoded by a strictly
-    decreasing degeneracy word.  Memoised: MonotoneMap is frozen, and the
-    words met in practice are few."""
+    decreasing degeneracy word."""
     return delta.from_codegeneracy_word(tuple(reversed(word)), dim)
 
 
@@ -596,10 +594,8 @@ def _unique_id_lookup(X: FiniteSimplicialSet, label: str) -> dict:
 
 
 def _check_subcomplex(X: FiniteSimplicialSet, cells, where: str):
-    members = set(cells)
+    members = set(cells)  # cells of X, as resolved from its ids
     for cell in cells:
-        if not X.has_cell(cell):
-            raise PresentationError(f"{where}: {cell} is not in the complex")
         if cell.dim == 0:
             continue
         for i in range(cell.dim + 1):
@@ -999,8 +995,10 @@ def proper_controlled_equivalence(f) -> EquivalenceReport:
     be controlled in the target: collapse images form a finite set, and the
     image cores of each periodic rule, copied into its target chain, must not
     crowd a star (``_crowding``); and (2) the fibers over single simplices
-    (``_infinite_fibers``) to be finite.  Properness reads fibers over cores,
-    so the two sides are decided apart."""
+    (``_infinite_fibers``) to be finite.  The sides are not independent:
+    on a periodic map ``is_proper_map`` reads the same ``_infinite_fibers``,
+    so ``agree`` can fail only through (1).  Item 4 of ROADMAP.md plans to
+    decide them apart."""
     proper = is_proper_map(f)
     if isinstance(f, SimplicialMap):
         # finite complexes: the image family is finite, fibers are finite

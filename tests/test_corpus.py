@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ctlhom.chainalg import bm_homology, homology
@@ -153,6 +155,58 @@ def test_json_booleans_and_non_string_names_are_rejected():
     line["base"]["name"] = 7
     with pytest.raises(SpaceFormatError, match="base: name must be a string"):
         space_from_json(line)
+
+
+def _set(path, value):
+    """An edit of a space document: the entry at ``path`` becomes ``value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("space, edit, message", [
+    ("torus", _set(["cells"], {}), "finite space: expected an object with a 'cells' list"),
+    ("torus", _set(["cells", 0], 5), "finite space: cell #0 is not an object"),
+    ("torus", _set(["cells", 0, "id"], ""), "finite space: cell #0 has bad id ''"),
+    ("torus", _set(["cells", 0, "faces"], []), "finite space: 0-cell '0' cannot have faces"),
+    ("torus", _set(["cells", -1, "faces", 0], "x"),
+     "finite space: face 0 of '3.5.6' is not an object"),
+    ("ray", _set(["slab", "cells", 2, "faces", 0, "word"], [0]),
+     "slab: face 0 of 'seg' has a word longer than its dimension"),
+    ("torus", _set(["cells", -1, "faces", 0], {"word": [1], "core": "0"}),
+     "finite space: face 0 of '3.5.6': degeneracy word (1,) out of range over a 0-cell"),
+    ("torus", lambda d: d["cells"].append({"dim": 0, "id": "0"}),
+     "finite space: duplicate cell ids in dimension 0"),
+    ("torus", _set(["kind"], "cw"), "unknown kind 'cw' (expected finite or exhaustion)"),
+    ("ray", _set(["attachments"], []), "an exhaustion needs a nonempty attachments list"),
+    ("ray", _set(["attachments", 0], 5), "attachment #0 is not an object"),
+    ("ray", _set(["attachments", 0, "slab_in"], "pin"),
+     "attachment #0: 'slab_in' must be a list of cell ids"),
+    ("ray", _set(["attachments", 0, "slab_in"], ["pin", "pout"]),
+     "attachment #0: attachment id lists must have equal length"),
+    ("line", _set(["attachments", 1], {"base": ["o", "o"], "slab_in": ["pin", "pout"],
+                                       "slab_out": ["pout", "pin"]}),
+     "attachment #1: attachment id lists must be injective"),
+], ids=["cells not a list", "cell not an object", "empty id", "vertex with faces",
+        "face not an object", "word too long", "word out of range", "duplicate id",
+        "unknown kind", "no attachments", "attachment not an object", "ids not a list",
+        "id lists of unequal length", "repeated id"])
+def test_loader_refusals_name_the_fault(space, edit, message):
+    doc = space_to_json(build(space))
+    edit(doc)
+    with pytest.raises(SpaceFormatError) as err:
+        space_from_json(doc)
+    assert type(err.value) is SpaceFormatError and str(err.value) == message
+
+
+def test_loader_refuses_what_is_not_a_space_file(tmp_path):
+    with pytest.raises(SpaceFormatError, match="^top level must be an object$"):
+        space_from_json([])
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SpaceFormatError, match=f"^{re.escape(str(missing))}: No such file"):
+        load_space(str(missing))
 
 
 def test_load_rejects_bad_json(tmp_path):

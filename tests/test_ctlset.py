@@ -7,10 +7,15 @@ from hypothesis import given, strategies as st
 
 from ctlhom.ctlset import (
     ALL,
+    MIN,
+    NATURALS,
+    Carrier,
     ConstantAssignment,
     ControlError,
+    ControlStructure,
     ControlledMap,
     ShiftAssignment,
+    SubsetDescriptor,
     TableAssignment,
     UnsupportedRepresentationError,
     adjunction_check,
@@ -124,7 +129,8 @@ def test_shift_rejects_negative_offset():
     (1, {2: "x"}, "patch value 'x' is not an integer"),
     (1, {0.5: 3}, "patch key 0.5 is not an integer"),
     (1, {"a": 3}, "patch key 'a' is not an integer"),
-], ids=["float offset", "float value", "text value", "float key", "text key"])
+    (1, {-1: 3}, "patch entries must be natural numbers"),
+], ids=["float offset", "float value", "text value", "float key", "text key", "negative key"])
 @pytest.mark.parametrize("use", [
     lambda a: ControlledMap(max_ctl(N), max_ctl(N), a),
     lambda a: validate_map(ControlledMap(max_ctl(N), max_ctl(N), a)),
@@ -141,6 +147,46 @@ def test_shift_refuses_a_patch_that_is_not_a_mapping(patch):
     message = f"shift patch must be a mapping, not {patch!r}"
     with pytest.raises(ControlError, match=f"^{re.escape(message)}$"):
         ShiftAssignment(1, patch)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Carrier("reals"), ControlError, "unknown carrier kind 'reals'"),
+    (lambda: finite_carrier([1, 1]), ControlError, "carrier elements must be distinct"),
+    (lambda: Carrier(NATURALS, (1,)), ControlError, "the naturals carrier takes no element list"),
+    (lambda: SubsetDescriptor("odd"), ControlError, "unknown subset descriptor kind 'odd'"),
+    (lambda: is_controlled(min_ctl(ABC), finite_list("z")), ControlError,
+     "element 'z' outside carrier"),
+    (lambda: is_controlled(min_ctl(N), cofinal_tail(-1)), ControlError,
+     "tail start must be non-negative"),
+    (lambda: is_controlled(min_ctl(ABC), cofinal_tail(0)), ControlError,
+     "tail descriptors only apply to the naturals"),
+    (lambda: ControlStructure("huge"), ControlError, "unknown control structure kind 'huge'"),
+    (lambda: ControlStructure(MIN, [["a"]]), ControlError,
+     "only generated structures take generators"),
+    (lambda: generated_ctl(N, [[0]]), UnsupportedRepresentationError,
+     "generated structures are only representable on finite carriers"),
+    (lambda: generated_ctl(ABC, [["z"]]), ControlError, "generator element 'z' outside carrier"),
+    (lambda: identity_map(min_ctl(ABC)).evaluate("z"), ControlError,
+     "element 'z' outside source carrier"),
+    (lambda: ControlledMap(max_ctl(N), max_ctl(N), ConstantAssignment(-1)), ControlError,
+     "constant value -1 outside target carrier"),
+    (lambda: ControlledMap(min_ctl(ABC), max_ctl(N), ShiftAssignment(1)),
+     UnsupportedRepresentationError, "shift assignments map the naturals to the naturals"),
+    (lambda: ControlledMap(max_ctl(N), max_ctl(N), 3), UnsupportedRepresentationError,
+     "unknown assignment representation int"),
+    (lambda: list(all_set_maps(N, ABC)), UnsupportedRepresentationError,
+     "enumeration needs finite carriers"),
+    (lambda: adjunction_check(N, min_ctl(ABC)), UnsupportedRepresentationError,
+     "adjunction check needs finite carriers"),
+], ids=["carrier kind", "repeated element", "naturals with elements", "descriptor kind",
+        "element outside", "negative tail", "tail on finite", "structure kind",
+        "generators on min", "generated on naturals", "generator outside", "evaluate outside",
+        "constant outside", "shift from finite", "unknown assignment", "enumerate naturals",
+        "adjunction on naturals"])
+def test_refusals_name_their_fault(make, error, message):
+    with pytest.raises(ControlError) as err:
+        make()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_shift_drops_redundant_patches():
@@ -297,7 +343,8 @@ SWAP = {0: 1, 1: 0}
     lambda t: t.setdefault(2, "zzz"),
     lambda t: t.popitem(),
     lambda t: t.clear(),
-], ids=["setitem", "update", "pop", "del", "ior", "setdefault", "popitem", "clear"])
+    lambda t: t.__init__({1: "zzz"}),
+], ids=["setitem", "update", "pop", "del", "ior", "setdefault", "popitem", "clear", "init"])
 @pytest.mark.parametrize("made", ["checked", "composite"])
 def test_a_checked_table_cannot_be_edited(edit, made):
     g = ControlledMap(TWO, TWO, TableAssignment(SWAP))
@@ -348,7 +395,10 @@ def test_a_checked_shift_keeps_its_offset_and_patch():
         s.assignment.offset = -3
     with pytest.raises(TypeError, match="read-only"):
         s.assignment.patch[0] = -1
-    assert [s.evaluate(n) for n in range(3)] == [5, 2, 3]
+    with pytest.raises(TypeError, match="read-only"):
+        s.assignment.patch.__init__({3: 9})
+    assert s.assignment.patch == {0: 5}
+    assert [s.evaluate(n) for n in range(4)] == [5, 2, 3, 4]
 
 
 def test_replace_runs_the_checks():

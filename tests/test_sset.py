@@ -365,6 +365,21 @@ def test_face_dimensions_are_checked():
         )
 
 
+_V, _W = Simplex((), Cell(0, "v")), Simplex((), Cell(0, "w"))
+
+
+@pytest.mark.parametrize("cells, faces, message", [
+    ({0: ["v", "v"]}, {}, "duplicate cell ids in dimension 0"),
+    ({0: ["v"], 1: ["e"]}, {(1, "e"): (_V,)}, "1-cell 'e' needs 2 faces, got 1"),
+    ({0: ["v"], 1: ["e"]}, {(1, "e"): (_V, _W)},
+     "face 1 of 'e' references unknown cell Cell(0, 'w')"),
+], ids=["duplicate id", "face count", "unknown face"])
+def test_a_complex_refuses_a_bad_presentation(cells, faces, message):
+    with pytest.raises(PresentationError) as err:
+        FiniteSimplicialSet(cells, faces)
+    assert type(err.value) is PresentationError and str(err.value) == message
+
+
 # ------------------------------------------------------------ exhaustions
 
 def test_line_truncations_grow_linearly():
@@ -395,6 +410,42 @@ def test_copy_cells_are_named_by_attachment_and_stage():
 def _ray_with_base_vertex(vertex_id):
     base = FiniteSimplicialSet({0: ["o", vertex_id]}, {}, name="origin")
     return sset.Exhaustion(base, ray().slab, ray().attachments)
+
+
+_SEGMENT = FiniteSimplicialSet(  # an edge e from o to p
+    {0: ["o", "p"], 1: ["e"]}, {(1, "e"): (Simplex((), Cell(0, "p")), Simplex((), Cell(0, "o")))})
+
+
+@pytest.mark.parametrize("base, attachments, message", [
+    (ray().base, [], "an exhaustion needs at least one attachment"),
+    (ray().base, [Attachment(["x"], ["pin"], ["pout"])], "base_ids[0]: unknown cell id 'x'"),
+    (ray().base, [Attachment(["o"], ["pin"], ["pout"]), Attachment(["o"], ["pin"], ["nope"])],
+     "slab_out_ids[1]: unknown cell id 'nope'"),
+    (FiniteSimplicialSet({0: ["o"], 1: ["o"]}, {(1, "o"): (Simplex((), Cell(0, "o")),) * 2}),
+     [Attachment(["o"], ["pin"], ["pout"])],
+     "base complex reuses id 'o' across dimensions; attachment ids must be unambiguous"),
+    (ray().base, [Attachment(["o"], ["seg"], ["pout"])],
+     "attachment 0 slab in-boundary: not face-closed ('seg' has face 'pout' outside)"),
+    (_SEGMENT, [Attachment(["o", "e", "p"], ["pin", "pout", "seg"], ["pin", "pout", "seg"])],
+     "attachment 0 base gluing: 'e' and 'pout' differ in dimension"),
+    (_SEGMENT, [Attachment(["p", "o", "e"], ["pin", "pout", "seg"], ["pin", "pout", "seg"])],
+     "attachment 0 base gluing: gluing does not commute with face 0 of 'e'"),
+], ids=["no attachment", "unknown base id", "unknown slab id", "id in two dimensions",
+        "not face-closed", "dimension", "faces"])
+def test_an_exhaustion_refuses_a_bad_attachment(base, attachments, message):
+    with pytest.raises(PresentationError) as err:
+        Exhaustion(base, ray().slab, attachments)
+    assert type(err.value) is PresentationError and str(err.value) == message
+
+
+@pytest.mark.parametrize("ids, message", [
+    ((["o"], ["pin", "pout"], ["pout"]), "attachment id lists must have equal length"),
+    ((["o", "o"], ["pin", "pout"], ["pout", "pin"]), "attachment id lists must be injective"),
+], ids=["lengths", "repeated id"])
+def test_an_attachment_refuses_mismatched_id_lists(ids, message):
+    with pytest.raises(PresentationError) as err:
+        Attachment(*ids)
+    assert type(err.value) is PresentationError and str(err.value) == message
 
 
 def test_a_base_id_that_a_copy_would_take_is_refused():
