@@ -1,18 +1,20 @@
 """Controlled sets, simplicial sets, and exact (co)homology of locally
 finite complexes.
 
-The package has three layers: ``ctlset`` (controlled sets and controlled
+The package has four layers: ``ctlset`` (controlled sets and controlled
 maps, including a symbolic model over the naturals), ``delta``/``sset``
 (ordinal arithmetic, finite simplicial sets, and periodic exhaustions of
-infinite ones), and ``chainalg`` (Smith-normal-form homology in four
-flavours: ordinary and Borel–Moore homology, ordinary and compactly
-supported cohomology).  ``corpus`` holds the built-in spaces and ``laws``
-the exhaustive finite-model checks; the ``ctlhom`` console script exposes
-all of it.
+infinite ones), ``chainalg`` (Smith-normal-form homology in four flavours:
+ordinary and Borel–Moore homology, ordinary and compactly supported
+cohomology), and ``maps`` (simplicial and periodic maps, properness,
+controlled families, the proper ⟺ controlled check, and chains and cochains
+with their pairing).  ``corpus`` holds the built-in spaces and ``laws`` the
+exhaustive finite-model checks; the ``ctlhom`` console script exposes all
+of it.
 
 ``import ctlhom`` loads no submodule: each public name below is imported
 from its home module when it is first read (PEP 562), so a homology query
-never loads the controlled-set layer.
+loads neither the controlled-set layer nor ``maps``.
 """
 
 from importlib import import_module as _import_module
@@ -31,17 +33,16 @@ _EXPORTS = {
         ("delta", "DeltaError MonotoneMap all_monotone_maps "
                   "check_cosimplicial_identities coface codegeneracy compose "
                   "epi_mono_factor"),
-        ("sset", "Attachment Cell Exhaustion FiniteSimplicialSet PeriodicMap "
-                 "PresentationError SimplicialError SimplicialMap Simplex SlabRule "
-                 "adjacent all_simplices apply_ordinal_map degeneracy face "
-                 "family_is_controlled is_locally_finite is_proper_map "
-                 "proper_controlled_equivalence standard_simplex"),
+        ("sset", "Attachment Cell Exhaustion FiniteSimplicialSet PresentationError "
+                 "SimplicialError Simplex adjacent all_simplices apply_ordinal_map "
+                 "degeneracy face is_locally_finite standard_simplex"),
         ("snf", "IntMatrix SmithDecomposition smith_normal_form"),
-        ("chainalg", "AbelianGroup Chain Cochain Coefficients NonStabilizationError "
-                     "TheoryResult bm_homology boundary coboundary cohomology "
-                     "cohomology_c euler_characteristic homology pairing pairing_matrix "
-                     "parse_coefficients pullback pullback_periodic pushforward "
-                     "render_group"),
+        ("chainalg", "AbelianGroup Coefficients NonStabilizationError TheoryResult "
+                     "bm_homology cohomology cohomology_c euler_characteristic homology "
+                     "pairing_matrix parse_coefficients render_group"),
+        ("maps", "Chain Cochain PeriodicMap SimplicialMap SlabRule boundary coboundary "
+                 "family_is_controlled is_proper_map pairing proper_controlled_equivalence "
+                 "pullback pullback_periodic pushforward"),
         ("corpus", "SpaceFormatError UnknownSpaceError build load_space "
                    "resolve_space save_space space_names"),
     )

@@ -19,7 +19,8 @@ Stabilization is certified by watching transition maps become isomorphisms
 for a window of consecutive stages; a system that keeps moving raises
 NonStabilizationError with its history attached.  Where the slab's chains
 relative to one of its boundaries are acyclic, excision proves the later
-transitions isomorphisms without presenting their stages.
+transitions isomorphisms without presenting their stages.  Chains,
+cochains and the maps they are pushed and pulled along are in ``maps``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .sset import (
     Cell,
     FiniteSimplicialSet,
     SimplicialError,
-    SimplicialMap,
-    Simplex,
     all_simplices,
     apply_ordinal_map,
     is_locally_finite,
@@ -776,163 +775,6 @@ THEORY_DRIVERS = {
 
 
 # --------------------------------------------------------------------------
-# chains, cochains, pairings
-
-def _support(X: FiniteSimplicialSet, degree: int, values: dict) -> dict:
-    """The nonzero values, keyed by cells of X of the given degree."""
-    clean = {}
-    for cell, a in values.items():
-        if not isinstance(cell, Cell) or cell.dim != degree:
-            raise SimplicialError(f"{cell} is not a {degree}-cell")
-        if not X.has_cell(cell):
-            raise SimplicialError(f"{cell} is not in the complex")
-        if a:
-            clean[cell] = int(a)
-    return clean
-
-
-@dataclass
-class Chain:
-    """A finitely supported integer chain on the nondegenerate cells."""
-
-    complex: FiniteSimplicialSet
-    degree: int
-    coeffs: dict
-
-    def __post_init__(self):
-        self.coeffs = _support(self.complex, self.degree, self.coeffs)
-
-    def vector(self, basis) -> tuple:
-        return tuple(self.coeffs.get(c, 0) for c in basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.complex is other.complex
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-
-@dataclass
-class Cochain:
-    """A function on nondegenerate cells (vanishing on degenerates)."""
-
-    complex: FiniteSimplicialSet
-    degree: int
-    values: dict
-
-    def __post_init__(self):
-        self.values = _support(self.complex, self.degree, self.values)
-
-    def __call__(self, x) -> int:
-        if isinstance(x, Cell):
-            return self.values.get(x, 0)
-        if isinstance(x, Simplex):
-            if not x.is_nondegenerate:
-                return 0
-            return self.values.get(x.core, 0)
-        raise SimplicialError(f"cannot evaluate a cochain on {x!r}")
-
-    def vector(self, basis) -> tuple:
-        return tuple(self.values.get(c, 0) for c in basis)
-
-
-def boundary(chain: Chain) -> Chain:
-    out = {}
-    X = chain.complex
-    for cell, a in chain.coeffs.items():
-        for i in range(chain.degree + 1):
-            fv = X.face(cell, i)
-            if not fv.is_nondegenerate:
-                continue
-            sign = -1 if i % 2 else 1
-            out[fv.core] = out.get(fv.core, 0) + sign * a
-    return Chain(X, chain.degree - 1, out)
-
-
-def coboundary(cochain: Cochain) -> Cochain:
-    X = cochain.complex
-    out = {}
-    for cell in X.cells(cochain.degree + 1):
-        total = 0
-        for i in range(cochain.degree + 2):
-            fv = X.face(cell, i)
-            sign = -1 if i % 2 else 1
-            total += sign * cochain(fv)
-        if total:
-            out[cell] = total
-    return Cochain(X, cochain.degree + 1, out)
-
-
-def pairing(cochain: Cochain, chain: Chain) -> int:
-    if cochain.complex is not chain.complex or cochain.degree != chain.degree:
-        raise SimplicialError("pairing needs a cochain and chain of the same degree")
-    return sum(cochain.values.get(c, 0) * a for c, a in chain.coeffs.items())
-
-
-def pushforward(f: SimplicialMap, chain: Chain) -> Chain:
-    """The induced map on normalized chains: degenerate images vanish."""
-    if chain.complex is not f.source:
-        raise SimplicialError("chain does not live on the map's source")
-    out = {}
-    for cell, a in chain.coeffs.items():
-        img = f.eval(f.source.simplex(cell))
-        if not img.is_nondegenerate:
-            continue
-        out[img.core] = out.get(img.core, 0) + a
-    return Chain(f.target, chain.degree, out)
-
-
-def _pulled(f: SimplicialMap, cochain: Cochain) -> dict:
-    """The nonzero values of the pullback, on the source cells."""
-    out = {}
-    for cell in f.source.cells(cochain.degree):
-        v = cochain(f.eval(f.source.simplex(cell)))
-        if v:
-            out[cell] = v
-    return out
-
-
-def pullback(f: SimplicialMap, cochain: Cochain) -> Cochain:
-    """Dual of the pushforward.  Total on finite complexes."""
-    if cochain.complex is not f.target:
-        raise SimplicialError("cochain does not live on the map's target")
-    return Cochain(f.source, cochain.degree, _pulled(f, cochain))
-
-
-def pullback_periodic(f, cochain: Cochain, depth: int):
-    """Pullback of a compactly supported cochain along a periodic map.
-
-    Requires the map to be proper — otherwise the preimage support would be
-    infinite and the result would not be compactly supported; raises
-    ControlError in that case.  Copy c lands in target cells glued at most
-    ``longest`` copies earlier (``Exhaustion._walks``), so the pullback is
-    read once, on source stage max(depth, s + longest), s the deepest target
-    stage in the support.
-    """
-    from .sset import PeriodicMap, _glue_depth, is_proper_map
-
-    if not isinstance(f, PeriodicMap):
-        raise SimplicialError("pullback_periodic needs a periodic map")
-    proper = is_proper_map(f)
-    if not proper.ok:
-        from .ctlset import ControlError
-        raise ControlError("pullback of compactly supported cochains needs a proper map: "
-                           + (proper.witness or "not proper"))
-    stage = depth
-    if f.target_is_exhaustion:
-        lag = max((longest for _, longest in f.target._walks), default=0)
-        for cell in cochain.values:
-            glued = _glue_depth(f.target, cell)
-            if glued is None:
-                raise SimplicialError("cochain does not live on the map's target")
-            stage = max(stage, glued + lag)
-    level = f.level_map(stage)
-    return Cochain(level.source, cochain.degree, _pulled(level, cochain))
-
-
-# --------------------------------------------------------------------------
 # the Borel–Moore / compact-support pairing
 
 @dataclass
@@ -978,17 +820,3 @@ def pairing_matrix(space, degree: int, window: int = 3,
 def euler_characteristic(result: TheoryResult) -> int:
     """Alternating sum of free ranks over the computed degrees."""
     return sum((-1) ** n * g.free_rank for n, g in sorted(result.groups.items()))
-
-
-def induced_on_homology(f: SimplicialMap, degree: int):
-    """The matrix of H_degree(f) between the normalized presentations,
-    returned as (source_presentation, target_presentation, image_coords)."""
-    src = StageComplex(f.source, frozenset())
-    tgt = StageComplex(f.target, frozenset())
-    ps = present_homology(src.boundary(degree), src.boundary(degree + 1))
-    pt = present_homology(tgt.boundary(degree), tgt.boundary(degree + 1))
-    index = {c: i for i, c in enumerate(tgt.basis(degree))}
-    images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))
-    cells = tuple(index[img.core] if img.is_nondegenerate else None for img in images)
-    size = len(tgt.basis(degree))
-    return ps, pt, [pt.reduce(_push(cells, size, g)) for g in ps.generators]

@@ -22,10 +22,8 @@ from .sset import (
     Cell,
     Exhaustion,
     FiniteSimplicialSet,
-    PeriodicMap,
     PresentationError,
     Simplex,
-    SlabRule,
     facet_complex,
     standard_simplex,
 )
@@ -277,6 +275,8 @@ def build(name: str):
 
 def fold_line_to_ray() -> PeriodicMap:
     """Fold the line onto the ray: both halves march outward together."""
+    from .maps import PeriodicMap, SlabRule
+
     src = line()
     tgt = ray()
     slab_cells = {c: Simplex((), c) for c in src.slab.all_cells()}
@@ -298,6 +298,8 @@ def cylinder_projection() -> PeriodicMap:
     triangles become degeneracies of ring edges.  The fibers over the ring
     grow with every stage, so this map is not proper.
     """
+    from .maps import PeriodicMap, SlabRule
+
     src = cylinder()
     tgt = _ring4()
     v = lambda k: Simplex((), Cell(0, f"r{k % 4}"))
@@ -321,7 +323,7 @@ def cylinder_projection() -> PeriodicMap:
 
 
 def identity_on(space_name: str):
-    from .sset import identity_periodic_map, identity_simplicial_map
+    from .maps import identity_periodic_map, identity_simplicial_map
 
     space = build(space_name)
     if isinstance(space, Exhaustion):

@@ -434,11 +434,10 @@ def validate_map(f: ControlledMap) -> MapReport:
             f"restriction to the full carrier is not proper: the fiber over "
             f"{a.value!r} is infinite"
         )
-    elif isinstance(a, ShiftAssignment):
+    else:  # a shift: ControlledMap refuses a table on the naturals
         # images of infinite controlled subsets are infinite (the shift part
-        # is injective), so they must be controlled in the target
-        if f.target.carrier.is_finite:
-            raise UnsupportedRepresentationError("shift into a finite carrier")
+        # is injective), so they must be controlled in the target: the
+        # naturals, as ControlledMap refuses a shift into a finite carrier
         if f.target.structure.kind == MIN:
             report.ok = False
             report.violations.append(
@@ -448,10 +447,6 @@ def validate_map(f: ControlledMap) -> MapReport:
         # condition 2: fibers have size <= 1 + patch size, always finite
         report.notes.append(
             f"fibers are bounded by 1 + {len(a.patch)} patched points"
-        )
-    else:
-        raise UnsupportedRepresentationError(
-            "table assignments cannot have the naturals as source"
         )
     return report
 
@@ -486,17 +481,14 @@ def compose(g: ControlledMap, f: ControlledMap) -> ControlledMap:
     # fa is a shift of the naturals; ga is constant or a shift
     if isinstance(ga, ConstantAssignment):
         return ControlledMap(f.source, g.target, ConstantAssignment(ga.value))
-    if isinstance(ga, ShiftAssignment):
-        offset = fa.offset + ga.offset
-        # the composite can differ from the shift only where f is patched or
-        # f lands on a patch of g; ShiftAssignment drops the entries that agree
-        candidates = set(fa.patch)
-        candidates.update(m - fa.offset for m in ga.patch if m >= fa.offset)
-        patch = {n: ga.evaluate(fa.evaluate(n)) for n in candidates}
-        return ControlledMap(f.source, g.target, ShiftAssignment(offset, patch))
-    raise UnsupportedRepresentationError(
-        f"composite falls outside the assignment catalogue: {type(ga).__name__}"
-    )
+    # a shift: g's source is the naturals, where ControlledMap refuses a table
+    offset = fa.offset + ga.offset
+    # the composite can differ from the shift only where f is patched or
+    # f lands on a patch of g; ShiftAssignment drops the entries that agree
+    candidates = set(fa.patch)
+    candidates.update(m - fa.offset for m in ga.patch if m >= fa.offset)
+    patch = {n: ga.evaluate(fa.evaluate(n)) for n in candidates}
+    return ControlledMap(f.source, g.target, ShiftAssignment(offset, patch))
 
 
 def all_set_maps(source: Carrier, target: Carrier):

@@ -1,0 +1,512 @@
+"""Maps between simplicial sets and the chains they act on: simplicial and
+periodic maps, properness, controlled families of simplices, the proper ⟺
+controlled check, chains and cochains with their pairing, pushforward and
+pullbacks, and the map a simplicial map induces on homology.
+
+No theory reads any of it, and neither ``sset`` nor ``chainalg`` imports
+this module, so a theory, ``check`` or ``pairing`` command never compiles
+it.  It is loaded by the first read of one of its names
+(``ctlhom.is_proper_map``, say), by the fixture maps of ``corpus``, and by
+the tests.  It is where the controlled-set layer (``ctlset``) may be
+imported to decide controlledness.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+
+from .chainalg import StageComplex, _push, present_homology
+from .sset import (_COPY_ID, Cell, Exhaustion, FiniteSimplicialSet, SimplicialError, Simplex,
+                   _crowding, _word_surjection, apply_ordinal_map, face)
+
+
+# --------------------------------------------------------------------------
+# simplicial maps
+
+class SimplicialMap:
+    """A map of finite simplicial sets, given on nondegenerate simplices.
+
+    Values are target simplices in normal form; the extension to degenerate
+    simplices pushes the degeneracy word through, and construction checks
+    commutation with every face operator (degeneracies then commute by
+    construction).
+    """
+
+    def __init__(self, source, target, mapping: dict, name=None):
+        self.source = source
+        self.target = target
+        self.name = name
+        self.mapping = dict(mapping)
+        for cell in source.all_cells():
+            img = self.mapping.get(cell)
+            if img is None:
+                raise SimplicialError(f"map is missing a value for {cell}")
+            if not isinstance(img, Simplex) or not target.has_cell(img.core):
+                raise SimplicialError(f"image of {cell} is not a target simplex")
+            if img.dim != cell.dim:
+                raise SimplicialError(
+                    f"image of {cell} has dimension {img.dim}, expected {cell.dim}"
+                )
+        problems = self.face_violations()
+        if problems:
+            raise SimplicialError("; ".join(problems[:5]))
+
+    def eval(self, x: Simplex) -> Simplex:
+        img = self.mapping[x.core]
+        if not x.word:
+            return img
+        return apply_ordinal_map(self.target, img, _word_surjection(x.word, x.dim))
+
+    def face_violations(self) -> list[str]:
+        bad = []
+        for cell in self.source.all_cells():
+            if cell.dim == 0:
+                continue
+            img = self.mapping[cell]
+            for i in range(cell.dim + 1):
+                lhs = self.eval(self.source.face(cell, i))
+                rhs = face(self.target, img, i)
+                if lhs != rhs:
+                    bad.append(f"map does not commute with face {i} of {cell}")
+        return bad
+
+    def __repr__(self):
+        return f"SimplicialMap({self.name or '?'})"
+
+
+def identity_simplicial_map(X: FiniteSimplicialSet) -> SimplicialMap:
+    return SimplicialMap(X, X, {c: Simplex((), c) for c in X.all_cells()}, name="identity")
+
+
+@dataclass(frozen=True)
+class SlabRule:
+    """Where a source slab copy goes: into the matching copy of a target
+    attachment chain (periodic), or onto fixed simplices of a finite target
+    (collapse, ``target_attachment is None``)."""
+
+    target_attachment: int | None
+    cell_map: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "cell_map", dict(self.cell_map))
+
+
+class PeriodicMap:
+    """A simplicial map out of an exhaustion, described periodically.
+
+    ``base_map`` sends the base's cells to target simplices; each source
+    attachment chain carries a SlabRule applied to every copy.  The finite
+    stage map at any depth is assembled (and face-checked) on demand.
+    """
+
+    def __init__(self, source: Exhaustion, target, base_map: dict,
+                 slab_rules, name=None):
+        self.source = source
+        self.target = target
+        self.base_map = dict(base_map)
+        self.slab_rules = tuple(slab_rules)
+        self.name = name
+        if len(self.slab_rules) != len(source.attachments):
+            raise SimplicialError("need one slab rule per attachment chain")
+
+    @property
+    def target_is_exhaustion(self) -> bool:
+        return isinstance(self.target, Exhaustion)
+
+    @cached_property
+    def _slab_images(self) -> tuple:
+        """Per source chain, (slab cell, rule value) for each cell a copy adds,
+        in slab order; in-boundary cells are glued to cells assigned before."""
+        images = []
+        for a, (rule, (_, into, _)) in enumerate(zip(self.slab_rules, self.source._resolved)):
+            added = [c for c in self.source.slab.all_cells() if c not in into]
+            missing = [c for c in added if rule.cell_map.get(c) is None]
+            if missing:
+                raise SimplicialError(f"slab rule {a} is missing a value for {missing[0]}")
+            images.append([(c, rule.cell_map[c]) for c in added])
+        return tuple(images)
+
+    def level_map(self, depth: int) -> SimplicialMap:
+        """The finite stage map K_depth(source) -> stage-or-target, validated."""
+        src_complex = self.source.truncate(depth).complex
+        tgt_complex = (self.target.truncate(depth).complex if self.target_is_exhaustion
+                       else self.target)
+        mapping = dict(self.base_map)
+        for a, rule in enumerate(self.slab_rules):
+            for c in range(1, depth + 1):
+                trans = self.source.translations[(a, c)]
+                translate = (None if rule.target_attachment is None
+                             else self.target.translations[(rule.target_attachment, c)])
+                for cell, img in self._slab_images[a]:
+                    mapping[trans[cell]] = (img if translate is None
+                                            else Simplex(img.word, translate[img.core]))
+        return SimplicialMap(src_complex, tgt_complex, mapping,
+                             name=f"{self.name or 'map'}[{depth}]")
+
+    def __repr__(self):
+        return f"PeriodicMap({self.name or '?'})"
+
+
+def identity_periodic_map(X: Exhaustion) -> PeriodicMap:
+    # target attachment indices must match source chains one-to-one
+    rules = [SlabRule(a, {c: Simplex((), c) for c in X.slab.all_cells()})
+             for a in range(len(X.attachments))]
+    return PeriodicMap(X, X, {c: Simplex((), c) for c in X.base.all_cells()}, rules,
+                       name="identity")
+
+
+# --------------------------------------------------------------------------
+# properness
+
+@dataclass
+class PropernessReport:
+    ok: bool
+    max_fiber: int | None = None
+    witness: str | None = None
+    notes: list[str] = field(default_factory=list)
+
+
+def _fiber_counts(level: SimplicialMap) -> Counter:
+    return Counter(level.mapping[cell].core for cell in level.source.all_cells())
+
+
+def _infinite_fibers(f: PeriodicMap) -> set:
+    """The target simplices that cells of infinitely many copies map to: a
+    collapse rule sends every copy onto the same ones, a periodic rule copy
+    c into copy c of its target chain, where only cells on its cycles recur."""
+    fibers = set()
+    for rule, images in zip(f.slab_rules, f._slab_images):
+        if rule.target_attachment is None:
+            fibers.update(img for _, img in images)
+        else:
+            cycles = f.target._walks[rule.target_attachment][0]
+            fibers.update(Simplex(img.word, b) for _, img in images for b in cycles.get(img.core, ()))
+    return fibers
+
+
+def is_proper_map(f) -> PropernessReport:
+    """Decide levelwise properness: finitely many nondegenerate source
+    simplices over (a degeneracy of) each nondegenerate target simplex.
+
+    Finite maps are proper with the fiber bound reported.  A periodic map is
+    proper exactly when no target simplex takes cells of infinitely many
+    copies (``_infinite_fibers``); the witness is the first such core in
+    target order, with its fiber sizes at depths 1..8.
+    """
+    if isinstance(f, SimplicialMap):
+        return PropernessReport(ok=True, max_fiber=max(_fiber_counts(f).values(), default=0))
+    cores = {img.core for img in _infinite_fibers(f)}
+    if not cores:
+        return PropernessReport(ok=True, notes=["no simplex takes cells of infinitely many copies"])
+    order = (f.target.base if f.target_is_exhaustion else f.target).all_cells()
+    worst = next(y for y in order if y in cores)
+    sizes = [_fiber_counts(f.level_map(d))[worst] for d in range(1, 9)]
+    return PropernessReport(ok=False, witness=f"fiber over {worst.id!r} keeps growing: sizes {sizes}")
+
+
+# --------------------------------------------------------------------------
+# controlled families of simplices
+
+@dataclass(frozen=True)
+class FiniteFamily:
+    members: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+
+
+@dataclass(frozen=True)
+class AllCellsFamily:
+    """Every nondegenerate simplex, optionally of one dimension."""
+
+    dim: int | None = None
+
+
+@dataclass(frozen=True)
+class PerSlabFamily:
+    """The same selection of slab cells in every copy, plus base cells."""
+
+    base_cells: tuple = ()
+    slab_cells: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "base_cells", tuple(self.base_cells))
+        object.__setattr__(self, "slab_cells", tuple(self.slab_cells))
+
+
+@dataclass(frozen=True)
+class DegeneracyTowerFamily:
+    """All iterated degeneracies of one fixed simplex: an infinite family
+    concentrated over a single core."""
+
+    base: Simplex
+
+
+def _glue_depth(X: Exhaustion, cell) -> int | None:
+    """The first stage of an exhaustion that has the cell, or None if none
+    has it: 0 for a base cell, and d for copy d of the slab cell ``id`` that
+    copies on chain a add, named ``a{a}c{d}.{id}``."""
+    if X.base.has_cell(cell):
+        return 0
+    match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
+    copied = match and int(match[1]) < len(X._resolved) and X._slab_lookup.get(match[3])
+    if copied and copied.dim == cell.dim and copied not in X._resolved[int(match[1])][1]:
+        return int(match[2])
+    return None
+
+
+def _has_cell(X, cell) -> bool:
+    """Whether a finite complex, or a stage of an exhaustion, has the cell."""
+    return X.has_cell(cell) if isinstance(X, FiniteSimplicialSet) else _glue_depth(X, cell) is not None
+
+
+def family_is_controlled(X, family) -> bool:
+    """Whether each vertex star meets only finitely many family members.
+
+    A family naming a cell the space lacks (a finite complex has no slab),
+    or a negative dimension, is refused.  Finite families always qualify,
+    and so does every family on a finite complex but a degeneracy tower,
+    which concentrates infinitely many members over its core's vertices.  On
+    an exhaustion, all cells (or those of one dimension) and a per-slab
+    selection are slab cells copied into every copy, controlled unless they
+    crowd a star (``_crowding``)."""
+    finite = isinstance(X, FiniteSimplicialSet)
+    if isinstance(family, FiniteFamily):
+        named = [(X, getattr(m, "core", m)) for m in family.members]
+    elif isinstance(family, DegeneracyTowerFamily):
+        named = [(X, family.base.core)]
+    elif isinstance(family, PerSlabFamily):
+        named = ([(X if finite else X.base, c) for c in family.base_cells]
+                 + [(None if finite else X.slab, c) for c in family.slab_cells])
+    elif isinstance(family, AllCellsFamily):
+        named = []
+        if family.dim is not None and family.dim < 0:
+            raise SimplicialError(f"negative dimension in {family!r}")
+    else:
+        raise SimplicialError(f"unknown family kind {type(family).__name__}")
+    if not all(Y is not None and isinstance(c, Cell) and _has_cell(Y, c) for Y, c in named):
+        raise SimplicialError(f"unknown cell in {family!r}")
+    if finite or isinstance(family, (FiniteFamily, DegeneracyTowerFamily)):
+        return not isinstance(family, DegeneracyTowerFamily)
+    cells = (family.slab_cells if isinstance(family, PerSlabFamily)
+             else [c for c in X.slab.all_cells() if family.dim in (None, c.dim)])
+    return _crowding(X, [cells] * len(X.attachments)) is None
+
+
+# --------------------------------------------------------------------------
+# properness vs controlled-map conditions
+
+@dataclass
+class EquivalenceReport:
+    proper_ok: bool
+    proper_witness: str | None
+    controlled_ok: bool
+    controlled_witness: str | None
+    agree: bool
+
+
+def proper_controlled_equivalence(f) -> EquivalenceReport:
+    """Compare levelwise properness against the controlled-map conditions.
+
+    The controlled side takes the canonical generating family (all
+    nondegenerate simplices, stagewise) and requires (1) its image family to
+    be controlled in the target: collapse images form a finite set, and the
+    image cores of each periodic rule, copied into its target chain, must not
+    crowd a star (``_crowding``); and (2) the fibers over single simplices
+    (``_infinite_fibers``) to be finite.  The sides are not independent:
+    on a periodic map ``is_proper_map`` reads the same ``_infinite_fibers``,
+    so ``agree`` can fail only through (1).  Item 4 of ROADMAP.md plans to
+    decide them apart."""
+    proper = is_proper_map(f)
+    if isinstance(f, SimplicialMap):
+        # finite complexes: the image family is finite, fibers are finite
+        return EquivalenceReport(proper.ok, proper.witness, True, None, proper.ok is True)
+    images = [set() for _ in f.target.attachments] if f.target_is_exhaustion else []
+    for rule, slab_images in zip(f.slab_rules, f._slab_images):
+        if rule.target_attachment is not None:
+            images[rule.target_attachment].update(img.core for _, img in slab_images)
+    crowding = _crowding(f.target, images) if images else None
+    infinite = _infinite_fibers(f)
+    if crowding is not None:
+        controlled_ok = False
+        controlled_witness = f"image family member counts keep growing ({crowding.witness})"
+    elif infinite:
+        controlled_ok, controlled_witness = False, f"restricted fibers are infinite over {min(infinite)!r}"
+    else:
+        controlled_ok, controlled_witness = True, None
+    return EquivalenceReport(proper.ok, proper.witness, controlled_ok, controlled_witness,
+                             agree=proper.ok == controlled_ok)
+
+
+# --------------------------------------------------------------------------
+# chains, cochains, pairings
+
+def _support(X: FiniteSimplicialSet, degree: int, values: dict) -> dict:
+    """The nonzero values, keyed by cells of X of the given degree."""
+    clean = {}
+    for cell, a in values.items():
+        if not isinstance(cell, Cell) or cell.dim != degree:
+            raise SimplicialError(f"{cell} is not a {degree}-cell")
+        if not X.has_cell(cell):
+            raise SimplicialError(f"{cell} is not in the complex")
+        if a:
+            clean[cell] = int(a)
+    return clean
+
+
+@dataclass
+class Chain:
+    """A finitely supported integer chain on the nondegenerate cells."""
+
+    complex: FiniteSimplicialSet
+    degree: int
+    coeffs: dict
+
+    def __post_init__(self):
+        self.coeffs = _support(self.complex, self.degree, self.coeffs)
+
+    def vector(self, basis) -> tuple:
+        return tuple(self.coeffs.get(c, 0) for c in basis)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Chain)
+            and self.complex is other.complex
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+
+@dataclass
+class Cochain:
+    """A function on nondegenerate cells (vanishing on degenerates)."""
+
+    complex: FiniteSimplicialSet
+    degree: int
+    values: dict
+
+    def __post_init__(self):
+        self.values = _support(self.complex, self.degree, self.values)
+
+    def __call__(self, x) -> int:
+        if isinstance(x, Cell):
+            return self.values.get(x, 0)
+        if isinstance(x, Simplex):
+            if not x.is_nondegenerate:
+                return 0
+            return self.values.get(x.core, 0)
+        raise SimplicialError(f"cannot evaluate a cochain on {x!r}")
+
+    def vector(self, basis) -> tuple:
+        return tuple(self.values.get(c, 0) for c in basis)
+
+
+def boundary(chain: Chain) -> Chain:
+    out = {}
+    X = chain.complex
+    for cell, a in chain.coeffs.items():
+        for i in range(chain.degree + 1):
+            fv = X.face(cell, i)
+            if not fv.is_nondegenerate:
+                continue
+            sign = -1 if i % 2 else 1
+            out[fv.core] = out.get(fv.core, 0) + sign * a
+    return Chain(X, chain.degree - 1, out)
+
+
+def coboundary(cochain: Cochain) -> Cochain:
+    X = cochain.complex
+    out = {}
+    for cell in X.cells(cochain.degree + 1):
+        total = 0
+        for i in range(cochain.degree + 2):
+            fv = X.face(cell, i)
+            sign = -1 if i % 2 else 1
+            total += sign * cochain(fv)
+        if total:
+            out[cell] = total
+    return Cochain(X, cochain.degree + 1, out)
+
+
+def pairing(cochain: Cochain, chain: Chain) -> int:
+    if cochain.complex is not chain.complex or cochain.degree != chain.degree:
+        raise SimplicialError("pairing needs a cochain and chain of the same degree")
+    return sum(cochain.values.get(c, 0) * a for c, a in chain.coeffs.items())
+
+
+def pushforward(f: SimplicialMap, chain: Chain) -> Chain:
+    """The induced map on normalized chains: degenerate images vanish."""
+    if chain.complex is not f.source:
+        raise SimplicialError("chain does not live on the map's source")
+    out = {}
+    for cell, a in chain.coeffs.items():
+        img = f.eval(f.source.simplex(cell))
+        if not img.is_nondegenerate:
+            continue
+        out[img.core] = out.get(img.core, 0) + a
+    return Chain(f.target, chain.degree, out)
+
+
+def _pulled(f: SimplicialMap, cochain: Cochain) -> dict:
+    """The nonzero values of the pullback, on the source cells."""
+    out = {}
+    for cell in f.source.cells(cochain.degree):
+        v = cochain(f.eval(f.source.simplex(cell)))
+        if v:
+            out[cell] = v
+    return out
+
+
+def pullback(f: SimplicialMap, cochain: Cochain) -> Cochain:
+    """Dual of the pushforward.  Total on finite complexes."""
+    if cochain.complex is not f.target:
+        raise SimplicialError("cochain does not live on the map's target")
+    return Cochain(f.source, cochain.degree, _pulled(f, cochain))
+
+
+def pullback_periodic(f, cochain: Cochain, depth: int):
+    """Pullback of a compactly supported cochain along a periodic map.
+
+    Requires the map to be proper — otherwise the preimage support would be
+    infinite and the result would not be compactly supported; raises
+    ControlError in that case.  Copy c lands in target cells glued at most
+    ``longest`` copies earlier (``Exhaustion._walks``), so the pullback is
+    read once, on source stage max(depth, s + longest), s the deepest target
+    stage in the support.
+    """
+    if not isinstance(f, PeriodicMap):
+        raise SimplicialError("pullback_periodic needs a periodic map")
+    proper = is_proper_map(f)
+    if not proper.ok:
+        from .ctlset import ControlError
+        raise ControlError("pullback of compactly supported cochains needs a proper map: "
+                           + (proper.witness or "not proper"))
+    stage = depth
+    if f.target_is_exhaustion:
+        lag = max((longest for _, longest in f.target._walks), default=0)
+        for cell in cochain.values:
+            glued = _glue_depth(f.target, cell)
+            if glued is None:
+                raise SimplicialError("cochain does not live on the map's target")
+            stage = max(stage, glued + lag)
+    level = f.level_map(stage)
+    return Cochain(level.source, cochain.degree, _pulled(level, cochain))
+
+
+# --------------------------------------------------------------------------
+# induced maps on homology
+
+def induced_on_homology(f: SimplicialMap, degree: int):
+    """The matrix of H_degree(f) between the normalized presentations,
+    returned as (source_presentation, target_presentation, image_coords)."""
+    src = StageComplex(f.source, frozenset())
+    tgt = StageComplex(f.target, frozenset())
+    ps = present_homology(src.boundary(degree), src.boundary(degree + 1))
+    pt = present_homology(tgt.boundary(degree), tgt.boundary(degree + 1))
+    index = {c: i for i, c in enumerate(tgt.basis(degree))}
+    images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))
+    cells = tuple(index[img.core] if img.is_nondegenerate else None for img in images)
+    size = len(tgt.basis(degree))
+    return ps, pt, [pt.reduce(_push(cells, size, g)) for g in ps.generators]

@@ -6,6 +6,8 @@ of degeneracy indices applied to a nondegenerate cell.  The contravariant
 action of an arbitrary ordinal map is computed by composing with the word's
 surjection, factoring, walking the injection through stored face assignments,
 and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
+Local finiteness is decided here; maps, properness and controlled families
+are in ``maps``, which imports this module and which no theory loads.
 """
 
 from __future__ import annotations
@@ -700,321 +702,3 @@ def is_locally_finite(X) -> LocalFinitenessReport:
         note = f"stars stabilized across stages 1..{depth}"
         stars_at = lambda: (X.truncate(depth).complex, X.truncate(3).complex.cells(0))
     return LocalFinitenessReport(ok=True, notes=[note], _stars_at=stars_at)
-
-
-# --------------------------------------------------------------------------
-# simplicial maps
-
-class SimplicialMap:
-    """A map of finite simplicial sets, given on nondegenerate simplices.
-
-    Values are target simplices in normal form; the extension to degenerate
-    simplices pushes the degeneracy word through, and construction checks
-    commutation with every face operator (degeneracies then commute by
-    construction).
-    """
-
-    def __init__(self, source, target, mapping: dict, name=None):
-        self.source = source
-        self.target = target
-        self.name = name
-        self.mapping = dict(mapping)
-        for cell in source.all_cells():
-            img = self.mapping.get(cell)
-            if img is None:
-                raise SimplicialError(f"map is missing a value for {cell}")
-            if not isinstance(img, Simplex) or not target.has_cell(img.core):
-                raise SimplicialError(f"image of {cell} is not a target simplex")
-            if img.dim != cell.dim:
-                raise SimplicialError(
-                    f"image of {cell} has dimension {img.dim}, expected {cell.dim}"
-                )
-        problems = self.face_violations()
-        if problems:
-            raise SimplicialError("; ".join(problems[:5]))
-
-    def eval(self, x: Simplex) -> Simplex:
-        img = self.mapping[x.core]
-        if not x.word:
-            return img
-        return apply_ordinal_map(self.target, img, _word_surjection(x.word, x.dim))
-
-    def face_violations(self) -> list[str]:
-        bad = []
-        for cell in self.source.all_cells():
-            if cell.dim == 0:
-                continue
-            img = self.mapping[cell]
-            for i in range(cell.dim + 1):
-                lhs = self.eval(self.source.face(cell, i))
-                rhs = face(self.target, img, i)
-                if lhs != rhs:
-                    bad.append(f"map does not commute with face {i} of {cell}")
-        return bad
-
-    def __repr__(self):
-        return f"SimplicialMap({self.name or '?'})"
-
-
-def identity_simplicial_map(X: FiniteSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, {c: Simplex((), c) for c in X.all_cells()}, name="identity")
-
-
-@dataclass(frozen=True)
-class SlabRule:
-    """Where a source slab copy goes: into the matching copy of a target
-    attachment chain (periodic), or onto fixed simplices of a finite target
-    (collapse, ``target_attachment is None``)."""
-
-    target_attachment: int | None
-    cell_map: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "cell_map", dict(self.cell_map))
-
-
-class PeriodicMap:
-    """A simplicial map out of an exhaustion, described periodically.
-
-    ``base_map`` sends the base's cells to target simplices; each source
-    attachment chain carries a SlabRule applied to every copy.  The finite
-    stage map at any depth is assembled (and face-checked) on demand.
-    """
-
-    def __init__(self, source: Exhaustion, target, base_map: dict,
-                 slab_rules, name=None):
-        self.source = source
-        self.target = target
-        self.base_map = dict(base_map)
-        self.slab_rules = tuple(slab_rules)
-        self.name = name
-        if len(self.slab_rules) != len(source.attachments):
-            raise SimplicialError("need one slab rule per attachment chain")
-
-    @property
-    def target_is_exhaustion(self) -> bool:
-        return isinstance(self.target, Exhaustion)
-
-    @cached_property
-    def _slab_images(self) -> tuple:
-        """Per source chain, (slab cell, rule value) for each cell a copy adds,
-        in slab order; in-boundary cells are glued to cells assigned before."""
-        images = []
-        for a, (rule, (_, into, _)) in enumerate(zip(self.slab_rules, self.source._resolved)):
-            added = [c for c in self.source.slab.all_cells() if c not in into]
-            missing = [c for c in added if rule.cell_map.get(c) is None]
-            if missing:
-                raise SimplicialError(f"slab rule {a} is missing a value for {missing[0]}")
-            images.append([(c, rule.cell_map[c]) for c in added])
-        return tuple(images)
-
-    def level_map(self, depth: int) -> SimplicialMap:
-        """The finite stage map K_depth(source) -> stage-or-target, validated."""
-        src_complex = self.source.truncate(depth).complex
-        tgt_complex = (self.target.truncate(depth).complex if self.target_is_exhaustion
-                       else self.target)
-        mapping = dict(self.base_map)
-        for a, rule in enumerate(self.slab_rules):
-            for c in range(1, depth + 1):
-                trans = self.source.translations[(a, c)]
-                translate = (None if rule.target_attachment is None
-                             else self.target.translations[(rule.target_attachment, c)])
-                for cell, img in self._slab_images[a]:
-                    mapping[trans[cell]] = (img if translate is None
-                                            else Simplex(img.word, translate[img.core]))
-        return SimplicialMap(src_complex, tgt_complex, mapping,
-                             name=f"{self.name or 'map'}[{depth}]")
-
-    def __repr__(self):
-        return f"PeriodicMap({self.name or '?'})"
-
-
-def identity_periodic_map(X: Exhaustion) -> PeriodicMap:
-    # target attachment indices must match source chains one-to-one
-    rules = [SlabRule(a, {c: Simplex((), c) for c in X.slab.all_cells()})
-             for a in range(len(X.attachments))]
-    return PeriodicMap(X, X, {c: Simplex((), c) for c in X.base.all_cells()}, rules,
-                       name="identity")
-
-
-# --------------------------------------------------------------------------
-# properness
-
-@dataclass
-class PropernessReport:
-    ok: bool
-    max_fiber: int | None = None
-    witness: str | None = None
-    notes: list[str] = field(default_factory=list)
-
-
-def _fiber_counts(level: SimplicialMap) -> Counter:
-    return Counter(level.mapping[cell].core for cell in level.source.all_cells())
-
-
-def _infinite_fibers(f: PeriodicMap) -> set:
-    """The target simplices that cells of infinitely many copies map to: a
-    collapse rule sends every copy onto the same ones, a periodic rule copy
-    c into copy c of its target chain, where only cells on its cycles recur."""
-    fibers = set()
-    for rule, images in zip(f.slab_rules, f._slab_images):
-        if rule.target_attachment is None:
-            fibers.update(img for _, img in images)
-        else:
-            cycles = f.target._walks[rule.target_attachment][0]
-            fibers.update(Simplex(img.word, b) for _, img in images for b in cycles.get(img.core, ()))
-    return fibers
-
-
-def is_proper_map(f) -> PropernessReport:
-    """Decide levelwise properness: finitely many nondegenerate source
-    simplices over (a degeneracy of) each nondegenerate target simplex.
-
-    Finite maps are proper with the fiber bound reported.  A periodic map is
-    proper exactly when no target simplex takes cells of infinitely many
-    copies (``_infinite_fibers``); the witness is the first such core in
-    target order, with its fiber sizes at depths 1..8.
-    """
-    if isinstance(f, SimplicialMap):
-        return PropernessReport(ok=True, max_fiber=max(_fiber_counts(f).values(), default=0))
-    cores = {img.core for img in _infinite_fibers(f)}
-    if not cores:
-        return PropernessReport(ok=True, notes=["no simplex takes cells of infinitely many copies"])
-    order = (f.target.base if f.target_is_exhaustion else f.target).all_cells()
-    worst = next(y for y in order if y in cores)
-    sizes = [_fiber_counts(f.level_map(d))[worst] for d in range(1, 9)]
-    return PropernessReport(ok=False, witness=f"fiber over {worst.id!r} keeps growing: sizes {sizes}")
-
-
-# --------------------------------------------------------------------------
-# controlled families of simplices
-
-@dataclass(frozen=True)
-class FiniteFamily:
-    members: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-
-
-@dataclass(frozen=True)
-class AllCellsFamily:
-    """Every nondegenerate simplex, optionally of one dimension."""
-
-    dim: int | None = None
-
-
-@dataclass(frozen=True)
-class PerSlabFamily:
-    """The same selection of slab cells in every copy, plus base cells."""
-
-    base_cells: tuple = ()
-    slab_cells: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_cells", tuple(self.base_cells))
-        object.__setattr__(self, "slab_cells", tuple(self.slab_cells))
-
-
-@dataclass(frozen=True)
-class DegeneracyTowerFamily:
-    """All iterated degeneracies of one fixed simplex: an infinite family
-    concentrated over a single core."""
-
-    base: Simplex
-
-
-def _glue_depth(X: Exhaustion, cell) -> int | None:
-    """The first stage of an exhaustion that has the cell, or None if none
-    has it: 0 for a base cell, and d for copy d of the slab cell ``id`` that
-    copies on chain a add, named ``a{a}c{d}.{id}``."""
-    if X.base.has_cell(cell):
-        return 0
-    match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
-    copied = match and int(match[1]) < len(X._resolved) and X._slab_lookup.get(match[3])
-    if copied and copied.dim == cell.dim and copied not in X._resolved[int(match[1])][1]:
-        return int(match[2])
-    return None
-
-
-def _has_cell(X, cell) -> bool:
-    """Whether a finite complex, or a stage of an exhaustion, has the cell."""
-    return X.has_cell(cell) if isinstance(X, FiniteSimplicialSet) else _glue_depth(X, cell) is not None
-
-
-def family_is_controlled(X, family) -> bool:
-    """Whether each vertex star meets only finitely many family members.
-
-    A family naming a cell the space lacks (a finite complex has no slab),
-    or a negative dimension, is refused.  Finite families always qualify,
-    and so does every family on a finite complex but a degeneracy tower,
-    which concentrates infinitely many members over its core's vertices.  On
-    an exhaustion, all cells (or those of one dimension) and a per-slab
-    selection are slab cells copied into every copy, controlled unless they
-    crowd a star (``_crowding``)."""
-    finite = isinstance(X, FiniteSimplicialSet)
-    if isinstance(family, FiniteFamily):
-        named = [(X, getattr(m, "core", m)) for m in family.members]
-    elif isinstance(family, DegeneracyTowerFamily):
-        named = [(X, family.base.core)]
-    elif isinstance(family, PerSlabFamily):
-        named = ([(X if finite else X.base, c) for c in family.base_cells]
-                 + [(None if finite else X.slab, c) for c in family.slab_cells])
-    elif isinstance(family, AllCellsFamily):
-        named = []
-        if family.dim is not None and family.dim < 0:
-            raise SimplicialError(f"negative dimension in {family!r}")
-    else:
-        raise SimplicialError(f"unknown family kind {type(family).__name__}")
-    if not all(Y is not None and isinstance(c, Cell) and _has_cell(Y, c) for Y, c in named):
-        raise SimplicialError(f"unknown cell in {family!r}")
-    if finite or isinstance(family, (FiniteFamily, DegeneracyTowerFamily)):
-        return not isinstance(family, DegeneracyTowerFamily)
-    cells = (family.slab_cells if isinstance(family, PerSlabFamily)
-             else [c for c in X.slab.all_cells() if family.dim in (None, c.dim)])
-    return _crowding(X, [cells] * len(X.attachments)) is None
-
-
-# --------------------------------------------------------------------------
-# properness vs controlled-map conditions
-
-@dataclass
-class EquivalenceReport:
-    proper_ok: bool
-    proper_witness: str | None
-    controlled_ok: bool
-    controlled_witness: str | None
-    agree: bool
-
-
-def proper_controlled_equivalence(f) -> EquivalenceReport:
-    """Compare levelwise properness against the controlled-map conditions.
-
-    The controlled side takes the canonical generating family (all
-    nondegenerate simplices, stagewise) and requires (1) its image family to
-    be controlled in the target: collapse images form a finite set, and the
-    image cores of each periodic rule, copied into its target chain, must not
-    crowd a star (``_crowding``); and (2) the fibers over single simplices
-    (``_infinite_fibers``) to be finite.  The sides are not independent:
-    on a periodic map ``is_proper_map`` reads the same ``_infinite_fibers``,
-    so ``agree`` can fail only through (1).  Item 4 of ROADMAP.md plans to
-    decide them apart."""
-    proper = is_proper_map(f)
-    if isinstance(f, SimplicialMap):
-        # finite complexes: the image family is finite, fibers are finite
-        return EquivalenceReport(proper.ok, proper.witness, True, None, proper.ok is True)
-    images = [set() for _ in f.target.attachments] if f.target_is_exhaustion else []
-    for rule, slab_images in zip(f.slab_rules, f._slab_images):
-        if rule.target_attachment is not None:
-            images[rule.target_attachment].update(img.core for _, img in slab_images)
-    crowding = _crowding(f.target, images) if images else None
-    infinite = _infinite_fibers(f)
-    if crowding is not None:
-        controlled_ok = False
-        controlled_witness = f"image family member counts keep growing ({crowding.witness})"
-    elif infinite:
-        controlled_ok, controlled_witness = False, f"restricted fibers are infinite over {min(infinite)!r}"
-    else:
-        controlled_ok, controlled_witness = True, None
-    return EquivalenceReport(proper.ok, proper.witness, controlled_ok, controlled_witness,
-                             agree=proper.ok == controlled_ok)

@@ -2,16 +2,8 @@
 register."""
 
 from ctlhom.corpus import infinite_star, ray
-from ctlhom.sset import (
-    Attachment,
-    Cell,
-    Exhaustion,
-    FiniteSimplicialSet,
-    PeriodicMap,
-    Simplex,
-    SlabRule,
-    identity_periodic_map,
-)
+from ctlhom.maps import PeriodicMap, SlabRule, identity_periodic_map
+from ctlhom.sset import Attachment, Cell, Exhaustion, FiniteSimplicialSet, Simplex
 
 
 def _v(name) -> Simplex:

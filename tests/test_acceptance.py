@@ -15,18 +15,13 @@ from ctlhom.chainalg import (
     INTEGER,
     RATIONAL,
     AbelianGroup,
-    Chain,
-    Cochain,
     TRIVIAL_GROUP,
     bm_homology,
-    boundary,
     boundary_matrix,
-    coboundary,
     cohomology,
     cohomology_c,
     euler_characteristic,
     homology,
-    pairing,
     pairing_matrix,
     parse_coefficients,
     present_homology,
@@ -61,8 +56,9 @@ from ctlhom.ctlset import (
     validate_map,
 )
 from ctlhom.laws import run_all
+from ctlhom.maps import Chain, Cochain, boundary, coboundary, pairing, proper_controlled_equivalence
 from ctlhom.snf import IntMatrix, smith_normal_form
-from ctlhom.sset import proper_controlled_equivalence, standard_simplex
+from ctlhom.sset import standard_simplex
 
 
 def criterion(label):

@@ -11,31 +11,22 @@ from ctlhom.chainalg import (
     RATIONAL,
     THEORY_DRIVERS,
     AbelianGroup,
-    Chain,
-    Cochain,
     CoefficientError,
     NonStabilizationError,
     StageComplex,
     TRIVIAL_GROUP,
     bm_homology,
-    boundary,
     boundary_matrix,
     chain_basis,
-    coboundary,
     cohomology,
     cohomology_c,
     convert_group,
     euler_characteristic,
     homology,
-    induced_on_homology,
     invariant_chain,
-    pairing,
     pairing_matrix,
     parse_coefficients,
     present_homology,
-    pullback,
-    pullback_periodic,
-    pushforward,
     render_group,
     unnormalized_boundary_matrix,
 )
@@ -54,12 +45,23 @@ from ctlhom.corpus import (
     torus,
 )
 from ctlhom.ctlset import ControlError
+from ctlhom.maps import (
+    Chain,
+    Cochain,
+    SimplicialMap,
+    boundary,
+    coboundary,
+    induced_on_homology,
+    pairing,
+    pullback,
+    pullback_periodic,
+    pushforward,
+)
 from ctlhom.sset import (
     Cell,
     FiniteSimplicialSet,
     Simplex,
     SimplicialError,
-    SimplicialMap,
     standard_simplex,
 )
 from ctlhom.snf import IntMatrix, MatrixError

@@ -201,6 +201,16 @@ def test_loader_refusals_name_the_fault(space, edit, message):
     assert type(err.value) is SpaceFormatError and str(err.value) == message
 
 
+def test_builders_and_the_writer_refuse_what_they_cannot_make():
+    with pytest.raises(UnknownSpaceError) as err:
+        sphere(-1)
+    assert type(err.value) is UnknownSpaceError
+    assert str(err.value) == "sphere dimension must be non-negative"
+    with pytest.raises(SpaceFormatError) as err:
+        space_to_json(torus().cells(0))
+    assert type(err.value) is SpaceFormatError and str(err.value) == "cannot serialize tuple"
+
+
 def test_loader_refuses_what_is_not_a_space_file(tmp_path):
     with pytest.raises(SpaceFormatError, match="^top level must be an object$"):
         space_from_json([])

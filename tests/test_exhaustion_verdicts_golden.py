@@ -33,17 +33,15 @@ from ctlhom.corpus import (
     ray,
     save_space,
 )
-from ctlhom.sset import (
+from ctlhom.maps import (
     AllCellsFamily,
-    Cell,
     DegeneracyTowerFamily,
     FiniteFamily,
     PerSlabFamily,
-    Simplex,
     family_is_controlled,
-    is_locally_finite,
     proper_controlled_equivalence,
 )
+from ctlhom.sset import Cell, Simplex, is_locally_finite
 from exhaustions import (
     bead_string,
     dots_into_tail,

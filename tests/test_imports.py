@@ -1,6 +1,7 @@
-"""What a process loads: ``import ctlhom`` loads no submodule, and only the
-commands that use the controlled-set layer (``ctlset``, ``laws``) load it.
-Each check runs in a fresh interpreter, since other tests load everything."""
+"""What a process loads: ``import ctlhom`` loads no submodule, only the
+commands that use the controlled-set layer (``ctlset``, ``laws``) load it,
+and no command loads the map layer (``maps``).  Each check runs in a fresh
+interpreter, since other tests load everything."""
 
 import json
 import subprocess
@@ -18,7 +19,7 @@ _PRELUDE = """\
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 def layer():
-    return sorted(n for n in ("ctlhom.ctlset", "ctlhom.laws") if n in sys.modules)
+    return sorted(n for n in ("ctlhom.ctlset", "ctlhom.laws", "ctlhom.maps") if n in sys.modules)
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
@@ -48,7 +49,8 @@ import ctlhom.chainalg
 steps.append(["import ctlhom.chainalg", None, layer()])
 import ctlhom.cli as cli
 steps.append(["import ctlhom.cli", None, layer()])
-for argv in (["homology", "torus", "--json"], ["homology", "infinite_star"],
+for argv in (["homology", "torus", "--json"], ["check", "torus", "--json"],
+             ["pairing", "line", "--degree", "1", "--json"], ["homology", "infinite_star"],
              ["homology", sys.argv[2]], ["laws", "--json"]):
     steps.append([" ".join(argv[:2]), run(argv), layer()])
 print(json.dumps(steps))
@@ -58,10 +60,21 @@ print(json.dumps(steps))
         ["import ctlhom.chainalg", None, []],
         ["import ctlhom.cli", None, []],
         ["homology torus", 0, []],
+        ["check torus", 0, []],
+        ["pairing line", 0, []],
         ["homology infinite_star", 3, []],
         ["homology " + str(star), 3, []],
         ["laws --json", 0, ["ctlhom.ctlset", "ctlhom.laws"]],
     ]
+
+
+def test_a_map_name_loads_the_map_layer_and_not_the_controlled_set_layer():
+    loaded = _fresh("""
+import ctlhom
+ctlhom.is_proper_map
+print(json.dumps(layer()))
+""")
+    assert loaded == ["ctlhom.maps"]
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlhom import delta, sset
+from ctlhom import delta, maps, sset
 from ctlhom.chainalg import AbelianGroup, NonStabilizationError, bm_homology, homology
 from ctlhom.corpus import (
     balloon_ray,
@@ -28,32 +28,34 @@ from ctlhom.corpus import (
     torus,
 )
 from ctlhom.delta import all_monotone_maps, compose, identity
-from ctlhom.sset import (
+from ctlhom.maps import (
     AllCellsFamily,
-    Attachment,
-    Cell,
     DegeneracyTowerFamily,
-    Exhaustion,
     FiniteFamily,
-    FiniteSimplicialSet,
     PerSlabFamily,
     PeriodicMap,
+    SimplicialMap,
+    SlabRule,
+    family_is_controlled,
+    identity_periodic_map,
+    identity_simplicial_map,
+    is_proper_map,
+    proper_controlled_equivalence,
+)
+from ctlhom.sset import (
+    Attachment,
+    Cell,
+    Exhaustion,
+    FiniteSimplicialSet,
     PresentationError,
     SimplicialError,
-    SimplicialMap,
     Simplex,
-    SlabRule,
     all_simplices,
     apply_ordinal_map,
     degeneracy,
     face,
     facet_complex,
-    family_is_controlled,
-    identity_periodic_map,
-    identity_simplicial_map,
     is_locally_finite,
-    is_proper_map,
-    proper_controlled_equivalence,
     standard_simplex,
 )
 from exhaustions import (
@@ -144,7 +146,7 @@ def test_make_checks_fields_as_the_constructor_does():
 
 
 def test_plain_tuples_are_refused_where_a_simplex_is_required():
-    from ctlhom.chainalg import Cochain
+    from ctlhom.maps import Cochain
 
     v, e = Cell(0, "v"), Cell(1, "e")
     with pytest.raises(PresentationError, match="face 0 of 'e' is not a simplex"):
@@ -380,6 +382,32 @@ def test_a_complex_refuses_a_bad_presentation(cells, faces, message):
     assert type(err.value) is PresentationError and str(err.value) == message
 
 
+_E = Cell(1, "0.1")
+
+
+@pytest.mark.parametrize("act, kind, message", [
+    (lambda: D2.face(Cell(0, "0"), 0), SimplicialError, "0-simplices have no faces"),
+    (lambda: D2.face(_E, 2), SimplicialError, "face index 2 outside 0..1"),
+    (lambda: D2.face(_E, -1), SimplicialError, "face index -1 outside 0..1"),
+    (lambda: face(D2, Cell(0, "0"), 0), SimplicialError, "0-simplices have no faces"),
+    (lambda: face(D2, Simplex((0,), Cell(0, "0")), 2), SimplicialError,
+     "face index 2 outside 0..1"),
+    (lambda: degeneracy(D2, _E, 2), SimplicialError, "degeneracy index 2 outside 0..1"),
+    (lambda: degeneracy(D2, Cell(0, "0"), -1), SimplicialError,
+     "degeneracy index -1 outside 0..0"),
+    (lambda: apply_ordinal_map(D2, D2.simplex(_E), identity(2)), SimplicialError,
+     "ordinal map into dimension 2 applied to a 1-simplex"),
+    (lambda: facet_complex([[0, 1], []]), PresentationError, "empty facet"),
+    (lambda: ray().truncate(-1), SimplicialError, "depth must be non-negative"),
+], ids=["cell face of a vertex", "cell face index high", "cell face index negative",
+        "face of a vertex", "face index high", "degeneracy index high",
+        "degeneracy index negative", "action dimension", "empty facet", "negative depth"])
+def test_operators_refuse_what_is_out_of_range(act, kind, message):
+    with pytest.raises(SimplicialError) as err:
+        act()
+    assert type(err.value) is kind and str(err.value) == message
+
+
 # ------------------------------------------------------------ exhaustions
 
 def test_line_truncations_grow_linearly():
@@ -487,7 +515,7 @@ def _check_glue_depths(space):
     first stage that has it, and None for names that no stage has."""
     stages = [space.truncate(d).complex for d in range(9)]
     for cell in stages[8].all_cells():
-        assert sset._glue_depth(space, cell) == next(
+        assert maps._glue_depth(space, cell) == next(
             d for d, K in enumerate(stages) if K.has_cell(cell)), cell
     slab = list(space.slab.all_cells())
     absent = [Cell(c.dim, f"a{len(space.attachments)}c1.{c.id}") for c in slab]  # no such chain
@@ -496,7 +524,7 @@ def _check_glue_depths(space):
                for a, (_, into, _) in enumerate(space._resolved) for c in into]
     for cell in absent:
         if not space.base.has_cell(cell):
-            assert sset._glue_depth(space, cell) is None and not stages[8].has_cell(cell), cell
+            assert maps._glue_depth(space, cell) is None and not stages[8].has_cell(cell), cell
 
 
 every_exhaustion = pytest.mark.parametrize("build", [
@@ -761,6 +789,29 @@ def test_simplicial_map_must_commute_with_faces():
         })
 
 
+_D1, _PT = standard_simplex(1), Simplex((), Cell(0, "pt"))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimplicialMap(_D1, point(), {Cell(0, "0"): _PT}),
+     "map is missing a value for Cell(0, '1')"),
+    (lambda: SimplicialMap(_D1, point(), dict.fromkeys(_D1.all_cells(), _PT)),
+     "image of Cell(1, '0.1') has dimension 0, expected 1"),
+    (lambda: PeriodicMap(line(), ray(), {Cell(0, "o"): Simplex((), Cell(0, "o"))},
+                         fold_line_to_ray().slab_rules[:1]),
+     "need one slab rule per attachment chain"),
+    (lambda: PeriodicMap(ray(), ray(), {Cell(0, "o"): Simplex((), Cell(0, "o"))},
+                         [SlabRule(0, {Cell(1, "seg"): Simplex((), Cell(1, "seg"))})]).level_map(1),
+     "slab rule 0 is missing a value for Cell(0, 'pout')"),
+    (lambda: family_is_controlled(line(), [Cell(0, "o")]), "unknown family kind list"),
+], ids=["missing value", "image dimension", "rule count", "missing slab value",
+        "family kind"])
+def test_maps_and_families_refuse_an_incomplete_description(build, message):
+    with pytest.raises(SimplicialError) as err:
+        build()
+    assert type(err.value) is SimplicialError and str(err.value) == message
+
+
 def test_simplicial_map_pushes_degeneracies_through():
     f = identity_simplicial_map(D2)
     x = degeneracy(D2, D2.simplex(Cell(1, "0.1")), 1)
@@ -799,7 +850,7 @@ def test_properness_witness_does_not_depend_on_hash_order(seed):
     out = subprocess.run(
         [sys.executable, "-c",
          "from ctlhom.corpus import cylinder_projection\n"
-         "from ctlhom.sset import is_proper_map\n"
+         "from ctlhom.maps import is_proper_map\n"
          "print(is_proper_map(cylinder_projection()).witness)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
@@ -867,14 +918,16 @@ def test_images_that_avoid_an_infinite_star_are_controlled():
 
 def test_controlled_verdicts_read_no_stage(monkeypatch):
     """A true verdict comes from the gluing alone: no local-finiteness report
-    and no stage past the base."""
+    and no stage past the base.  The report is refused where it is defined
+    and in ``maps``, whose verdict code would read a binding of its own."""
     monkeypatch.setattr(sset, "is_locally_finite", None)
+    monkeypatch.setattr(maps, "is_locally_finite", None, raising=False)
     X = infinite_star()
     assert family_is_controlled(X, AllCellsFamily(0))
     assert family_is_controlled(X, PerSlabFamily(slab_cells=(Cell(0, "tip"),)))
-    maps = [fold_line_to_ray(), ray_beside_a_star(), dots_into_tail()]
-    assert all(proper_controlled_equivalence(f).controlled_ok for f in maps)
-    spaces = [X] + [Y for f in maps for Y in (f.source, f.target)]
+    fixtures = [fold_line_to_ray(), ray_beside_a_star(), dots_into_tail()]
+    assert all(proper_controlled_equivalence(f).controlled_ok for f in fixtures)
+    spaces = [X] + [Y for f in fixtures for Y in (f.source, f.target)]
     assert [len(Y._stages) for Y in spaces] == [1] * len(spaces)
 
 
