@@ -19,8 +19,9 @@ Stabilization is certified by watching transition maps become isomorphisms
 for a window of consecutive stages; a system that keeps moving raises
 NonStabilizationError with its history attached.  Where the slab's chains
 relative to one of its boundaries are acyclic, excision proves the later
-transitions isomorphisms without presenting their stages.  Chains,
-cochains and the maps they are pushed and pulled along are in ``maps``.
+transitions isomorphisms without presenting their stages.  The boundary
+columns are the complex's own (``sset``); chains, cochains and the maps they
+are pushed and pulled along are in ``maps``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from itertools import chain, count
 
 from .snf import IntMatrix, MatrixError, invariant_factors, smith_normal_form
 from .sset import (
-    Cell,
     FiniteSimplicialSet,
     SimplicialError,
     all_simplices,
@@ -204,17 +204,10 @@ def convert_group(current: AbelianGroup, neighbor: AbelianGroup,
 # --------------------------------------------------------------------------
 # chain complexes of finite simplicial sets
 
-def chain_basis(X: FiniteSimplicialSet, n: int) -> tuple:
-    """Normalized basis: the nondegenerate n-cells."""
-    return X.cells(n)
-
-
-def boundary_matrix(X: FiniteSimplicialSet, n: int,
-                    excluded: frozenset = frozenset()) -> IntMatrix:
+def boundary_matrix(X: FiniteSimplicialSet, n: int) -> IntMatrix:
     """The boundary C_n -> C_{n-1} on normalized chains, as a matrix with
-    one column per n-cell.  Degenerate faces vanish; cells in ``excluded``
-    are dropped from both the basis and the targets (relative complex)."""
-    return StageComplex(X, frozenset(excluded)).boundary(n)
+    one column per n-cell.  Degenerate faces vanish."""
+    return StageComplex(X, frozenset()).boundary(n)
 
 
 def unnormalized_boundary_matrix(X: FiniteSimplicialSet, n: int) -> IntMatrix:
@@ -243,27 +236,6 @@ def _rows(rows: int, columns: list) -> IntMatrix:
             if x:
                 out[r][k] = x
     return IntMatrix.from_entries(rows, len(columns), out)
-
-
-def _column(X: FiniteSimplicialSet, cell: Cell) -> dict:
-    """A cell's normalized boundary column, over the positions of the cells
-    a degree below: degenerate faces vanish, cancelled entries are dropped."""
-    col = {}
-    for i, fv in enumerate(X._faces[cell]):
-        if not fv.word:
-            at = X._position[fv.core]
-            col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
-    return {r: x for r, x in col.items() if x}
-
-
-def _columns(X: FiniteSimplicialSet, n: int) -> list:
-    """The boundary columns of X's n-cells, rows at their positions: the
-    leading columns of the complex X is a stage of, each assembled once, on
-    first read, and shared by every stage that has its cell."""
-    store = getattr(X, "_grown", X)._boundary_columns.setdefault(n, [])
-    cells = X.cells(n)
-    store.extend(_column(X, cell) for cell in cells[len(store):])
-    return store[:len(cells)]
 
 
 # --------------------------------------------------------------------------
@@ -388,8 +360,8 @@ class StageComplex:
     """One truncation's chain data: the stage complex, the cells left out of
     its basis (the frontier, for a relative stage) and the frontier the next
     stage is glued along.  Its columns are those of the growing complex, rows
-    at their positions there (``_columns``); its matrices re-index them to
-    the basis, and their invariant factors are kept."""
+    at their positions there (``boundary_columns``); its matrices re-index
+    them to the basis, and their invariant factors are kept."""
 
     complex: FiniteSimplicialSet
     excluded: frozenset
@@ -404,7 +376,7 @@ class StageComplex:
 
     def columns(self, n: int) -> list:
         if n not in self._columns:
-            self._columns[n] = _columns(self.complex, n)
+            self._columns[n] = self.complex.boundary_columns(n)
         return self._columns[n]
 
     def positions(self, cells, n: int) -> set:
@@ -505,7 +477,6 @@ class TheoryResult:
     depth_used: int | None = None
     caveats: list = field(default_factory=list)
     presentations: dict | None = None
-    bases: dict | None = None
 
     def group(self, n: int) -> AbelianGroup:
         return self.groups.get(n, TRIVIAL_GROUP)
@@ -533,7 +504,7 @@ def _default_max_degree(space) -> int:
 
 def _convert_results(theory, space_label, coeff, cohomological,
                      stabilized_at, window, depth_used, caveats,
-                     presentations, bases, max_degree):
+                     presentations, max_degree):
     """Apply the coefficient conversion to the presentations' integral
     groups."""
     integral = {n: p.group for n, p in presentations.items()}
@@ -555,9 +526,9 @@ def _convert_results(theory, space_label, coeff, cohomological,
             f"{coeff.label} groups derived from the integral computation by "
             "the universal coefficient splitting"
         ]
-    integral_kept = coeff.kind == "z"  # the bases present the integral groups only
+    # the presentations are of the integral groups only
     return TheoryResult(theory, space_label, coeff, groups, stab, window, depth_used, caveats,
-                        presentations if integral_kept else None, bases if integral_kept else None)
+                        presentations if coeff.kind == "z" else None)
 
 
 # --------------------------------------------------------------------------
@@ -713,8 +684,7 @@ def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
     # cohomology under z/M also presents the degree above, which its Tor term reads
     degrees = range(max_degree + (2 if dual and coeff.kind == "zmod" else 1))
     if isinstance(space, FiniteSimplicialSet):
-        stage = StageComplex(space, frozenset())
-        final = _present_degrees(stage, degrees, dual)
+        final = _present_degrees(StageComplex(space, frozenset()), degrees, dual)
         stabilized = window = depth_used = None
         caveats = []
     else:
@@ -723,12 +693,12 @@ def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
         system = _StageSystem(space, relative)
         stabilized, depth_used, caveats = _run_system(
             system, tag, degrees, window, max_depth, dual)
-        final, stage = system.present(depth_used, dual, degrees), system.stage(depth_used)
+        final = system.present(depth_used, dual, degrees)
         finite_caveat = None
     result = _convert_results(
         tag, getattr(space, "name", None) or "space", coeff, cohomological=dual,
         stabilized_at=stabilized, window=window, depth_used=depth_used, caveats=caveats,
-        presentations=final, bases={n: stage.basis(n) for n in degrees}, max_degree=max_degree)
+        presentations=final, max_degree=max_degree)
     if finite_caveat:  # after the coefficient caveat
         result.caveats.append(finite_caveat)
     return result

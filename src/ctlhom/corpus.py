@@ -273,8 +273,9 @@ def build(name: str):
 # --------------------------------------------------------------------------
 # fixture maps
 
-def fold_line_to_ray() -> PeriodicMap:
-    """Fold the line onto the ray: both halves march outward together."""
+def fold_line_to_ray():
+    """Fold the line onto the ray, as a ``maps.PeriodicMap``: both halves
+    march outward together."""
     from .maps import PeriodicMap, SlabRule
 
     src = line()
@@ -291,8 +292,8 @@ def fold_line_to_ray() -> PeriodicMap:
     )
 
 
-def cylinder_projection() -> PeriodicMap:
-    """Collapse the cylinder onto its core ring.
+def cylinder_projection():
+    """Collapse the cylinder onto its core ring, as a ``maps.PeriodicMap``.
 
     Every annulus maps onto the ring: verticals become degenerate edges and
     triangles become degeneracies of ring edges.  The fibers over the ring

@@ -316,7 +316,7 @@ class ShiftAssignment:
     patch: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.offset, int):
+        if not isinstance(self.offset, int) or isinstance(self.offset, bool):
             raise ControlError(f"shift offset must be an integer, not {self.offset!r}")
         if self.offset < 0:
             raise ControlError("shift offset must be non-negative")
@@ -324,7 +324,7 @@ class ShiftAssignment:
             raise ControlError(f"shift patch must be a mapping, not {self.patch!r}")
         for k, v in self.patch.items():
             for what, x in (("key", k), ("value", v)):
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise ControlError(f"patch {what} {x!r} is not an integer")
             if k < 0 or v < 0:
                 raise ControlError("patch entries must be natural numbers")

@@ -7,8 +7,8 @@ No theory reads any of it, and neither ``sset`` nor ``chainalg`` imports
 this module, so a theory, ``check`` or ``pairing`` command never compiles
 it.  It is loaded by the first read of one of its names
 (``ctlhom.is_proper_map``, say), by the fixture maps of ``corpus``, and by
-the tests.  It is where the controlled-set layer (``ctlset``) may be
-imported to decide controlledness.
+the tests.  It loads ``chainalg`` only when ``induced_on_homology`` is
+called, and the controlled-set layer (``ctlset``) only to refuse a pullback.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .chainalg import StageComplex, _push, present_homology
-from .sset import (_COPY_ID, Cell, Exhaustion, FiniteSimplicialSet, SimplicialError, Simplex,
-                   _crowding, _word_surjection, apply_ordinal_map, face)
+from .sset import (Cell, Exhaustion, FiniteSimplicialSet, SimplicialError, Simplex, _crowding,
+                   _word_surjection, apply_ordinal_map, face)
 
 
 # --------------------------------------------------------------------------
@@ -246,15 +245,11 @@ class DegeneracyTowerFamily:
 
 def _glue_depth(X: Exhaustion, cell) -> int | None:
     """The first stage of an exhaustion that has the cell, or None if none
-    has it: 0 for a base cell, and d for copy d of the slab cell ``id`` that
-    copies on chain a add, named ``a{a}c{d}.{id}``."""
+    has it: 0 for a base cell, and d for copy d (``Exhaustion._copy_of``)."""
     if X.base.has_cell(cell):
         return 0
-    match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
-    copied = match and int(match[1]) < len(X._resolved) and X._slab_lookup.get(match[3])
-    if copied and copied.dim == cell.dim and copied not in X._resolved[int(match[1])][1]:
-        return int(match[2])
-    return None
+    copy = X._copy_of(cell)
+    return None if copy is None else copy[1]
 
 
 def _has_cell(X, cell) -> bool:
@@ -500,13 +495,14 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
 
 def induced_on_homology(f: SimplicialMap, degree: int):
     """The matrix of H_degree(f) between the normalized presentations,
-    returned as (source_presentation, target_presentation, image_coords)."""
-    src = StageComplex(f.source, frozenset())
-    tgt = StageComplex(f.target, frozenset())
+    returned as (source_presentation, target_presentation, image_coords).
+    A cell onto a degenerate simplex maps to zero.  Loads ``chainalg``."""
+    from .chainalg import StageComplex, _cell_map, _push, present_homology
+
+    src, tgt = StageComplex(f.source, frozenset()), StageComplex(f.target, frozenset())
     ps = present_homology(src.boundary(degree), src.boundary(degree + 1))
     pt = present_homology(tgt.boundary(degree), tgt.boundary(degree + 1))
-    index = {c: i for i, c in enumerate(tgt.basis(degree))}
     images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))
-    cells = tuple(index[img.core] if img.is_nondegenerate else None for img in images)
-    size = len(tgt.basis(degree))
-    return ps, pt, [pt.reduce(_push(cells, size, g)) for g in ps.generators]
+    cells = _cell_map([img.core if img.is_nondegenerate else None for img in images],
+                      tgt.basis(degree))
+    return ps, pt, [pt.reduce(_push(cells, len(tgt.basis(degree)), g)) for g in ps.generators]

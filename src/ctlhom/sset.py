@@ -7,7 +7,9 @@ action of an arbitrary ordinal map is computed by composing with the word's
 surjection, factoring, walking the injection through stored face assignments,
 and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 Local finiteness is decided here; maps, properness and controlled families
-are in ``maps``, which imports this module and which no theory loads.
+are in ``maps``, which imports this module and which no theory loads.  Only
+this module reads a complex's tables: ``boundary_columns`` assembles its
+chains for ``chainalg``, and ``Exhaustion._copy_of`` reads a copy's name.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ class FiniteSimplicialSet:
         self._faces = {}
         self._position = {}  # each cell's index among the cells of its dimension
         self._vertex_closure = {}
-        self._boundary_columns = {}  # per degree, as chainalg assembles them on first read
+        self._boundary_columns = {}  # per degree, as ``boundary_columns`` assembles them
 
     def _glue(self, added: dict):
         """Add cells in place, after the cells already here in each
@@ -198,6 +200,15 @@ class FiniteSimplicialSet:
             raise SimplicialError(f"unknown cell {cell}")
         return Simplex((), cell)
 
+    def boundary_columns(self, n: int) -> list:
+        """The boundary columns of the n-cells, rows at the positions of the
+        cells a degree below: each assembled once, on first read, and shared
+        by every stage of the complex that has its cell."""
+        store = self._boundary_columns.setdefault(n, [])
+        cells = self.cells(n)
+        store.extend(_column(self, cell) for cell in cells[len(store):])
+        return store[:len(cells)]
+
     # -- derived structure ---------------------------------------------------
 
     def vertices_of(self, cell: Cell) -> frozenset:
@@ -251,6 +262,17 @@ class FiniteSimplicialSet:
         counts = ", ".join(f"{len(v)}x{k}" for k, v in self._cells.items())
         label = self.name or "complex"
         return f"FiniteSimplicialSet({label}: {counts})"
+
+
+def _column(X: FiniteSimplicialSet, cell: Cell) -> dict:
+    """A cell's normalized boundary column, over the positions of the cells
+    a degree below: degenerate faces vanish, cancelled entries are dropped."""
+    col = {}
+    for i, fv in enumerate(X._faces[cell]):
+        if not fv.word:
+            at = X._position[fv.core]
+            col[at] = col.get(at, 0) + (-1 if i % 2 else 1)
+    return {r: x for r, x in col.items() if x}
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +436,7 @@ class _Stage(FiniteSimplicialSet):
         self._counts = {n: len(cells) for n, cells in grown._cells.items()}
         self._faces = grown._faces  # read only for the stage's own cells
         self._position = grown._position
+        self._boundary_columns = grown._boundary_columns
 
     @cached_property
     def _cells(self) -> dict:
@@ -503,17 +526,21 @@ class Exhaustion:
         self._glue_stage({c: base._faces[c] for c in base.all_cells()},
                          [list(r[0]) for r in self._resolved])
 
+    def _copy_of(self, cell):
+        """``(a, d, id)`` when the cell is named as copy d, on chain a, of a
+        slab cell ``id`` that copies add, named ``a{a}c{d}.{id}``; else None."""
+        match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
+        copied = match and int(match[1]) < len(self._resolved) and self._slab_lookup.get(match[3])
+        if copied and copied.dim == cell.dim and copied not in self._resolved[int(match[1])][1]:
+            return int(match[1]), int(match[2]), match[3]
+        return None
+
     def _check_copy_ids(self):
-        """Refuse a base cell whose id a slab copy would take: copy d of
-        attachment a names the slab cell it copies ``a{a}c{d}.{id}``."""
+        """Refuse a base cell whose id a slab copy would take."""
         for cell in self.base.all_cells():
-            match = _COPY_ID.fullmatch(cell.id)
-            if match is None:
-                continue
-            a, d, slab_id = int(match[1]), int(match[2]), match[3]
-            copied = self._slab_lookup.get(slab_id)
-            if (a < len(self._resolved) and copied is not None and copied.dim == cell.dim
-                    and copied not in self._resolved[a][1]):
+            copy = self._copy_of(cell)
+            if copy is not None:
+                a, d, slab_id = copy
                 raise PresentationError(
                     f"base cell id {cell.id!r} is taken by copy {d} of slab cell "
                     f"{slab_id!r} on attachment {a}")

@@ -130,7 +130,11 @@ def test_shift_rejects_negative_offset():
     (1, {0.5: 3}, "patch key 0.5 is not an integer"),
     (1, {"a": 3}, "patch key 'a' is not an integer"),
     (1, {-1: 3}, "patch entries must be natural numbers"),
-], ids=["float offset", "float value", "text value", "float key", "text key", "negative key"])
+    (True, {}, "shift offset must be an integer, not True"),
+    (0, {0: True}, "patch value True is not an integer"),
+    (1, {False: 3}, "patch key False is not an integer"),
+], ids=["float offset", "float value", "text value", "float key", "text key", "negative key",
+        "bool offset", "bool value", "bool key"])
 @pytest.mark.parametrize("use", [
     lambda a: ControlledMap(max_ctl(N), max_ctl(N), a),
     lambda a: validate_map(ControlledMap(max_ctl(N), max_ctl(N), a)),

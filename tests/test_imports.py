@@ -1,8 +1,11 @@
 """What a process loads: ``import ctlhom`` loads no submodule, only the
 commands that use the controlled-set layer (``ctlset``, ``laws``) load it,
-and no command loads the map layer (``maps``).  Each check runs in a fresh
-interpreter, since other tests load everything."""
+no command loads the map layer (``maps``), and a map name loads neither the
+engine (``chainalg``, ``snf``) nor the controlled-set layer.  Each check
+runs in a fresh interpreter, since other tests load everything.  Which
+module reads a complex's tables is checked on the source."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -75,6 +78,44 @@ ctlhom.is_proper_map
 print(json.dumps(layer()))
 """)
     assert loaded == ["ctlhom.maps"]
+
+
+@pytest.mark.parametrize("name", ["is_proper_map", "SlabRule"])
+def test_a_map_name_loads_only_the_simplicial_layer_and_the_map_layer(name):
+    """The engine is loaded when a map first needs homology, not before."""
+    loaded = _fresh("""
+import ctlhom
+getattr(ctlhom, sys.argv[2])
+steps = [sorted(n for n in sys.modules if n.startswith("ctlhom"))]
+from ctlhom.corpus import circle
+from ctlhom.maps import identity_simplicial_map, induced_on_homology
+steps.append("ctlhom.chainalg" in sys.modules)
+induced_on_homology(identity_simplicial_map(circle()), 1)
+steps.append("ctlhom.chainalg" in sys.modules)
+print(json.dumps(steps))
+""", name)
+    assert loaded == [["ctlhom", "ctlhom.delta", "ctlhom.maps", "ctlhom.sset"], False, True]
+
+
+_TABLES = {"_faces", "_grown", "_boundary_columns", "_slab_lookup"}
+
+
+def test_only_sset_reads_a_complex_s_tables_or_its_copy_names():
+    """How a complex stores its faces and columns, and how a slab copy is
+    named, are read through ``sset``'s methods everywhere else."""
+    reads = []
+    for path in sorted(Path(ctlhom.__file__).parent.glob("*.py")):
+        if path.name == "sset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in _TABLES:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                named = {a.value for a in node.args if isinstance(a, ast.Constant)} & _TABLES
+                reads += [f"{path.name}:{node.lineno} getattr {a}" for a in sorted(named)]
+            elif isinstance(node, ast.ImportFrom) and "_COPY_ID" in {a.name for a in node.names}:
+                reads.append(f"{path.name}:{node.lineno} import _COPY_ID")
+    assert reads == []
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

@@ -1,8 +1,12 @@
 """The public names of the ``ctlhom`` package, pinned, so that adding,
 renaming or removing one is a deliberate change to this list."""
 
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import ctlhom
@@ -41,3 +45,35 @@ def test_public_names_are_pinned():
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == PUBLIC_NAMES
+
+
+def _annotated(module):
+    """Every function, class and method that ``module`` defines."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value):
+            yield value
+            for member in vars(value).values():
+                # the function under a staticmethod, classmethod or property
+                for wrapped in ("__func__", "fget", "func"):
+                    member = getattr(member, wrapped, member)
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_every_annotation_of_the_package_resolves():
+    """``typing.get_type_hints`` reads each annotation in its module's
+    namespace, so a name imported only inside a function cannot annotate."""
+    unresolved, checked = [], 0
+    for info in pkgutil.iter_modules(ctlhom.__path__):
+        module = importlib.import_module(f"ctlhom.{info.name}")
+        for obj in _annotated(module):
+            checked += 1
+            try:
+                typing.get_type_hints(obj)
+            except Exception:
+                unresolved.append(f"{module.__name__}.{obj.__qualname__}")
+    assert unresolved == [] and checked > 400

@@ -495,6 +495,7 @@ def test_a_base_id_that_a_copy_would_take_is_refused():
     "a0c02.pout",  # copy numbers have no leading zeros
     "a0c2.seg",    # the copy of seg is an edge
     "a0c2.pout.x",  # no slab cell is called pout.x
+    2,             # a copy's name is text
 ])
 def test_base_ids_no_copy_takes_are_kept(vertex_id):
     exhaustion = _ray_with_base_vertex(vertex_id)
