@@ -19,9 +19,9 @@ Stabilization is certified by watching transition maps become isomorphisms
 for a window of consecutive stages; a system that keeps moving raises
 NonStabilizationError with its history attached.  Where the slab's chains
 relative to one of its boundaries are acyclic, excision proves the later
-transitions isomorphisms without presenting their stages.  The boundary
-columns are the complex's own (``sset``); chains, cochains and the maps they
-are pushed and pulled along are in ``maps``.
+transitions isomorphisms without presenting their stages.  Boundary columns,
+cell positions and the resolved chains (``Exhaustion.gluings``) are ``sset``'s;
+chains, cochains and the maps they are pushed and pulled along are in ``maps``.
 """
 
 from __future__ import annotations
@@ -379,9 +379,6 @@ class StageComplex:
             self._columns[n] = self.complex.boundary_columns(n)
         return self._columns[n]
 
-    def positions(self, cells, n: int) -> set:
-        return {self.complex._position[c] for c in cells if c.dim == n}
-
     def boundary(self, n: int, transposed: bool = False) -> IntMatrix:
         """The boundary out of degree n on the basis, by rows; ``transposed``,
         the coboundary into degree n, whose rows are the columns."""
@@ -437,7 +434,7 @@ def _check_chain_map(source: StageComplex, target: StageComplex, top: int, total
     smaller stage only along its frontier; the new and dropped columns a
     projection sends to zero miss the rows both bases keep."""
     small, large = (source, target) if total else (target, source)
-    xs, xt = ({n: s.positions(s.excluded, n) for n in range(top + 1)} for s in (source, target))
+    xs, xt = ({n: s.complex.positions(s.excluded, n) for n in range(top + 1)} for s in (source, target))
     for n in range(top + 1) if total else ():
         cells = source.complex.cells(n)
         missing = [p for p in xt[n] - xs[n] if p < len(cells)]
@@ -449,7 +446,7 @@ def _check_chain_map(source: StageComplex, target: StageComplex, top: int, total
         fault = (cols[:cut] != held or max(chain.from_iterable(held), default=-1) >= below
                  or not (xs[n - 1] - xt[n - 1]).isdisjoint(chain.from_iterable(held)))
         if total:
-            glued, end = small.positions(small.frontier, n - 1), len(large.complex.cells(n - 1))
+            glued, end = small.complex.positions(small.frontier, n - 1), len(large.complex.cells(n - 1))
             fault |= any(not below <= r < end and r not in glued for col in cols[cut:] for r in col)
         else:
             gone = xs[n - 1] | xt[n - 1]
@@ -555,11 +552,10 @@ def _slab_certified_from(space, relative: bool):
     complex is contractible, so its dual is acyclic too and the same stages
     serve the cochain theories.
     """
-    if relative and any(set(into) & set(out) for _, into, out in space._resolved):
+    if relative and any(set(g.into) & set(g.out) for g in space.gluings):
         return None
     # chains glued along the same cells share one relative slab complex
-    boundaries = dict.fromkeys(
-        frozenset(out if relative else into) for _, into, out in space._resolved)
+    boundaries = dict.fromkeys(frozenset(g.out if relative else g.into) for g in space.gluings)
     for boundary in boundaries:
         slab = StageComplex(space.slab, boundary)
         presented = _present_degrees(slab, range(space.slab.top_dim + 1), dual=False)

@@ -9,13 +9,13 @@ it.  It is loaded by the first read of one of its names
 (``ctlhom.is_proper_map``, say), by the fixture maps of ``corpus``, and by
 the tests.  It loads ``chainalg`` only when ``induced_on_homology`` is
 called, and the controlled-set layer (``ctlset``) only to refuse a pullback.
+An exhaustion's chains are read as ``sset`` resolved them (``Exhaustion.gluings``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .sset import (Cell, Exhaustion, FiniteSimplicialSet, SimplicialError, Simplex, _crowding,
                    _word_surjection, apply_ordinal_map, face)
@@ -96,8 +96,9 @@ class PeriodicMap:
     """A simplicial map out of an exhaustion, described periodically.
 
     ``base_map`` sends the base's cells to target simplices; each source
-    attachment chain carries a SlabRule applied to every copy.  The finite
-    stage map at any depth is assembled (and face-checked) on demand.
+    attachment chain carries a SlabRule applied to every copy.  Both are
+    checked here (``_check_values``); the finite stage map at any depth is
+    assembled (and face-checked) on demand.
     """
 
     def __init__(self, source: Exhaustion, target, base_map: dict,
@@ -109,23 +110,20 @@ class PeriodicMap:
         self.name = name
         if len(self.slab_rules) != len(source.attachments):
             raise SimplicialError("need one slab rule per attachment chain")
+        fixed = target.base if self.target_is_exhaustion else target
+        _check_values("base map", source.base.all_cells(), self.base_map, fixed)
+        chains = range(len(target.gluings)) if self.target_is_exhaustion else ()
+        self._slab_images = ()
+        for a, (rule, g) in enumerate(zip(self.slab_rules, source.gluings)):
+            at = rule.target_attachment
+            if at is not None and (isinstance(at, bool) or not isinstance(at, int) or at not in chains):
+                raise SimplicialError(f"slab rule {a} names no chain of the target: {at!r}")
+            _check_values(f"slab rule {a}", g.added, rule.cell_map, fixed if at is None else target.slab)
+            self._slab_images += ([(c, rule.cell_map[c]) for c in g.added],)
 
     @property
     def target_is_exhaustion(self) -> bool:
         return isinstance(self.target, Exhaustion)
-
-    @cached_property
-    def _slab_images(self) -> tuple:
-        """Per source chain, (slab cell, rule value) for each cell a copy adds,
-        in slab order; in-boundary cells are glued to cells assigned before."""
-        images = []
-        for a, (rule, (_, into, _)) in enumerate(zip(self.slab_rules, self.source._resolved)):
-            added = [c for c in self.source.slab.all_cells() if c not in into]
-            missing = [c for c in added if rule.cell_map.get(c) is None]
-            if missing:
-                raise SimplicialError(f"slab rule {a} is missing a value for {missing[0]}")
-            images.append([(c, rule.cell_map[c]) for c in added])
-        return tuple(images)
 
     def level_map(self, depth: int) -> SimplicialMap:
         """The finite stage map K_depth(source) -> stage-or-target, validated."""
@@ -146,6 +144,17 @@ class PeriodicMap:
 
     def __repr__(self):
         return f"PeriodicMap({self.name or '?'})"
+
+
+def _check_values(where: str, cells, values: dict, target: FiniteSimplicialSet):
+    """Refuse a description that leaves one of the cells without a value, or
+    sends it to what is not a simplex of its dimension over a cell of target."""
+    for cell in cells:
+        img = values.get(cell)
+        if img is None:
+            raise SimplicialError(f"{where} is missing a value for {cell}")
+        if not (isinstance(img, Simplex) and target.has_cell(img.core) and img.dim == cell.dim):
+            raise SimplicialError(f"{where} sends {cell} to {img!r}, not a {cell.dim}-simplex of {target!r}")
 
 
 def identity_periodic_map(X: Exhaustion) -> PeriodicMap:
@@ -180,7 +189,7 @@ def _infinite_fibers(f: PeriodicMap) -> set:
         if rule.target_attachment is None:
             fibers.update(img for _, img in images)
         else:
-            cycles = f.target._walks[rule.target_attachment][0]
+            cycles = f.target.gluings[rule.target_attachment].cycles
             fibers.update(Simplex(img.word, b) for _, img in images for b in cycles.get(img.core, ()))
     return fibers
 
@@ -271,7 +280,7 @@ def family_is_controlled(X, family) -> bool:
     if isinstance(family, FiniteFamily):
         named = [(X, getattr(m, "core", m)) for m in family.members]
     elif isinstance(family, DegeneracyTowerFamily):
-        named = [(X, family.base.core)]
+        named = [(X, getattr(family.base, "core", family.base))]
     elif isinstance(family, PerSlabFamily):
         named = ([(X if finite else X.base, c) for c in family.base_cells]
                  + [(None if finite else X.slab, c) for c in family.slab_cells])
@@ -364,14 +373,6 @@ class Chain:
 
     def vector(self, basis) -> tuple:
         return tuple(self.coeffs.get(c, 0) for c in basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Chain)
-            and self.complex is other.complex
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
 
 
 @dataclass
@@ -467,7 +468,7 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
     Requires the map to be proper — otherwise the preimage support would be
     infinite and the result would not be compactly supported; raises
     ControlError in that case.  Copy c lands in target cells glued at most
-    ``longest`` copies earlier (``Exhaustion._walks``), so the pullback is
+    ``longest`` copies earlier (``Exhaustion.longest``), so the pullback is
     read once, on source stage max(depth, s + longest), s the deepest target
     stage in the support.
     """
@@ -480,12 +481,11 @@ def pullback_periodic(f, cochain: Cochain, depth: int):
                            + (proper.witness or "not proper"))
     stage = depth
     if f.target_is_exhaustion:
-        lag = max((longest for _, longest in f.target._walks), default=0)
         for cell in cochain.values:
             glued = _glue_depth(f.target, cell)
             if glued is None:
                 raise SimplicialError("cochain does not live on the map's target")
-            stage = max(stage, glued + lag)
+            stage = max(stage, glued + f.target.longest)
     level = f.level_map(stage)
     return Cochain(level.source, cochain.degree, _pulled(level, cochain))
 

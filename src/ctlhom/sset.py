@@ -8,8 +8,8 @@ surjection, factoring, walking the injection through stored face assignments,
 and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 Local finiteness is decided here; maps, properness and controlled families
 are in ``maps``, which imports this module and which no theory loads.  Only
-this module reads a complex's tables: ``boundary_columns`` assembles its
-chains for ``chainalg``, and ``Exhaustion._copy_of`` reads a copy's name.
+this module reads a complex's tables (``boundary_columns``, ``positions``,
+``Exhaustion._copy_of``) and resolves its chains (``Exhaustion.gluings``).
 """
 
 from __future__ import annotations
@@ -208,6 +208,9 @@ class FiniteSimplicialSet:
         cells = self.cells(n)
         store.extend(_column(self, cell) for cell in cells[len(store):])
         return store[:len(cells)]
+
+    def positions(self, cells, n: int) -> set:
+        return {self._position[c] for c in cells if c.dim == n}
 
     # -- derived structure ---------------------------------------------------
 
@@ -483,6 +486,31 @@ class Truncation:
         return tuple(dict.fromkeys(c for chain in self.frontier_chains for c in chain))
 
 
+Gluing = namedtuple("Gluing", "base into out added cycles longest")
+
+
+def _gluing(slab: FiniteSimplicialSet, base_cells, into, out) -> Gluing:
+    """A chain resolved to cells, with the slab cells a copy has ``added`` (those
+    outside ``into``, in slab order) and where its in-boundary cells go: the cell at
+    in-position k takes the out-position of ``into[k]`` in the next copy.  The steps
+    are injective, so a walk ends or is a cycle, whose base cells are in every copy:
+    ``cycles`` maps the slab cell at each cycle position to the base cells that take
+    it in turn; ``longest`` is the longest walk that ends."""
+    at = {c: k for k, c in enumerate(out)}
+    steps = [at.get(c) for c in into]
+    cycles, longest = {}, 0
+    for k in range(len(into)):
+        walk = [k]
+        while (j := steps[walk[-1]]) not in (None, k):
+            walk.append(j)
+        if j is None:
+            longest = max(longest, len(walk))
+        else:
+            cycles[into[k]] = tuple(base_cells[i] for i in walk)
+    added = tuple(c for c in slab.all_cells() if c not in into)
+    return Gluing(base_cells, into, out, added, cycles, longest)
+
+
 _COPY_ID = re.compile(r"a(0|[1-9][0-9]*)c([1-9][0-9]*)\.(.*)", re.DOTALL)
 
 
@@ -494,7 +522,7 @@ class Exhaustion:
     out-boundary (the base boundary for the first copy).  The copies glue
     into one complex that grows in place, and every stage is a prefix of it;
     ``translations`` maps (a, c) to the slab-to-copy cell map of every copy
-    glued so far.
+    glued so far; ``gluings`` resolves each chain once (``_gluing``).
     """
 
     def __init__(self, base: FiniteSimplicialSet, slab: FiniteSimplicialSet,
@@ -505,11 +533,11 @@ class Exhaustion:
         self.attachments = tuple(attachments)
         if not self.attachments:
             raise PresentationError("an exhaustion needs at least one attachment")
-        self._base_lookup = _unique_id_lookup(base, "base")
+        base_lookup = _unique_id_lookup(base, "base")
         self._slab_lookup = _unique_id_lookup(slab, "slab")
-        self._resolved = []
+        self.gluings = ()
         for a, att in enumerate(self.attachments):
-            base_cells = tuple(self._resolve(self._base_lookup, i, f"base_ids[{a}]") for i in att.base_ids)
+            base_cells = tuple(self._resolve(base_lookup, i, f"base_ids[{a}]") for i in att.base_ids)
             into = tuple(self._resolve(self._slab_lookup, i, f"slab_in_ids[{a}]") for i in att.slab_in_ids)
             out = tuple(self._resolve(self._slab_lookup, i, f"slab_out_ids[{a}]") for i in att.slab_out_ids)
             _check_subcomplex(base, base_cells, f"attachment {a} base boundary")
@@ -517,21 +545,22 @@ class Exhaustion:
             _check_subcomplex(slab, out, f"attachment {a} slab out-boundary")
             _check_gluing_iso(base, base_cells, slab, into, f"attachment {a} base gluing")
             _check_gluing_iso(slab, out, slab, into, f"attachment {a} slab gluing")
-            self._resolved.append((base_cells, into, out))
+            self.gluings += (_gluing(slab, base_cells, into, out),)
+        self.longest = max(g.longest for g in self.gluings)
         self._check_copy_ids()
         self.translations = {}
         self._complex = object.__new__(FiniteSimplicialSet)
         self._complex._begin(name)
         self._stages = []
         self._glue_stage({c: base._faces[c] for c in base.all_cells()},
-                         [list(r[0]) for r in self._resolved])
+                         [list(g.base) for g in self.gluings])
 
     def _copy_of(self, cell):
         """``(a, d, id)`` when the cell is named as copy d, on chain a, of a
         slab cell ``id`` that copies add, named ``a{a}c{d}.{id}``; else None."""
         match = _COPY_ID.fullmatch(cell.id) if isinstance(cell.id, str) else None
-        copied = match and int(match[1]) < len(self._resolved) and self._slab_lookup.get(match[3])
-        if copied and copied.dim == cell.dim and copied not in self._resolved[int(match[1])][1]:
+        copied = match and int(match[1]) < len(self.gluings) and self._slab_lookup.get(match[3])
+        if copied and copied.dim == cell.dim and copied not in self.gluings[int(match[1])].into:
             return int(match[1]), int(match[2]), match[3]
         return None
 
@@ -570,41 +599,17 @@ class Exhaustion:
             prev = self._stages[-1]
             frontier_chains = []
             added = {}
-            for a, (_, into, out) in enumerate(self._resolved):
-                trans = dict(zip(into, prev.frontier_chains[a]))
-                for cell in self.slab.all_cells():
-                    if cell not in trans:
-                        new = trans[cell] = Cell(cell.dim, f"a{a}c{d}.{cell.id}")
-                        # the slab checked each word over a core of this dimension
-                        added[new] = tuple(tuple.__new__(Simplex, (fv.word, trans[fv.core]))
-                                           for fv in self.slab._faces[cell])
+            for a, g in enumerate(self.gluings):
+                trans = dict(zip(g.into, prev.frontier_chains[a]))
+                for cell in g.added:
+                    new = trans[cell] = Cell(cell.dim, f"a{a}c{d}.{cell.id}")
+                    # the slab checked each word over a core of this dimension
+                    added[new] = tuple(tuple.__new__(Simplex, (fv.word, trans[fv.core]))
+                                       for fv in self.slab._faces[cell])
                 self.translations[(a, d)] = trans
-                frontier_chains.append([trans[c] for c in out])
+                frontier_chains.append([trans[c] for c in g.out])
             self._glue_stage(added, frontier_chains)
         return self._stages[depth]
-
-    @cached_property
-    def _walks(self) -> tuple:
-        """Per chain, where its in-boundary cells go: the cell at in-position
-        k takes the out-position of ``into[k]`` in the next copy.  The steps
-        are injective, so a walk ends or is a cycle, whose base cells are in
-        every copy: ``cycles`` maps the slab cell at each cycle position to the
-        base cells that take it in turn; ``longest`` is the longest walk that ends."""
-        walks = []
-        for base_cells, into, out in self._resolved:
-            at = {c: k for k, c in enumerate(out)}
-            steps = [at.get(c) for c in into]
-            cycles, longest = {}, 0
-            for k in range(len(into)):
-                walk = [k]
-                while (j := steps[walk[-1]]) not in (None, k):
-                    walk.append(j)
-                if j is None:
-                    longest = max(longest, len(walk))
-                else:
-                    cycles[into[k]] = tuple(base_cells[i] for i in walk)
-            walks.append((cycles, longest))
-        return tuple(walks)
 
     def __repr__(self):
         return f"Exhaustion({self.name or '?'}: base {self.base!r}, {len(self.attachments)} chain(s))"
@@ -690,13 +695,13 @@ class LocalFinitenessReport:
 def _crowding(X: Exhaustion, selected) -> LocalFinitenessReport | None:
     """The refusal when copies of the selected slab cells (per chain, copied
     into every copy) crowd a vertex star, or None.  A selected cell on a
-    cycle of ``Exhaustion._walks`` is the same base cell in every copy; any
+    cycle of its ``Gluing`` is the same base cell in every copy; any
     other is new in each copy, and crowds the base vertices that take a cycle
     vertex of its closure.  The witness is the one the earliest copy from 2
     on adds to, ties going to the first base vertex."""
-    crowded = {b for cells, (cycles, _) in zip(selected, X._walks)
-               for c in cells if c not in cycles
-               for v in X.slab.vertices_of(c) for b in cycles.get(v, ())}
+    crowded = {b for cells, g in zip(selected, X.gluings)
+               for c in cells if c not in g.cycles
+               for v in X.slab.vertices_of(c) for b in g.cycles.get(v, ())}
     crowded = [v for v in X.base.cells(0) if v in crowded]
     for depth in count(2) if crowded else ():  # each gains once round its cycle
         stage = X.truncate(depth)
@@ -721,11 +726,10 @@ def is_locally_finite(X) -> LocalFinitenessReport:
     if isinstance(X, FiniteSimplicialSet):
         note, stars_at = "finite complex: every star is finite", lambda: (X, X.cells(0))
     else:
-        refusal = _crowding(X, [[c for c in X.slab.all_cells() if c not in into]
-                                for _, into, _ in X._resolved])
+        refusal = _crowding(X, [g.added for g in X.gluings])
         if refusal is not None:
             return refusal
-        depth = 4 + max((longest for _, longest in X._walks), default=0)
+        depth = 4 + X.longest
         note = f"stars stabilized across stages 1..{depth}"
         stars_at = lambda: (X.truncate(depth).complex, X.truncate(3).complex.cells(0))
     return LocalFinitenessReport(ok=True, notes=[note], _stars_at=stars_at)

@@ -600,7 +600,7 @@ def test_the_star_counts_truncate_only_when_read(monkeypatch):
     report = sset.is_locally_finite(space)
     assert report.ok and seen["truncated"] == []
     assert report.star_sizes["r0"] == report.max_star == 13
-    longest = max(longest for _, longest in space._walks)
+    longest = space.longest
     assert max(seen["truncated"]) == 4 + longest == 5
     count = len(seen["truncated"])
     assert report.max_star == 13 and len(seen["truncated"]) == count
@@ -654,6 +654,18 @@ def test_chains_and_cochains_check_their_cells(kind):
     c = kind(X, 1, {edge: 2, Cell(1, "1.2"): 0})
     assert c.vector(X.cells(1)) == (2, 0, 0)
     assert len(c.coeffs if kind is Chain else c.values) == 1
+
+
+def test_chains_are_equal_on_one_complex_with_equal_coefficients():
+    """Equality compares the complex by identity, then degree and
+    coefficients, and never holds between a chain and a cochain."""
+    X = torus()
+    e = X.cells(1)[0]
+    assert Chain(X, 1, {e: 2}) == Chain(X, 1, {e: 2, X.cells(1)[1]: 0})
+    assert Chain(X, 1, {e: 2}) != Chain(X, 1, {e: 3})
+    assert Chain(X, 1, {e: 2}) != Chain(torus(), 1, {e: 2})
+    assert Chain(X, 1, {e: 2}) != Cochain(X, 1, {e: 2})
+    assert Cochain(X, 1, {e: 2}) != Chain(X, 1, {e: 2})
 
 
 def test_cochain_vanishes_on_degenerates():

@@ -97,7 +97,8 @@ print(json.dumps(steps))
     assert loaded == [["ctlhom", "ctlhom.delta", "ctlhom.maps", "ctlhom.sset"], False, True]
 
 
-_TABLES = {"_faces", "_grown", "_boundary_columns", "_slab_lookup"}
+_TABLES = {"_faces", "_grown", "_boundary_columns", "_slab_lookup", "_position", "_resolved",
+           "_walks"}
 
 
 def test_only_sset_reads_a_complex_s_tables_or_its_copy_names():

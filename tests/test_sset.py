@@ -522,7 +522,7 @@ def _check_glue_depths(space):
     absent = [Cell(c.dim, f"a{len(space.attachments)}c1.{c.id}") for c in slab]  # no such chain
     absent += [Cell(c.dim + 1, f"a0c1.{c.id}") for c in slab]  # a wrong dimension
     absent += [Cell(c.dim, f"a{a}c1.{c.id}")  # the in-boundary is glued, never copied
-               for a, (_, into, _) in enumerate(space._resolved) for c in into]
+               for a, g in enumerate(space.gluings) for c in g.into]
     for cell in absent:
         if not space.base.has_cell(cell):
             assert maps._glue_depth(space, cell) is None and not stages[8].has_cell(cell), cell
@@ -709,6 +709,45 @@ def test_copies_are_translations_of_the_checked_slab_on_random_gluings(space):
     _check_copies(space)
 
 
+def _check_gluings(space):
+    """Each chain's ``Gluing`` against the stages it builds, in copies 1 to
+    ``longest + 3``: every cell it has ``added`` is new in each copy under
+    its copy name, every key of ``cycles`` is its base cells in turn, and
+    every other in-cell lands on a cell glued at most ``longest`` copies
+    before."""
+    last = space.longest + 3
+    turns = max((len(b) for g in space.gluings for b in g.cycles.values()), default=1)
+    stages = [space.truncate(d) for d in range(last + turns)]
+    first = {c: stage.depth for stage in stages for c in stage.added}
+    named = lambda X, ids: tuple(next(c for c in X.all_cells() if c.id == i) for i in ids)
+    assert [(g.base, g.into, g.out) for g in space.gluings] == [
+        (named(space.base, att.base_ids), named(space.slab, att.slab_in_ids),
+         named(space.slab, att.slab_out_ids)) for att in space.attachments]
+    for a, g in enumerate(space.gluings):
+        assert g.added == tuple(c for c in space.slab.all_cells() if c not in g.into)
+        for d in range(1, last + 1):
+            trans = stages[d].translations[(a, d)]
+            assert [trans[c] for c in g.added] == [Cell(c.dim, f"a{a}c{d}.{c.id}") for c in g.added]
+            assert all(first[trans[c]] == d for c in g.added)
+            for c, base in g.cycles.items():
+                turn = [stages[d + i].translations[(a, d + i)][c] for i in range(len(base))]
+                assert trans[c] in base and sorted(turn) == sorted(base), (a, d, c)
+            for c in g.into:
+                if c not in g.cycles:
+                    assert d - space.longest <= first[trans[c]] < d, (a, d, c)
+
+
+@every_exhaustion
+def test_the_gluing_record_matches_the_stages(build):
+    _check_gluings(build())
+
+
+@settings(max_examples=100, deadline=None)
+@given(gluings())
+def test_the_gluing_record_matches_the_stages_on_random_gluings(space):
+    _check_gluings(space)
+
+
 def _check_the_report_is_a_snapshot(space, fresh):
     """Star counts read after a run has glued stages past the count's own
     equal those of a report on a fresh copy of the space."""
@@ -791,6 +830,15 @@ def test_simplicial_map_must_commute_with_faces():
 
 
 _D1, _PT = standard_simplex(1), Simplex((), Cell(0, "pt"))
+_O = {Cell(0, "o"): Simplex((), Cell(0, "o"))}
+_SEG = {Cell(0, "pout"): Simplex((), Cell(0, "pout")), Cell(1, "seg"): Simplex((), Cell(1, "seg"))}
+
+
+def _ray_rule(target_attachment, base_map=_O, target=ray, **images):
+    """A map out of the ray with one slab rule: the identity on its slab,
+    but for the images given by slab cell id."""
+    cell_map = {**_SEG, **{c: images[c.id] for c in _SEG if c.id in images}}
+    return PeriodicMap(ray(), target(), base_map, [SlabRule(target_attachment, cell_map)])
 
 
 @pytest.mark.parametrize("build, message", [
@@ -805,8 +853,38 @@ _D1, _PT = standard_simplex(1), Simplex((), Cell(0, "pt"))
                          [SlabRule(0, {Cell(1, "seg"): Simplex((), Cell(1, "seg"))})]).level_map(1),
      "slab rule 0 is missing a value for Cell(0, 'pout')"),
     (lambda: family_is_controlled(line(), [Cell(0, "o")]), "unknown family kind list"),
+    (lambda: _ray_rule(5), "slab rule 0 names no chain of the target: 5"),
+    (lambda: _ray_rule(-1), "slab rule 0 names no chain of the target: -1"),
+    (lambda: _ray_rule(True), "slab rule 0 names no chain of the target: True"),
+    (lambda: _ray_rule("0"), "slab rule 0 names no chain of the target: '0'"),
+    (lambda: _ray_rule(0, {Cell(0, "o"): _PT}, point),
+     "slab rule 0 names no chain of the target: 0"),
+    (lambda: _ray_rule(0, seg=Simplex((), Cell(1, "nope"))),
+     "slab rule 0 sends Cell(1, 'seg') to Simplex('nope'), "
+     "not a 1-simplex of FiniteSimplicialSet(segment: 2x0, 1x1)"),
+    (lambda: _ray_rule(0, seg=Simplex((), Cell(0, "pout"))),
+     "slab rule 0 sends Cell(1, 'seg') to Simplex('pout'), "
+     "not a 1-simplex of FiniteSimplicialSet(segment: 2x0, 1x1)"),
+    (lambda: _ray_rule(0, seg=Cell(1, "seg")),
+     "slab rule 0 sends Cell(1, 'seg') to Cell(1, 'seg'), "
+     "not a 1-simplex of FiniteSimplicialSet(segment: 2x0, 1x1)"),
+    (lambda: _ray_rule(None), "slab rule 0 sends Cell(0, 'pout') to Simplex('pout'), "
+                              "not a 0-simplex of FiniteSimplicialSet(origin: 1x0)"),
+    (lambda: _ray_rule(None, {Cell(0, "o"): _PT}, point, pout=_PT),
+     "slab rule 0 sends Cell(1, 'seg') to Simplex('seg'), "
+     "not a 1-simplex of FiniteSimplicialSet(point: 1x0)"),
+    (lambda: _ray_rule(0, {}), "base map is missing a value for Cell(0, 'o')"),
+    (lambda: _ray_rule(0, {Cell(0, "o"): Simplex((), Cell(0, "a0c1.pout"))}),
+     "base map sends Cell(0, 'o') to Simplex('a0c1.pout'), "
+     "not a 0-simplex of FiniteSimplicialSet(origin: 1x0)"),
+    (lambda: _ray_rule(None, _O, point), "base map sends Cell(0, 'o') to "
+     "Simplex('o'), not a 0-simplex of FiniteSimplicialSet(point: 1x0)"),
 ], ids=["missing value", "image dimension", "rule count", "missing slab value",
-        "family kind"])
+        "family kind", "chain past the target's", "negative chain", "bool chain",
+        "chain not an int", "chain of a finite target", "periodic image off the slab",
+        "periodic image dimension", "periodic image not a simplex", "collapse off the base",
+        "collapse image dimension", "empty base map", "base map off the base",
+        "base map off a finite target"])
 def test_maps_and_families_refuse_an_incomplete_description(build, message):
     with pytest.raises(SimplicialError) as err:
         build()
@@ -956,6 +1034,9 @@ def test_family_controlledness():
         base_cells=(), slab_cells=(Cell(0, "pout"),)))
     assert not family_is_controlled(ln, DegeneracyTowerFamily(
         Simplex((), Cell(0, "o"))))
+    # the tower of a cell is the tower of its simplex
+    assert family_is_controlled(ln, DegeneracyTowerFamily(Cell(1, "a1c2.seg"))) is False
+    assert family_is_controlled(torus(), DegeneracyTowerFamily(Cell(0, "0"))) is False
 
 
 def test_all_cells_family_needs_local_finiteness():
