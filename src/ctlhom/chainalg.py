@@ -21,7 +21,8 @@ NonStabilizationError with its history attached.  Where the slab's chains
 relative to one of its boundaries are acyclic, excision proves the later
 transitions isomorphisms without presenting their stages.  Boundary columns,
 cell positions and the resolved chains (``Exhaustion.gluings``) are ``sset``'s;
-chains, cochains and the maps they are pushed and pulled along are in ``maps``.
+chains, cochains and the maps they are pushed and pulled along are in ``maps``,
+whose ``boundary`` reads those columns and whose ``coboundary`` does not.
 """
 
 from __future__ import annotations
@@ -325,31 +326,21 @@ def _basis(boundary_in: IntMatrix, boundary_out: IntMatrix) -> dict:
             "_v_inv": dec.v_inv, "_rank": r, "_u_y": dec_y.u, "_kept": kept}
 
 
-def is_surjective_on_classes(target: HomologyPresentation, images) -> bool:
-    """Whether classes with the given target coordinates generate the target.
-
-    The target is Z^k modulo its torsion relations; the images generate iff
-    the augmented (images | relations) matrix has all k invariant factors
-    equal to one.
-    """
-    k = len(target.orders)
-    if k == 0:
-        return True
-    cols = [dict(enumerate(img)) for img in images]
-    cols += [{i: d} for i, d in enumerate(target.orders) if d >= 2]
-    return invariant_factors(_rows(k, cols)) == (1,) * k
-
-
 def is_transition_isomorphism(source: HomologyPresentation,
                               target: HomologyPresentation,
                               chain_map) -> bool:
     """Isomorphism test for a map of finitely generated abelian groups:
     abstract equality plus surjectivity suffices (such groups are Hopfian,
-    so a surjective self-shape map is injective)."""
-    if source.group != target.group:
-        return False
-    return is_surjective_on_classes(
-        target, [target.reduce(chain_map(g)) for g in source.generators])
+    so a surjective self-shape map is injective).  The target is Z^k modulo
+    its torsion relations; the images of the source generators generate it
+    iff the augmented (images | relations) matrix has all k invariant
+    factors equal to one."""
+    if source.group != target.group or source.group.is_trivial:
+        return source.group == target.group
+    k = len(target.orders)
+    cols = [dict(enumerate(target.reduce(chain_map(g)))) for g in source.generators]
+    cols += [{i: d} for i, d in enumerate(target.orders) if d >= 2]
+    return invariant_factors(_rows(k, cols)) == (1,) * k
 
 
 # --------------------------------------------------------------------------
@@ -491,41 +482,6 @@ def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
                                 (stage.factors(n + shift, dual),
                                  stage.factors(n + step + shift, dual)))
             for n in degrees if n >= 0}
-
-
-def _default_max_degree(space) -> int:
-    if isinstance(space, FiniteSimplicialSet):
-        return max(space.top_dim, 0)
-    return max(space.base.top_dim, space.slab.top_dim, 0)
-
-
-def _convert_results(theory, space_label, coeff, cohomological,
-                     stabilized_at, window, depth_used, caveats,
-                     presentations, max_degree):
-    """Apply the coefficient conversion to the presentations' integral
-    groups."""
-    integral = {n: p.group for n, p in presentations.items()}
-    groups = {}
-    stab = dict(stabilized_at) if stabilized_at is not None else None
-    for n in range(max_degree + 1):
-        current = integral.get(n, TRIVIAL_GROUP)
-        neighbor_deg = n + 1 if cohomological else n - 1
-        neighbor = integral.get(neighbor_deg, TRIVIAL_GROUP)
-        groups[n] = convert_group(current, neighbor, coeff)
-        if stab is not None and coeff.kind == "zmod":
-            # the Tor term imports the neighbor's stabilization depth
-            depths = [d for d in (stabilized_at.get(n), stabilized_at.get(neighbor_deg))
-                      if d is not None]
-            if depths:
-                stab[n] = max(depths)
-    if coeff.kind != "z":
-        caveats = caveats + [
-            f"{coeff.label} groups derived from the integral computation by "
-            "the universal coefficient splitting"
-        ]
-    # the presentations are of the integral groups only
-    return TheoryResult(theory, space_label, coeff, groups, stab, window, depth_used, caveats,
-                        presentations if coeff.kind == "z" else None)
 
 
 # --------------------------------------------------------------------------
@@ -673,31 +629,47 @@ _THEORIES = {
 }
 
 
+def _check_arguments(**values):
+    """Refuse, by name, a window or depth below 1 or a degree below 0."""
+    for name, value in values.items():
+        low = 0 if "degree" in name else 1
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be at least {low}")
+
+
 def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
+    """One theory's groups, converted from its integral presentations."""
+    _check_arguments(max_degree=max_degree, window=window, max_depth=max_depth)
     relative, dual, finite_caveat = _THEORIES[tag]
+    finite = isinstance(space, FiniteSimplicialSet)
     if max_degree is None:
-        max_degree = _default_max_degree(space)
+        max_degree = max(space.top_dim if finite else max(space.base.top_dim, space.slab.top_dim), 0)
     # cohomology under z/M also presents the degree above, which its Tor term reads
     degrees = range(max_degree + (2 if dual and coeff.kind == "zmod" else 1))
-    if isinstance(space, FiniteSimplicialSet):
+    if finite:
         final = _present_degrees(StageComplex(space, frozenset()), degrees, dual)
         stabilized = window = depth_used = None
         caveats = []
     else:
-        if window < 1:
-            raise ValueError("window must be at least 1")
         system = _StageSystem(space, relative)
-        stabilized, depth_used, caveats = _run_system(
-            system, tag, degrees, window, max_depth, dual)
+        stabilized, depth_used, caveats = _run_system(system, tag, degrees, window, max_depth, dual)
         final = system.present(depth_used, dual, degrees)
-        finite_caveat = None
-    result = _convert_results(
-        tag, getattr(space, "name", None) or "space", coeff, cohomological=dual,
-        stabilized_at=stabilized, window=window, depth_used=depth_used, caveats=caveats,
-        presentations=final, max_degree=max_degree)
-    if finite_caveat:  # after the coefficient caveat
-        result.caveats.append(finite_caveat)
-    return result
+    step = 1 if dual else -1  # the Tor term reads the degree above for cohomology
+    integral = {n: p.group for n, p in final.items()}
+    groups = {n: convert_group(integral.get(n, TRIVIAL_GROUP), integral.get(n + step, TRIVIAL_GROUP),
+                               coeff) for n in range(max_degree + 1)}
+    if stabilized is not None and coeff.kind == "zmod":
+        # the Tor term imports its neighbour's stabilization depth
+        stabilized.update({n: max(stabilized[n], stabilized.get(n + step, 0))
+                           for n in range(max_degree + 1)})
+    if coeff.kind != "z":
+        caveats.append(f"{coeff.label} groups derived from the integral computation by "
+                       "the universal coefficient splitting")
+    if finite and finite_caveat:
+        caveats.append(finite_caveat)
+    # the presentations are of the integral groups only
+    return TheoryResult(tag, getattr(space, "name", None) or "space", coeff, groups, stabilized,
+                        window, depth_used, caveats, final if coeff.kind == "z" else None)
 
 
 def homology(space, coeff: Coefficients = INTEGER, max_degree: int | None = None,
@@ -762,19 +734,15 @@ def pairing_matrix(space, degree: int, window: int = 3,
     On a finite complex this is the plain evaluation of cohomology on
     homology.
     """
-    if degree < 0:
-        raise ValueError("degree must be at least 0")
+    _check_arguments(degree=degree, window=window, max_depth=max_depth)
     if isinstance(space, FiniteSimplicialSet):
         depth, stage = None, StageComplex(space, frozenset())
         pres, dual_pres = (_present_degrees(stage, [degree], dual)[degree] for dual in (False, True))
     else:
-        if window < 1:
-            raise ValueError("window must be at least 1")
         system = _StageSystem(space, True)
         depth = max(_run_system(system, tag, range(degree + 1), window, max_depth, dual)[1]
                     for tag, dual in (("H_BM", False), ("H_c", True)))
-        pres, dual_pres = (system.present(depth, dual, [degree])[degree]
-                           for dual in (False, True))
+        pres, dual_pres = (system.present(depth, dual, [degree])[degree] for dual in (False, True))
     matrix = tuple(tuple(sum(a * b for a, b in zip(phi, c)) for c in pres.generators)
                    for phi in dual_pres.generators)
     return PairingResult(degree, depth, pres.group, dual_pres.group, matrix)

@@ -10,6 +10,9 @@ it.  It is loaded by the first read of one of its names
 the tests.  It loads ``chainalg`` only when ``induced_on_homology`` is
 called, and the controlled-set layer (``ctlset``) only to refuse a pullback.
 An exhaustion's chains are read as ``sset`` resolved them (``Exhaustion.gluings``).
+``boundary`` reads each cell's column as the engine does (``sset._column``);
+``coboundary`` deliberately walks the faces instead, so that their adjointness
+checks those columns against an independent reading.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .sset import (Cell, Exhaustion, FiniteSimplicialSet, SimplicialError, Simplex, _crowding,
-                   _word_surjection, apply_ordinal_map, face)
+from .sset import (Cell, Exhaustion, FiniteSimplicialSet, SimplicialError, Simplex, _column,
+                   _crowding, _word_surjection, apply_ordinal_map, face)
 
 
 # --------------------------------------------------------------------------
@@ -34,20 +37,9 @@ class SimplicialMap:
     """
 
     def __init__(self, source, target, mapping: dict, name=None):
-        self.source = source
-        self.target = target
-        self.name = name
+        self.source, self.target, self.name = source, target, name
         self.mapping = dict(mapping)
-        for cell in source.all_cells():
-            img = self.mapping.get(cell)
-            if img is None:
-                raise SimplicialError(f"map is missing a value for {cell}")
-            if not isinstance(img, Simplex) or not target.has_cell(img.core):
-                raise SimplicialError(f"image of {cell} is not a target simplex")
-            if img.dim != cell.dim:
-                raise SimplicialError(
-                    f"image of {cell} has dimension {img.dim}, expected {cell.dim}"
-                )
+        _check_values("map", source.all_cells(), self.mapping, target)
         problems = self.face_violations()
         if problems:
             raise SimplicialError("; ".join(problems[:5]))
@@ -59,17 +51,9 @@ class SimplicialMap:
         return apply_ordinal_map(self.target, img, _word_surjection(x.word, x.dim))
 
     def face_violations(self) -> list[str]:
-        bad = []
-        for cell in self.source.all_cells():
-            if cell.dim == 0:
-                continue
-            img = self.mapping[cell]
-            for i in range(cell.dim + 1):
-                lhs = self.eval(self.source.face(cell, i))
-                rhs = face(self.target, img, i)
-                if lhs != rhs:
-                    bad.append(f"map does not commute with face {i} of {cell}")
-        return bad
+        return [f"map does not commute with face {i} of {cell}"
+                for cell in self.source.all_cells() if cell.dim for i in range(cell.dim + 1)
+                if self.eval(self.source.face(cell, i)) != face(self.target, self.mapping[cell], i)]
 
     def __repr__(self):
         return f"SimplicialMap({self.name or '?'})"
@@ -97,49 +81,81 @@ class PeriodicMap:
 
     ``base_map`` sends the base's cells to target simplices; each source
     attachment chain carries a SlabRule applied to every copy.  Both are
-    checked here (``_check_values``); the finite stage map at any depth is
+    checked here (``_check_values``), and so is a value a rule gives an
+    in-boundary cell: in every copy it must be the image of the cell the
+    copy glues it to (``_images``).  The finite stage map at any depth is
     assembled (and face-checked) on demand.
     """
 
     def __init__(self, source: Exhaustion, target, base_map: dict,
                  slab_rules, name=None):
-        self.source = source
-        self.target = target
+        self.source, self.target, self.name = source, target, name
         self.base_map = dict(base_map)
         self.slab_rules = tuple(slab_rules)
-        self.name = name
         if len(self.slab_rules) != len(source.attachments):
             raise SimplicialError("need one slab rule per attachment chain")
         fixed = target.base if self.target_is_exhaustion else target
         _check_values("base map", source.base.all_cells(), self.base_map, fixed)
         chains = range(len(target.gluings)) if self.target_is_exhaustion else ()
-        self._slab_images = ()
+        self._slab_images, given = (), ()
         for a, (rule, g) in enumerate(zip(self.slab_rules, source.gluings)):
             at = rule.target_attachment
             if at is not None and (isinstance(at, bool) or not isinstance(at, int) or at not in chains):
                 raise SimplicialError(f"slab rule {a} names no chain of the target: {at!r}")
-            _check_values(f"slab rule {a}", g.added, rule.cell_map, fixed if at is None else target.slab)
+            cells = [c for c in source.slab.all_cells() if c in rule.cell_map or c not in g.into]
+            _check_values(f"slab rule {a}", cells, rule.cell_map, fixed if at is None else target.slab)
             self._slab_images += ([(c, rule.cell_map[c]) for c in g.added],)
+            given += ([(c, rule.cell_map[c]) for c in cells],)
+        walks = [X for X in (source, target) if isinstance(X, Exhaustion)]
+        cycle = max((len(t) for X in walks for g in X.gluings for t in g.cycles.values()), default=0)
+        self._images(1 + sum(X.longest for X in walks) + 2 * cycle, given)
 
     @property
     def target_is_exhaustion(self) -> bool:
         return isinstance(self.target, Exhaustion)
+
+    def _images(self, depth: int, values) -> dict:
+        """The stage map's values on the base and on copies 1..depth: the base
+        map's, and in each copy the ``(slab cell, image)`` pairs of each
+        chain's ``values``, the image moved into the copy for a periodic rule.
+        A pair whose cell is glued to one with another value is refused.
+
+        Construction passes the values given on in-boundary cells too, to
+        depth 1 + l + 2m: l is the sum of the source's and the target's
+        ``longest`` (0 for a finite target), m their longest cycle.  That
+        decides every copy.  Walking back through the copies, the cell copy c
+        glues an in-boundary cell to is a base cell until, at most the source's
+        ``longest`` copies back, it is one that copy c - r adds (r fixed),
+        whose image is the rule's value moved into copy c - r; or it is a
+        cycle's base cell, periodic in c with period at most m.  A value moved
+        into copy c behaves alike in the target.  So past copy l each side is a
+        simplex over the cell that copy c - s adds of a fixed slab cell (s
+        fixed), or one over the target's base (or a finite target), periodic
+        in c with period at most max(m, 1).  Two sides of the first kind agree
+        in every copy past l or in none, sides of different kinds in none, and
+        sides of the second kind, of periods p and q, in every copy once they
+        agree in p + q - gcd(p, q) <= 2m + 1 consecutive ones (Fine and Wilf).
+        """
+        mapping = dict(self.base_map)
+        for a, rule in enumerate(self.slab_rules):
+            for c in range(1, depth + 1):
+                trans = self.source._translation(a, c)
+                translate = (None if rule.target_attachment is None
+                             else self.target._translation(rule.target_attachment, c))
+                for cell, img in values[a]:
+                    value = img if translate is None else Simplex(img.word, translate[img.core])
+                    if mapping.setdefault(trans[cell], value) != value:
+                        raise SimplicialError(
+                            f"slab rule {a} sends {cell} in copy {c} to {value!r}, but it is glued "
+                            f"to {trans[cell]}, which goes to {mapping[trans[cell]]!r}")
+        return mapping
 
     def level_map(self, depth: int) -> SimplicialMap:
         """The finite stage map K_depth(source) -> stage-or-target, validated."""
         src_complex = self.source.truncate(depth).complex
         tgt_complex = (self.target.truncate(depth).complex if self.target_is_exhaustion
                        else self.target)
-        mapping = dict(self.base_map)
-        for a, rule in enumerate(self.slab_rules):
-            for c in range(1, depth + 1):
-                trans = self.source.translations[(a, c)]
-                translate = (None if rule.target_attachment is None
-                             else self.target.translations[(rule.target_attachment, c)])
-                for cell, img in self._slab_images[a]:
-                    mapping[trans[cell]] = (img if translate is None
-                                            else Simplex(img.word, translate[img.core]))
-        return SimplicialMap(src_complex, tgt_complex, mapping,
+        return SimplicialMap(src_complex, tgt_complex, self._images(depth, self._slab_images),
                              name=f"{self.name or 'map'}[{depth}]")
 
     def __repr__(self):
@@ -400,30 +416,21 @@ class Cochain:
 
 
 def boundary(chain: Chain) -> Chain:
-    out = {}
-    X = chain.complex
+    """The boundary, read from the engine's columns (``sset._column``)."""
+    X, out = chain.complex, {}
+    below = X.cells(chain.degree - 1)
     for cell, a in chain.coeffs.items():
-        for i in range(chain.degree + 1):
-            fv = X.face(cell, i)
-            if not fv.is_nondegenerate:
-                continue
-            sign = -1 if i % 2 else 1
-            out[fv.core] = out.get(fv.core, 0) + sign * a
+        for r, x in _column(X, cell).items():
+            out[below[r]] = out.get(below[r], 0) + x * a
     return Chain(X, chain.degree - 1, out)
 
 
 def coboundary(cochain: Cochain) -> Cochain:
-    X = cochain.complex
-    out = {}
-    for cell in X.cells(cochain.degree + 1):
-        total = 0
-        for i in range(cochain.degree + 2):
-            fv = X.face(cell, i)
-            sign = -1 if i % 2 else 1
-            total += sign * cochain(fv)
-        if total:
-            out[cell] = total
-    return Cochain(X, cochain.degree + 1, out)
+    """The coboundary, from each cell's faces, not from the engine's columns:
+    the adjointness of the two checks one reading against the other."""
+    X, n = cochain.complex, cochain.degree + 1
+    return Cochain(X, n, {cell: sum((-1 if i % 2 else 1) * cochain(X.face(cell, i))
+                                    for i in range(n + 1)) for cell in X.cells(n)})
 
 
 def pairing(cochain: Cochain, chain: Chain) -> int:
@@ -439,20 +446,14 @@ def pushforward(f: SimplicialMap, chain: Chain) -> Chain:
     out = {}
     for cell, a in chain.coeffs.items():
         img = f.eval(f.source.simplex(cell))
-        if not img.is_nondegenerate:
-            continue
-        out[img.core] = out.get(img.core, 0) + a
+        if img.is_nondegenerate:
+            out[img.core] = out.get(img.core, 0) + a
     return Chain(f.target, chain.degree, out)
 
 
 def _pulled(f: SimplicialMap, cochain: Cochain) -> dict:
-    """The nonzero values of the pullback, on the source cells."""
-    out = {}
-    for cell in f.source.cells(cochain.degree):
-        v = cochain(f.eval(f.source.simplex(cell)))
-        if v:
-            out[cell] = v
-    return out
+    """The pullback's values on the source cells, zeros included."""
+    return {cell: cochain(f.eval(f.source.simplex(cell))) for cell in f.source.cells(cochain.degree)}
 
 
 def pullback(f: SimplicialMap, cochain: Cochain) -> Cochain:

@@ -522,7 +522,8 @@ class Exhaustion:
     out-boundary (the base boundary for the first copy).  The copies glue
     into one complex that grows in place, and every stage is a prefix of it;
     ``translations`` maps (a, c) to the slab-to-copy cell map of every copy
-    glued so far; ``gluings`` resolves each chain once (``_gluing``).
+    read so far (``_translation``); ``gluings`` resolves each chain once
+    (``_gluing``).
     """
 
     def __init__(self, base: FiniteSimplicialSet, slab: FiniteSimplicialSet,
@@ -596,20 +597,27 @@ class Exhaustion:
         if depth < 0:
             raise SimplicialError("depth must be non-negative")
         for d in range(len(self._stages), depth + 1):
-            prev = self._stages[-1]
-            frontier_chains = []
-            added = {}
+            frontier_chains, added = [], {}
             for a, g in enumerate(self.gluings):
-                trans = dict(zip(g.into, prev.frontier_chains[a]))
+                trans = self._translation(a, d)
                 for cell in g.added:
-                    new = trans[cell] = Cell(cell.dim, f"a{a}c{d}.{cell.id}")
                     # the slab checked each word over a core of this dimension
-                    added[new] = tuple(tuple.__new__(Simplex, (fv.word, trans[fv.core]))
-                                       for fv in self.slab._faces[cell])
-                self.translations[(a, d)] = trans
+                    added[trans[cell]] = tuple(tuple.__new__(Simplex, (fv.word, trans[fv.core]))
+                                               for fv in self.slab._faces[cell])
                 frontier_chains.append([trans[c] for c in g.out])
             self._glue_stage(added, frontier_chains)
         return self._stages[depth]
+
+    def _translation(self, a: int, c: int) -> dict:
+        """Copy c's slab-to-cell map on chain a, made on first read, gluing no
+        stage: an in-boundary cell is the cell at its position in copy c - 1's
+        out-boundary (the base's, for copy 1); a cell the copy adds is new."""
+        if (a, c) not in self.translations:
+            g = self.gluings[a]
+            glued = [self._translation(a, c - 1)[x] for x in g.out] if c > 1 else g.base
+            trans = self.translations[(a, c)] = dict(zip(g.into, glued))
+            trans.update((x, Cell(x.dim, f"a{a}c{c}.{x.id}")) for x in g.added)
+        return self.translations[(a, c)]
 
     def __repr__(self):
         return f"Exhaustion({self.name or '?'}: base {self.base!r}, {len(self.attachments)} chain(s))"

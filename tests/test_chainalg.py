@@ -679,8 +679,12 @@ def test_cochain_vanishes_on_degenerates():
 @settings(max_examples=60)
 @given(st.data())
 def test_pairing_adjointness(data):
-    """<d phi, c> == <phi, d c> for random (co)chains in every degree."""
-    X = data.draw(st.sampled_from(CORPUS[1:]))
+    """<d phi, c> == <phi, d c> for random (co)chains in every degree, on
+    finite complexes and on stages 0-3 of three exhaustions, whose columns
+    ``boundary`` reads through the tables the stages share."""
+    X = data.draw(st.sampled_from(CORPUS[1:] + [space.truncate(d).complex
+                                                for space in (plane(), cylinder(), relay())
+                                                for d in range(4)]))
     n = data.draw(st.integers(0, 2))
     chains = list(X.cells(n + 1))
     cocells = list(X.cells(n))
@@ -797,6 +801,25 @@ def test_torus_pairing_in_top_degree():
 def test_pairing_refuses_a_negative_degree(space):
     with pytest.raises(ValueError, match="degree must be at least 0"):
         pairing_matrix(space(), -1)
+
+
+@pytest.mark.parametrize("name, value", [("window", 0), ("window", -2), ("max_depth", 0),
+                                         ("max_depth", -3), ("max_degree", -1)])
+@pytest.mark.parametrize("space", [torus, ray], ids=["finite", "exhaustion"])
+@pytest.mark.parametrize("driver", [*THEORY_DRIVERS.values(), pairing_matrix],
+                         ids=[*THEORY_DRIVERS, "pairing"])
+def test_drivers_refuse_bad_arguments_by_name_on_every_space(monkeypatch, driver, space, name,
+                                                             value):
+    """A window or depth below 1, and a degree below 0 (the pairing's own
+    degree in place of a top degree), are refused before any stage is read."""
+    monkeypatch.setattr(chainalg, "is_locally_finite", None)
+    kwargs = {"degree": 1} if driver is pairing_matrix else {}
+    if driver is pairing_matrix and name == "max_degree":
+        name = "degree"
+    kwargs[name] = value
+    low = 0 if "degree" in name else 1
+    with pytest.raises(ValueError, match=f"^{name} must be at least {low}$"):
+        driver(space(), **kwargs)
 
 
 def test_torsion_pairs_to_nothing():

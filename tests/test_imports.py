@@ -3,10 +3,12 @@ commands that use the controlled-set layer (``ctlset``, ``laws``) load it,
 no command loads the map layer (``maps``), and a map name loads neither the
 engine (``chainalg``, ``snf``) nor the controlled-set layer.  Each check
 runs in a fresh interpreter, since other tests load everything.  Which
-module reads a complex's tables is checked on the source."""
+module reads a complex's tables, and where the boundary's sign rule is
+written, is checked on the source."""
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +119,25 @@ def test_only_sset_reads_a_complex_s_tables_or_its_copy_names():
             elif isinstance(node, ast.ImportFrom) and "_COPY_ID" in {a.name for a in node.names}:
                 reads.append(f"{path.name}:{node.lineno} import _COPY_ID")
     assert reads == []
+
+
+def _is_face_sign(node) -> bool:
+    """``-1 if i % 2 else 1``, the alternating sign of face i."""
+    return isinstance(node, ast.IfExp) and bool(
+        re.fullmatch(r"-1 if \w+ % 2 else 1", ast.unparse(node)))
+
+
+def test_the_face_sign_lives_in_the_engine_the_reference_and_the_adjoint_side():
+    """The engine's columns (``sset._column``) carry the boundary's sign
+    rule, and chains read them; the unnormalized reference boundary and the
+    coboundary, which the adjointness test checks the columns against,
+    keep their own copies on purpose."""
+    sites = []
+    for path in sorted(Path(ctlhom.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [f"{path.stem}.{fn.name}" for node in ast.walk(fn) if _is_face_sign(node)]
+    assert sites == ["chainalg.unnormalized_boundary_matrix", "maps.coboundary", "sset._column"]
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

@@ -31,27 +31,28 @@ def _sparse(m) -> list:
 
 
 def final_presentations(theory: str, space: str, coeff: str) -> dict:
-    """The presentations a driver converts its groups from, by degree; under
-    z/2 the result does not keep them, so they are read on the way in."""
+    """The presentations a driver converts its groups from, by degree: what
+    its stage system presents last; under z/2 the result does not keep them,
+    so they are read on the way in."""
     seen = {}
-    convert = chainalg._convert_results
+    present = chainalg._StageSystem.present
 
     def spy(*args, **kwargs):
-        seen.update(kwargs["presentations"])
-        return convert(*args, **kwargs)
+        seen["last"] = present(*args, **kwargs)
+        return seen["last"]
 
-    chainalg._convert_results = spy
+    chainalg._StageSystem.present = spy
     try:
         result = getattr(chainalg, DRIVERS[theory])(
             corpus.build(space), chainalg.parse_coefficients(coeff))
     finally:
-        chainalg._convert_results = convert
+        chainalg._StageSystem.present = present
     degrees = {
         str(n): {"orders": list(p.orders),
                  "generators": [list(g) for g in p.generators],
                  "v_inv": _sparse(p._v_inv),
                  "u_y": _sparse(p._u_y)}
-        for n, p in sorted(seen.items())
+        for n, p in sorted(seen["last"].items())
     }
     return {"depth_used": result.depth_used, "degrees": degrees}
 

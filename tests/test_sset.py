@@ -153,7 +153,7 @@ def test_plain_tuples_are_refused_where_a_simplex_is_required():
         FiniteSimplicialSet({0: ["v"], 1: ["e"]}, {(1, "e"): (((), v), Simplex((), v))})
     X = circle()
     plain = {c: ((), c) for c in X.all_cells()}
-    with pytest.raises(SimplicialError, match="is not a target simplex"):
+    with pytest.raises(SimplicialError, match=r"to \(\(\), Cell\(0, 'v'\)\), not a 0-simplex"):
         SimplicialMap(X, X, plain)
     phi = Cochain(X, 1, {e: 3})
     assert phi(Simplex((), e)) == 3 and phi(e) == 3
@@ -841,11 +841,28 @@ def _ray_rule(target_attachment, base_map=_O, target=ray, **images):
     return PeriodicMap(ray(), target(), base_map, [SlabRule(target_attachment, cell_map)])
 
 
+def _v(name) -> Simplex:
+    return Simplex((), Cell(0, name))
+
+
+def _tail_collapse(**given) -> PeriodicMap:
+    """``long_tail`` onto the edge 0.1: its base to 0, each copy's new
+    vertex r or s and new edges onto 1 and the edge, with the in-boundary
+    values given by slab cell id.  Copy c glues its p to b0 for c = 1, to b1
+    for c = 2 (copy 1's q) and to copy c - 2's r from c = 3 on."""
+    rule = {Cell(0, "r"): _v("1"), Cell(0, "s"): _v("1"),
+            Cell(1, "ps"): Simplex((), Cell(1, "0.1")), Cell(1, "qr"): Simplex((), Cell(1, "0.1"))}
+    rule.update((Cell(0, k), v) for k, v in given.items())
+    return PeriodicMap(long_tail(), _D1, dict.fromkeys((Cell(0, "b0"), Cell(0, "b1")), _v("0")),
+                       [SlabRule(None, rule)])
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: SimplicialMap(_D1, point(), {Cell(0, "0"): _PT}),
      "map is missing a value for Cell(0, '1')"),
     (lambda: SimplicialMap(_D1, point(), dict.fromkeys(_D1.all_cells(), _PT)),
-     "image of Cell(1, '0.1') has dimension 0, expected 1"),
+     "map sends Cell(1, '0.1') to Simplex('pt'), "
+     "not a 1-simplex of FiniteSimplicialSet(point: 1x0)"),
     (lambda: PeriodicMap(line(), ray(), {Cell(0, "o"): Simplex((), Cell(0, "o"))},
                          fold_line_to_ray().slab_rules[:1]),
      "need one slab rule per attachment chain"),
@@ -879,12 +896,31 @@ def _ray_rule(target_attachment, base_map=_O, target=ray, **images):
      "not a 0-simplex of FiniteSimplicialSet(origin: 1x0)"),
     (lambda: _ray_rule(None, _O, point), "base map sends Cell(0, 'o') to "
      "Simplex('o'), not a 0-simplex of FiniteSimplicialSet(point: 1x0)"),
+    (lambda: PeriodicMap(ray(), ray(), _O, [SlabRule(0, {**_SEG, Cell(0, "pin"): "garbage"})]),
+     "slab rule 0 sends Cell(0, 'pin') to 'garbage', "
+     "not a 0-simplex of FiniteSimplicialSet(segment: 2x0, 1x1)"),
+    (lambda: PeriodicMap(ray(), ray(), _O, [SlabRule(0, {**_SEG, Cell(0, "pin"): _v("pout")})]),
+     "slab rule 0 sends Cell(0, 'pin') in copy 1 to Simplex('a0c1.pout'), "
+     "but it is glued to Cell(0, 'o'), which goes to Simplex('o')"),
+    (lambda: PeriodicMap(ray(), ray(), _O, [SlabRule(0, {
+        Cell(0, "pin"): _v("pin"), Cell(0, "pout"): _v("pin"),
+        Cell(1, "seg"): Simplex((0,), Cell(0, "pin"))})]),
+     "slab rule 0 sends Cell(0, 'pin') in copy 2 to Simplex('a0c1.pout'), "
+     "but it is glued to Cell(0, 'a0c1.pout'), which goes to Simplex('o')"),
+    (lambda: _tail_collapse(q=_v("0")),
+     "slab rule 0 sends Cell(0, 'q') in copy 2 to Simplex('0'), "
+     "but it is glued to Cell(0, 'a0c1.r'), which goes to Simplex('1')"),
+    (lambda: _tail_collapse(p=_v("0")),
+     "slab rule 0 sends Cell(0, 'p') in copy 3 to Simplex('0'), "
+     "but it is glued to Cell(0, 'a0c1.r'), which goes to Simplex('1')"),
 ], ids=["missing value", "image dimension", "rule count", "missing slab value",
         "family kind", "chain past the target's", "negative chain", "bool chain",
         "chain not an int", "chain of a finite target", "periodic image off the slab",
         "periodic image dimension", "periodic image not a simplex", "collapse off the base",
         "collapse image dimension", "empty base map", "base map off the base",
-        "base map off a finite target"])
+        "base map off a finite target", "in-boundary value not a simplex",
+        "in-boundary value off its glued cell", "in-boundary value off in copy 2",
+        "collapsed in-boundary value off in copy 2", "collapsed in-boundary value off in copy 3"])
 def test_maps_and_families_refuse_an_incomplete_description(build, message):
     with pytest.raises(SimplicialError) as err:
         build()
@@ -1144,3 +1180,50 @@ def test_image_family_matches_member_counts_on_random_gluings(space, data):
     if growing:
         assert any(report.controlled_witness.startswith(
             f"image family member counts keep growing (vertex {v.id!r} ") for v in growing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gluings(), st.data())
+def test_in_boundary_values_are_refused_exactly_when_a_deep_copy_disagrees(space, data):
+    """A map of a random gluing into itself, each chain's rule periodic
+    (the identity on the cells copies add, into a random chain) or a
+    collapse onto random base vertices, with values on random in-boundary
+    vertices, drawn among those that agree in copy 1 where there are any:
+    it is refused exactly when, in one of the first 30 copies, a given value
+    differs from the image of the cell it is glued to, read off the map
+    built without those values."""
+    base = list(space.base.cells(0))
+    identity = {c: Simplex((), c) for c in space.base.all_cells()}
+    rules = []
+    for g in space.gluings:
+        at = data.draw(st.sampled_from([None, *range(len(space.gluings))]))
+        rules.append(SlabRule(at, {c: Simplex((), c) if at is not None else Simplex(
+            tuple(range(c.dim - 1, -1, -1)), data.draw(st.sampled_from(base))) for c in g.added}))
+    plain = PeriodicMap(space, space, identity, rules)
+    mapping = plain._images(30, plain._slab_images)
+
+    def moved(rule, v, c):
+        at = rule.target_attachment
+        return v if at is None else Simplex(v.word, space.translations[(at, c)][v.core])
+
+    given = []
+    for a, (rule, g) in enumerate(zip(rules, space.gluings)):
+        values = [Simplex((), v) for v in (base if rule.target_attachment is None
+                                             else space.slab.cells(0))]
+        given.append({})
+        for cell in g.into:
+            first = mapping[space.translations[(a, 1)][cell]]
+            agree = [v for v in values if moved(rule, v, 1) == first]
+            if data.draw(st.booleans()):
+                given[a][cell] = data.draw(st.sampled_from(agree or values))
+    disagree = any(mapping[space.translations[(a, c)][cell]] != moved(rule, v, c)
+                   for a, (rule, values) in enumerate(zip(rules, given))
+                   for c in range(1, 31) for cell, v in values.items())
+    try:
+        PeriodicMap(space, space, identity,
+                    [SlabRule(r.target_attachment, {**r.cell_map, **values})
+                     for r, values in zip(rules, given)])
+    except SimplicialError as err:
+        assert disagree and " but it is glued to " in str(err)
+    else:
+        assert not disagree
