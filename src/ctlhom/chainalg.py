@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import count
 
 from .snf import IntMatrix, MatrixError, invariant_factors, smith_normal_form
 from .sset import (
@@ -59,6 +59,10 @@ class NonStabilizationError(RuntimeError):
 # --------------------------------------------------------------------------
 # coefficients
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Coefficient ring: the integers, a finite cyclic ring, or the
@@ -71,6 +75,8 @@ class Coefficients:
         if self.kind not in ("z", "zmod", "q"):
             raise CoefficientError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "zmod":
+            if self.modulus is not None and not _is_int(self.modulus):
+                raise CoefficientError(f"a modulus must be an integer, not {self.modulus!r}")
             if self.modulus is None or self.modulus < 2:
                 raise CoefficientError("cyclic coefficients need a modulus >= 2")
         elif self.modulus is not None:
@@ -348,16 +354,14 @@ def is_transition_isomorphism(source: HomologyPresentation,
 
 @dataclass
 class StageComplex:
-    """One truncation's chain data: the stage complex, the cells left out of
-    its basis (the frontier, for a relative stage) and the frontier the next
-    stage is glued along.  Its columns are those of the growing complex, rows
-    at their positions there (``boundary_columns``); its matrices re-index
-    them to the basis, and their invariant factors are kept."""
+    """One truncation's chain data: the stage complex and the cells left out
+    of its basis (the frontier, for a relative stage).  Its columns are the
+    complex's ``boundary_columns``, rows at the cells' positions there; its
+    matrices re-index them to the basis, and their invariant factors are
+    kept."""
 
     complex: FiniteSimplicialSet
     excluded: frozenset
-    frontier: frozenset = frozenset()
-    _columns: dict = field(default_factory=dict)
     _matrices: dict = field(default_factory=dict)
     _factors: dict = field(default_factory=dict)
 
@@ -365,16 +369,11 @@ class StageComplex:
         cells = self.complex.cells(n)
         return tuple(c for c in cells if c not in self.excluded) if self.excluded else cells
 
-    def columns(self, n: int) -> list:
-        if n not in self._columns:
-            self._columns[n] = self.complex.boundary_columns(n)
-        return self._columns[n]
-
     def boundary(self, n: int, transposed: bool = False) -> IntMatrix:
         """The boundary out of degree n on the basis, by rows; ``transposed``,
         the coboundary into degree n, whose rows are the columns."""
         if (n, transposed) not in self._matrices:
-            cols, rows = self.columns(n), len(self.basis(n - 1))
+            cols, rows = self.complex.boundary_columns(n), len(self.basis(n - 1))
             if self.excluded:
                 index = dict(zip((r for r, c in enumerate(self.complex.cells(n - 1))
                                   if c not in self.excluded), count()))
@@ -411,41 +410,6 @@ def _push(cells: tuple, size: int, vector) -> tuple:
 def _pull(cells: tuple, vector) -> tuple:
     """A cochain back along the cell map (gather)."""
     return tuple(0 if i is None else vector[i] for i in cells)
-
-
-def _check_chain_map(source: StageComplex, target: StageComplex, top: int, total: bool,
-                     theory: str, stages: str):
-    """Check a transition between two stages of one growing complex to be a
-    chain map in degrees 0..top: each source cell goes to itself, or to zero
-    where the target's basis lacks it (a projection modulo the frontier); an
-    inclusion (``total``) may lack none.  Both read the same columns, rows
-    at the same positions, so only what the transition changes is read: the
-    smaller stage's columns must lead the larger's and reach no row past it
-    or only the target's basis has; an inclusion's new columns meet the
-    smaller stage only along its frontier; the new and dropped columns a
-    projection sends to zero miss the rows both bases keep."""
-    small, large = (source, target) if total else (target, source)
-    xs, xt = ({n: s.complex.positions(s.excluded, n) for n in range(top + 1)} for s in (source, target))
-    for n in range(top + 1) if total else ():
-        cells = source.complex.cells(n)
-        missing = [p for p in xt[n] - xs[n] if p < len(cells)]
-        if missing:
-            raise MatrixError(f"{cells[min(missing)]} missing from the larger basis")
-    for n in range(1, top + 1):
-        cut, below = len(small.complex.cells(n)), len(small.complex.cells(n - 1))
-        held, cols = small.columns(n), large.columns(n)
-        fault = (cols[:cut] != held or max(chain.from_iterable(held), default=-1) >= below
-                 or not (xs[n - 1] - xt[n - 1]).isdisjoint(chain.from_iterable(held)))
-        if total:
-            glued, end = small.complex.positions(small.frontier, n - 1), len(large.complex.cells(n - 1))
-            fault |= any(not below <= r < end and r not in glued for col in cols[cut:] for r in col)
-        else:
-            gone = xs[n - 1] | xt[n - 1]
-            fault |= any(r < below and r not in gone
-                         for p in chain(range(cut, len(cols)), xt[n] - xs[n]) for r in cols[p])
-        if fault:
-            raise MatrixError(f"{theory} degree {n} stages {stages}: "
-                              "transition does not commute with the boundary")
 
 
 # --------------------------------------------------------------------------
@@ -489,8 +453,7 @@ def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
 
 def _stage_for(space, depth: int, relative: bool) -> StageComplex:
     trunc = space.truncate(depth)
-    frontier = frozenset(trunc.frontier)
-    return StageComplex(trunc.complex, frontier if relative else frozenset(), frontier)
+    return StageComplex(trunc.complex, frozenset(trunc.frontier if relative else ()))
 
 
 def _slab_certified_from(space, relative: bool):
@@ -574,14 +537,12 @@ def _run_system(system, theory, degrees, window, max_depth, dual):
     (co)chain complexes, which reverses the map on classes.  So the classes
     move from stage i to i+1 (a colimit) exactly when ``relative == dual``.
 
-    Every transition the window covers is checked once to be a chain map,
-    on every boundary the presentations read (up to degree max + 1).  A
-    degree is presented until it stabilizes, and at ``depth_used``.
+    The transitions are chain maps by construction (``Exhaustion.truncate``).
+    A degree is presented until it stabilizes, and at ``depth_used``.
 
     Returns the degrees' stabilization depths, ``depth_used`` and the
     caveats; the system keeps the presentations at ``depth_used``.
     """
-    relative = system.relative
     stabilized = {}
     quiet = {n: 0 for n in degrees}
     history = {n: [] for n in degrees}
@@ -597,11 +558,7 @@ def _run_system(system, theory, degrees, window, max_depth, dual):
                 f"{window}); groups so far: " + ", ".join(map(render_group, history[worst])),
                 theory=theory, degree=worst,
                 history=[(n, [render_group(g) for g in history[n]]) for n in unsettled])
-        presented = system.present(depth + 1, dual, unsettled)
-        a, b = (depth + 1, depth) if relative else (depth, depth + 1)
-        _check_chain_map(system.stage(a), system.stage(b), max(degrees) + 1, not relative,
-                         theory, f"{depth}{'<-' if relative else '->'}{depth + 1}")
-        for n, p in presented.items():
+        for n, p in system.present(depth + 1, dual, unsettled).items():
             history[n].append(p.group)
             if system.transition_is_iso(depth, n, dual):
                 quiet[n] += 1
@@ -614,7 +571,7 @@ def _run_system(system, theory, degrees, window, max_depth, dual):
     caveats = ["transition maps verified to be isomorphisms for "
                f"{window} consecutive stages; the periodic presentation is assumed "
                "to keep them isomorphisms beyond the probed depth"]
-    if relative != dual:
+    if system.relative != dual:
         caveats.append("limit computed as the stable value; the derived limit vanishes "
                        "because the probed transitions are isomorphisms (Mittag-Leffler)")
     return stabilized, depth_used, caveats
@@ -630,9 +587,12 @@ _THEORIES = {
 
 
 def _check_arguments(**values):
-    """Refuse, by name, a window or depth below 1 or a degree below 0."""
+    """Refuse, by name, a window, depth or degree that is not an integer, a
+    window or depth below 1 and a degree below 0 (None is a top degree)."""
     for name, value in values.items():
         low = 0 if "degree" in name else 1
+        if value is not None and not _is_int(value):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
         if value is not None and value < low:
             raise ValueError(f"{name} must be at least {low}")
 

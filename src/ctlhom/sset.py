@@ -8,7 +8,7 @@ surjection, factoring, walking the injection through stored face assignments,
 and re-normalizing — so face/degeneracy arithmetic never leaves normal form.
 Local finiteness is decided here; maps, properness and controlled families
 are in ``maps``, which imports this module and which no theory loads.  Only
-this module reads a complex's tables (``boundary_columns``, ``positions``,
+this module reads a complex's tables (``boundary_columns``,
 ``Exhaustion._copy_of``) and resolves its chains (``Exhaustion.gluings``).
 """
 
@@ -208,9 +208,6 @@ class FiniteSimplicialSet:
         cells = self.cells(n)
         store.extend(_column(self, cell) for cell in cells[len(store):])
         return store[:len(cells)]
-
-    def positions(self, cells, n: int) -> set:
-        return {self._position[c] for c in cells if c.dim == n}
 
     # -- derived structure ---------------------------------------------------
 
@@ -593,7 +590,23 @@ class Exhaustion:
     def truncate(self, depth: int) -> Truncation:
         """The finite stage at the given depth.  Each stage is built once, by
         gluing one slab copy per chain onto the stage before it, so stages
-        nest by id."""
+        nest by id.
+
+        Every stage transition is a chain map, with no check at run time.
+        Write K_i for stage i and F_i for its frontier, the union of copy i's
+        out-boundaries (the base boundaries at i = 0); both are subcomplexes,
+        as ``__init__`` checks the boundaries face-closed and the gluings
+        isomorphisms.  (1) A new cell of copy i+1 has its faces new or on
+        copy i's out-boundary (the base boundary for copy 1), where the copy's
+        in-boundary is glued.  (2) ``_glue`` moves no cell, so K_i's columns
+        lead K_{i+1}'s with rows at the same positions: the inclusion commutes
+        with the boundary.  (3) An old cell of copy i+1's out-boundary is an
+        in-cell, glued to F_i, so F_{i+1} ∩ K_i ⊆ F_i.  The projection
+        C(K_{i+1}, F_{i+1}) -> C(K_i, F_i) keeps each cell of K_i - F_i, whose
+        faces lie in K_i, where both ways round drop exactly those in F_i.  A
+        cell it sends to zero lies in F_i or is new, so by (1) its faces lie
+        in F_i or are new, and miss the kept basis.  Duals of chain maps are
+        cochain maps."""
         if depth < 0:
             raise SimplicialError("depth must be non-negative")
         for d in range(len(self._stages), depth + 1):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -12,6 +13,7 @@ from ctlhom.chainalg import (
     THEORY_DRIVERS,
     AbelianGroup,
     CoefficientError,
+    Coefficients,
     NonStabilizationError,
     StageComplex,
     TRIVIAL_GROUP,
@@ -76,6 +78,14 @@ def test_parse_coefficients():
     for bad in ("z/x", "z/1", "z/0", "r", ""):
         with pytest.raises(CoefficientError):
             parse_coefficients(bad)
+
+
+@pytest.mark.parametrize("modulus", [2.5, 4.0, "3", True, None])
+def test_a_cyclic_ring_needs_an_integer_modulus(modulus):
+    message = ("cyclic coefficients need a modulus >= 2" if modulus is None
+               else f"a modulus must be an integer, not {modulus!r}")
+    with pytest.raises(CoefficientError, match=f"^{re.escape(message)}$"):
+        Coefficients("zmod", modulus)
 
 
 def test_invariant_chain_merges_coprime_orders():
@@ -407,109 +417,6 @@ def test_window_and_depth_are_respected():
     assert bm_homology(line(), window=2, max_depth=4).group(1) == AbelianGroup(1)
 
 
-def test_transition_check_rejects_a_non_chain_map(monkeypatch):
-    # stage 2 of the line gets its edge boundary columns rotated: still
-    # ∂∂ = 0, but the transitions into and out of stage 2 are no chain maps
-    original = chainalg._stage_for
-
-    def skewed(space, depth, relative):
-        stage = original(space, depth, relative)
-        if depth == 2:
-            d1 = stage.columns(1)
-            stage._columns[1] = d1[1:] + d1[:1]
-        return stage
-
-    monkeypatch.setattr(chainalg, "_stage_for", skewed)
-    for driver in THEORY_DRIVERS.values():
-        with pytest.raises(MatrixError, match="transition does not commute with the boundary"):
-            driver(line())
-
-
-@pytest.mark.parametrize("tag", sorted(THEORY_DRIVERS))
-def test_transition_check_reads_the_boundary_above_the_top_degree(monkeypatch, tag):
-    # stage 0 of the plane loses the boundary of its first triangle: still
-    # ∂∂ = 0, and degree 1, presented from boundaries 1 and 2, reads the
-    # fault, so the transition must be checked on boundary 2 as well
-    original = chainalg._stage_for
-
-    def dropped(space, depth, relative):
-        stage = original(space, depth, relative)
-        if depth == 0:
-            stage._columns[2] = [{}] + stage.columns(2)[1:]
-        return stage
-
-    monkeypatch.setattr(chainalg, "_stage_for", dropped)
-    arrow = "<-" if tag in ("H_BM", "H_c") else "->"
-    with pytest.raises(MatrixError, match=f"^{tag} degree 2 stages 0{arrow}1: transition does "
-                                          "not commute with the boundary$"):
-        THEORY_DRIVERS[tag](plane(), max_degree=1)
-
-
-def test_inclusion_needs_every_cell_in_the_larger_stage(monkeypatch):
-    # stage 2 drops a vertex that stage 1 has: there is no inclusion
-    original = chainalg._stage_for
-
-    def shrunk(space, depth, relative):
-        stage = original(space, depth, relative)
-        if depth == 2:
-            vertex = original(space, 1, relative).basis(0)[0]
-            stage = StageComplex(stage.complex, stage.excluded | {vertex})
-        return stage
-
-    monkeypatch.setattr(chainalg, "_stage_for", shrunk)
-    for driver in (homology, cohomology):
-        with pytest.raises(MatrixError, match="missing from the larger basis"):
-            driver(line())
-
-
-def _planted(monkeypatch, depth, plant):
-    """Build every stage as usual, and call ``plant(stage)`` on the stage at
-    ``depth`` as it is built."""
-    original = chainalg._stage_for
-
-    def planted(space, d, relative):
-        stage = original(space, d, relative)
-        if d == depth:
-            plant(stage)
-        return stage
-
-    monkeypatch.setattr(chainalg, "_stage_for", planted)
-
-
-@pytest.mark.parametrize("tag", sorted(THEORY_DRIVERS))
-def test_the_check_reads_where_a_copy_is_glued(monkeypatch, tag):
-    # an edge of copy 2 also meets the origin, a stage-1 vertex off the
-    # frontier that copy 2 is glued along; the entry goes into the column
-    # every stage shares, so the stages agree on all they both have, and only
-    # the check of the new columns sees it: an inclusion's new columns meet
-    # stage 1 off its frontier, and a projection sends the edge to zero but
-    # not its boundary
-    def meet_origin(stage):
-        at = stage.complex._position
-        stage.columns(1)[at[Cell(1, "a0c2.seg")]][at[Cell(0, "o")]] = 1
-
-    _planted(monkeypatch, 2, meet_origin)
-    arrow = "<-" if tag in ("H_BM", "H_c") else "->"
-    with pytest.raises(MatrixError, match=f"^{tag} degree 1 stages 1{arrow}2: transition "
-                                          "does not commute with the boundary$"):
-        THEORY_DRIVERS[tag](line())
-
-
-def test_projection_check_reads_the_new_frontier_rows(monkeypatch):
-    # an edge of copy 1, kept by the projection from stage 2, also meets the
-    # far end of copy 2, a new frontier vertex: stage 2 drops that row with
-    # its frontier, so only the check of the new frontier rows sees it
-    def reach_out(stage):
-        at = stage.complex._position
-        stage.columns(1)[at[Cell(1, "a0c1.seg")]][at[Cell(0, "a0c2.pout")]] = 1
-
-    _planted(monkeypatch, 2, reach_out)
-    for tag in ("H_BM", "H_c"):
-        with pytest.raises(MatrixError, match=f"^{tag} degree 1 stages 1<-2: transition "
-                                              "does not commute with the boundary$"):
-            THEORY_DRIVERS[tag](line())
-
-
 def test_each_column_is_assembled_once_per_exhaustion(monkeypatch):
     assembled = Counter()
     real = sset._column
@@ -519,10 +426,11 @@ def test_each_column_is_assembled_once_per_exhaustion(monkeypatch):
         return real(X, cell)
 
     monkeypatch.setattr(sset, "_column", spy)
-    space = cylinder()
-    bm_homology(space, window=48, max_depth=60)
+    space = relay()
+    with pytest.raises(NonStabilizationError):
+        homology(space, max_depth=60)
     deepest = space.truncate(len(space._stages) - 1).complex
-    assert len(space._stages) > 48 and set(assembled.values()) == {1}
+    assert len(space._stages) == 61 and set(assembled.values()) == {1}
     assert all((space._complex, c) in assembled for n in (1, 2) for c in deepest.cells(n))
 
 
@@ -554,7 +462,7 @@ def test_the_engine_reads_local_finiteness_and_stages_through_module_bindings(mo
 
 def _spy_on_depths(monkeypatch) -> dict:
     """Record the depths ``Exhaustion.truncate`` is asked for, and the
-    stages a run's stage system reads (to present them or check a
+    stages a run's stage system reads (to present them or test a
     transition out of them)."""
     seen = {"truncated": [], "read": []}
     truncate, stage = sset.Exhaustion.truncate, chainalg._StageSystem.stage
@@ -566,11 +474,11 @@ def _spy_on_depths(monkeypatch) -> dict:
 
 
 READ_DEPTHS = {
-    "H cylinder": 3, "H plane": 3, "H relay": 12,
-    "H_BM cylinder": 4, "H_BM plane": 3, "H_BM relay": 3,
-    "H_co cylinder": 3, "H_co plane": 3, "H_co relay": 12,
-    "H_c cylinder": 4, "H_c plane": 3, "H_c relay": 3,
-    "pairing cylinder": 4, "pairing plane": 3,
+    "H cylinder": 0, "H plane": 0, "H relay": 12,
+    "H_BM cylinder": 1, "H_BM plane": 1, "H_BM relay": 1,
+    "H_co cylinder": 0, "H_co plane": 0, "H_co relay": 12,
+    "H_c cylinder": 1, "H_c plane": 1, "H_c relay": 1,
+    "pairing cylinder": 1, "pairing plane": 1,
 }
 
 
@@ -804,21 +712,26 @@ def test_pairing_refuses_a_negative_degree(space):
 
 
 @pytest.mark.parametrize("name, value", [("window", 0), ("window", -2), ("max_depth", 0),
-                                         ("max_depth", -3), ("max_degree", -1)])
+                                         ("max_depth", -3), ("max_degree", -1),
+                                         ("window", 2.5), ("window", True), ("max_depth", 3.5),
+                                         ("max_degree", 1.5), ("max_degree", True)])
 @pytest.mark.parametrize("space", [torus, ray], ids=["finite", "exhaustion"])
 @pytest.mark.parametrize("driver", [*THEORY_DRIVERS.values(), pairing_matrix],
                          ids=[*THEORY_DRIVERS, "pairing"])
 def test_drivers_refuse_bad_arguments_by_name_on_every_space(monkeypatch, driver, space, name,
                                                              value):
-    """A window or depth below 1, and a degree below 0 (the pairing's own
-    degree in place of a top degree), are refused before any stage is read."""
+    """A window, depth or degree that is not an integer (bools included), a
+    window or depth below 1, and a degree below 0 (the pairing's own degree
+    in place of a top degree), are refused before any stage is read."""
     monkeypatch.setattr(chainalg, "is_locally_finite", None)
     kwargs = {"degree": 1} if driver is pairing_matrix else {}
     if driver is pairing_matrix and name == "max_degree":
         name = "degree"
     kwargs[name] = value
     low = 0 if "degree" in name else 1
-    with pytest.raises(ValueError, match=f"^{name} must be at least {low}$"):
+    message = (f"{name} must be at least {low}" if type(value) is int
+               else f"{name} must be an integer, not {value!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         driver(space(), **kwargs)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlhom import delta, maps, sset
+from ctlhom import chainalg, delta, maps, sset
 from ctlhom.chainalg import AbelianGroup, NonStabilizationError, bm_homology, homology
 from ctlhom.corpus import (
     balloon_ray,
@@ -58,6 +58,7 @@ from ctlhom.sset import (
     is_locally_finite,
     standard_simplex,
 )
+from ctlhom.snf import IntMatrix
 from exhaustions import (
     bead_string,
     dots_into_tail,
@@ -809,6 +810,101 @@ def test_star_index_matches_the_definition_on_finite_complexes():
         D2.star(Cell(0, "elsewhere"))
     with pytest.raises(SimplicialError, match="0-simplices"):
         D2.star(Cell(1, "0.1"))
+
+
+# ------------------------------------------------------- stage transitions
+
+def _chain_data(space, depth: int, relative: bool, top: int) -> list:
+    """Stage ``depth``'s basis and boundary matrix (rows: the basis a degree
+    below) in degrees 0..top, as the theories present them."""
+    stage = chainalg._stage_for(space, depth, relative)
+    return [(stage.basis(n), stage.boundary(n)) for n in range(top + 1)]
+
+
+def _transition(source: tuple, target: tuple) -> IntMatrix:
+    """A transition's 0/1 matrix on one degree: each source basis cell to
+    itself where the target basis has it, to zero where it does not."""
+    at = {c: i for i, c in enumerate(target)}
+    rows = [{} for _ in target]
+    for j, c in enumerate(source):
+        if c in at:
+            rows[at[c]][j] = 1
+    return IntMatrix.from_entries(len(target), len(source), rows)
+
+
+def _noncommuting_degrees(source: list, target: list) -> list:
+    """The degrees n with ∂_target·T_n != T_{n-1}·∂_source."""
+    T = [_transition(s, t) for (s, _), (t, _) in zip(source, target)]
+    return [n for n in range(1, len(source))
+            if target[n][1] @ T[n] != T[n - 1] @ source[n][1]]
+
+
+def _check_transitions(space, deepest: int):
+    """Every inclusion of stages 0..deepest, and every projection of their
+    frontier-relative complexes, commutes with the boundary in every degree
+    up to the top degree plus one; an inclusion keeps every basis cell."""
+    top = max(space.base.top_dim, space.slab.top_dim) + 1
+    for relative in (False, True):
+        stages = [_chain_data(space, d, relative, top) for d in range(deepest + 1)]
+        for small, large in zip(stages, stages[1:]):
+            if relative:
+                assert _noncommuting_degrees(large, small) == []
+            else:
+                assert all(set(s) <= set(t) for (s, _), (t, _) in zip(small, large))
+                assert _noncommuting_degrees(small, large) == []
+
+
+@every_exhaustion
+def test_stage_transitions_are_chain_maps(build):
+    _check_transitions(build(), 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gluings())
+def test_stage_transitions_are_chain_maps_on_random_gluings(space):
+    _check_transitions(space, 4)
+
+
+def _rotate(data, vertex, edge):
+    for row in data:
+        row[:] = row[1:] + row[:1]
+
+
+def _copy_2_edge_meets_the_origin(data, vertex, edge):
+    data[vertex["o"]][edge["a0c2.seg"]] = 1
+
+
+def _copy_1_edge_meets_copy_2_s_far_vertex(data, vertex, edge):
+    data[vertex["a0c2.pout"]][edge["a0c1.seg"]] = 1
+
+
+@pytest.mark.parametrize("plant, depth, relative, failing", [
+    (_rotate, 2, False, {(1, 2), (2, 3)}),
+    (_rotate, 2, True, {(2, 1), (3, 2)}),
+    # off the frontier copy 2 is glued along: the inclusion out of stage 2,
+    # and the projections, which keep the edge of copy 2 at stage 2 only
+    (_copy_2_edge_meets_the_origin, 2, False, {(2, 3)}),
+    (_copy_2_edge_meets_the_origin, 2, True, {(2, 1), (3, 2)}),
+    # the far vertex is on stage 2's frontier, a row stage 2's relative
+    # complex drops; stage 3 keeps it, and projecting stage 4 onto it sees it
+    (_copy_1_edge_meets_copy_2_s_far_vertex, 2, False, {(1, 2), (2, 3)}),
+    (_copy_1_edge_meets_copy_2_s_far_vertex, 3, True, {(4, 3)}),
+], ids=["rotated", "rotated-relative", "origin", "origin-relative", "far-vertex",
+        "far-vertex-relative"])
+def test_planted_faults_fail_the_transition_oracle(plant, depth, relative, failing):
+    """A fault planted into a copy of one stage's degree-1 boundary matrix of
+    the line is seen on the transitions into and out of that stage (source,
+    target) that it breaks, in degree 1."""
+    space = line()
+    stages = [_chain_data(space, d, relative, 2) for d in range(5)]
+    (vertices, _), (edges, d1) = stages[depth][:2]
+    data = [list(row) for row in d1.data]
+    plant(data, {c.id: i for i, c in enumerate(vertices)}, {c.id: j for j, c in enumerate(edges)})
+    stages[depth][1] = (edges, IntMatrix(d1.rows, d1.cols, data))
+    pairs = [(d + 1, d) if relative else (d, d + 1) for d in range(4)]
+    seen = {(a, b): _noncommuting_degrees(stages[a], stages[b]) for a, b in pairs}
+    assert {pair for pair, degrees in seen.items() if degrees} == failing
+    assert all(degrees in ([], [1]) for degrees in seen.values())
 
 
 # ------------------------------------------------------------ simplicial maps
