@@ -246,10 +246,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    if args.max_carrier < 0 or args.max_carrier > 3:
-        raise CoefficientError("--max-carrier must be between 0 and 3")
     from . import laws
 
+    if not 0 <= args.max_carrier <= laws.MAX_CARRIER:
+        raise CoefficientError(f"--max-carrier must be between 0 and {laws.MAX_CARRIER}")
     results = laws.run_all(args.max_carrier)
     ok = all(r.ok for r in results)
     doc = {

@@ -43,11 +43,6 @@ class MonotoneMap(namedtuple("MonotoneMap", "source_dim target_dim values")):
             prev = v
         return tuple.__new__(cls, (source_dim, target_dim, values))
 
-    def __call__(self, i: int) -> int:
-        if not 0 <= i <= self.source_dim:
-            raise DeltaError(f"argument {i} outside source ordinal 0..{self.source_dim}")
-        return self.values[i]
-
     @property
     def is_injective(self) -> bool:
         return len(set(self.values)) == len(self.values)

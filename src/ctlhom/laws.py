@@ -47,6 +47,15 @@ class LawResult:
         return f"LawResult({self.name}: {status}, {self.cases} cases)"
 
 
+MAX_CARRIER = 3  # the families of subsets of a carrier of size 5 number 2^32
+
+
+def _check_bound(max_carrier):
+    """The carrier bound, refused outside 0..MAX_CARRIER."""
+    if type(max_carrier) is not int or not 0 <= max_carrier <= MAX_CARRIER:
+        raise ValueError(f"max_carrier must be an integer in 0..{MAX_CARRIER}, not {max_carrier!r}")
+
+
 def _law(name: str, cases, note: str = "") -> LawResult:
     """Run one law over ``cases``, one verdict per case: None where the law holds,
     else the counterexample text.  Counts the cases; stops at the first failure."""
@@ -78,6 +87,7 @@ def generated_structure_axioms(max_carrier: int = 3) -> LawResult:
     """Every generated presentation on a finite carrier satisfies the three
     control axioms (finite subsets controlled; closed under subsets; closed
     under finite unions)."""
+    _check_bound(max_carrier)
     def cases():
         for size in range(max_carrier + 1):
             carrier = finite_carrier(range(size))
@@ -95,6 +105,7 @@ def generated_structure_axioms(max_carrier: int = 3) -> LawResult:
 
 def category_identity(max_carrier: int = 3) -> LawResult:
     """Composing with an identity map changes nothing."""
+    _check_bound(max_carrier)
     def cases():
         for a, b in product(range(max_carrier + 1), repeat=2):
             X = min_ctl(finite_carrier(range(a)))
@@ -117,6 +128,7 @@ def category_associativity(max_carrier: int = 3) -> LawResult:
     Every inner composite h . g and g . f is built once per carrier tuple,
     and each triple then composes both sides through ``compose``.
     """
+    _check_bound(max_carrier)
     tuples = list(product(range(min(max_carrier, 2) + 1), repeat=4))
     if max_carrier >= 3:
         tuples.append((3, 3, 3, 3))
@@ -147,6 +159,7 @@ def category_associativity(max_carrier: int = 3) -> LawResult:
 def homset_structure_independence(max_carrier: int = 2) -> LawResult:
     """Between finite carriers every set map is controlled, whatever the
     structures: the hom-sets agree across all presentations."""
+    _check_bound(max_carrier)
     def cases():
         for a, b in product(range(max_carrier + 1), repeat=2):
             tables = all_set_maps(finite_carrier(range(a)), finite_carrier(range(b)))
@@ -223,6 +236,7 @@ def min_forget_adjunction(max_carrier: int = 3) -> LawResult:
     presentation is the full power set, so the hom-sets cannot depend on
     which one is taken).
     """
+    _check_bound(max_carrier)
     def cases():
         for s_size in range(max_carrier + 1):
             S = finite_carrier(range(s_size))
@@ -338,10 +352,11 @@ def adjacency_vertex_reduction(max_dim: int = 3) -> LawResult:
     )
 
 
-def run_all(max_carrier: int = 3) -> list[LawResult]:
+def run_all(max_carrier: int = MAX_CARRIER) -> list[LawResult]:
+    _check_bound(max_carrier)
     return [
         generated_structure_axioms(max_carrier),
-        category_identity(min(max_carrier, 3)),
+        category_identity(max_carrier),
         category_associativity(max_carrier),
         homset_structure_independence(min(max_carrier, 2)),
         assignment_catalogue_closure(),

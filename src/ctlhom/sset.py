@@ -456,31 +456,11 @@ class _Stage(FiniteSimplicialSet):
         return self._grown.vertices_of(cell)
 
 
-@dataclass
-class Truncation:
-    """A finite stage of an exhaustion, with gluing bookkeeping.
-
-    ``complex`` is the prefix of the exhaustion's growing complex at this
-    depth.  ``translations[(a, c)]`` maps slab cells to their cells in copy c
-    of attachment chain a, for the copies in this stage; ``frontier_chains``
-    is where copy depth+1 would attach, per chain (``frontier`` is their
-    deduplicated union); ``added`` lists the cells new at this depth, chain
-    by chain in slab order (every base cell at depth 0).
-    """
-
-    depth: int
-    complex: FiniteSimplicialSet
-    frontier_chains: list
-    added: tuple
-    every_translation: dict = field(repr=False)  # the exhaustion's, all depths
-
-    @property
-    def translations(self) -> dict:
-        return {key: trans for key, trans in self.every_translation.items() if key[1] <= self.depth}
-
-    @property
-    def frontier(self) -> tuple:
-        return tuple(dict.fromkeys(c for chain in self.frontier_chains for c in chain))
+Truncation = namedtuple("Truncation", "depth complex frontier")
+Truncation.__doc__ = """A finite stage of an exhaustion: ``complex`` is the prefix
+of its growing complex at ``depth``; ``frontier`` holds the out-boundary cells of
+copy ``depth`` on every chain (the base boundaries at depth 0), deduplicated in
+chain order.  Relative theories are computed on C(complex, frontier)."""
 
 
 Gluing = namedtuple("Gluing", "base into out added cycles longest")
@@ -517,7 +497,8 @@ class Exhaustion:
     Stage 0 is the base; stage i+1 glues one more copy of the slab onto each
     attachment chain, identifying the copy's in-boundary with the previous
     out-boundary (the base boundary for the first copy).  The copies glue
-    into one complex that grows in place, and every stage is a prefix of it;
+    into one complex that grows in place, and every stage is a prefix of it
+    (``truncate``); construction glues stage 0 and nothing more.
     ``translations`` maps (a, c) to the slab-to-copy cell map of every copy
     read so far (``_translation``); ``gluings`` resolves each chain once
     (``_gluing``).
@@ -545,13 +526,15 @@ class Exhaustion:
             _check_gluing_iso(slab, out, slab, into, f"attachment {a} slab gluing")
             self.gluings += (_gluing(slab, base_cells, into, out),)
         self.longest = max(g.longest for g in self.gluings)
-        self._check_copy_ids()
+        for cell in base.all_cells():  # refuse a base cell whose id a slab copy would take
+            if copy := self._copy_of(cell):
+                raise PresentationError(f"base cell id {cell.id!r} is taken by copy {copy[1]} of "
+                                        f"slab cell {copy[2]!r} on attachment {copy[0]}")
         self.translations = {}
         self._complex = object.__new__(FiniteSimplicialSet)
         self._complex._begin(name)
         self._stages = []
-        self._glue_stage({c: base._faces[c] for c in base.all_cells()},
-                         [list(g.base) for g in self.gluings])
+        self.truncate(0)
 
     def _copy_of(self, cell):
         """``(a, d, id)`` when the cell is named as copy d, on chain a, of a
@@ -562,16 +545,6 @@ class Exhaustion:
             return int(match[1]), int(match[2]), match[3]
         return None
 
-    def _check_copy_ids(self):
-        """Refuse a base cell whose id a slab copy would take."""
-        for cell in self.base.all_cells():
-            copy = self._copy_of(cell)
-            if copy is not None:
-                a, d, slab_id = copy
-                raise PresentationError(
-                    f"base cell id {cell.id!r} is taken by copy {d} of slab cell "
-                    f"{slab_id!r} on attachment {a}")
-
     @staticmethod
     def _resolve(lookup, cid, where):
         cell = lookup.get(cid)
@@ -579,18 +552,10 @@ class Exhaustion:
             raise PresentationError(f"{where}: unknown cell id {cid!r}")
         return cell
 
-    def _glue_stage(self, added: dict, frontier_chains: list):
-        depth = len(self._stages)
-        self._complex._glue(added)
-        self._stages.append(Truncation(
-            depth, _Stage(self._complex, f"{self.name or 'exhaustion'}[{depth}]"),
-            frontier_chains, tuple(added), self.translations,
-        ))
-
     def truncate(self, depth: int) -> Truncation:
-        """The finite stage at the given depth.  Each stage is built once, by
-        gluing one slab copy per chain onto the stage before it, so stages
-        nest by id.
+        """The finite stage at the given depth.  Each stage is built once, so
+        stages nest by id: stage 0 glues the base's cells, and stage d one slab
+        copy per chain onto the stage before it.
 
         Every stage transition is a chain map, with no check at run time.
         Write K_i for stage i and F_i for its frontier, the union of copy i's
@@ -610,15 +575,19 @@ class Exhaustion:
         if depth < 0:
             raise SimplicialError("depth must be non-negative")
         for d in range(len(self._stages), depth + 1):
-            frontier_chains, added = [], {}
-            for a, g in enumerate(self.gluings):
-                trans = self._translation(a, d)
-                for cell in g.added:
-                    # the slab checked each word over a core of this dimension
-                    added[trans[cell]] = tuple(tuple.__new__(Simplex, (fv.word, trans[fv.core]))
-                                               for fv in self.slab._faces[cell])
-                frontier_chains.append([trans[c] for c in g.out])
-            self._glue_stage(added, frontier_chains)
+            if d:
+                trans = [self._translation(a, d) for a in range(len(self.gluings))]
+                # the slab checked each word over a core of this dimension
+                added = {t[c]: tuple(tuple.__new__(Simplex, (fv.word, t[fv.core]))
+                                     for fv in self.slab._faces[c])
+                         for t, g in zip(trans, self.gluings) for c in g.added}
+                frontier = (t[c] for t, g in zip(trans, self.gluings) for c in g.out)
+            else:
+                added = {c: self.base._faces[c] for c in self.base.all_cells()}
+                frontier = (c for g in self.gluings for c in g.base)
+            self._complex._glue(added)
+            self._stages.append(Truncation(d, _Stage(self._complex, f"{self.name or 'exhaustion'}[{d}]"),
+                                           tuple(dict.fromkeys(frontier))))
         return self._stages[depth]
 
     def _translation(self, a: int, c: int) -> dict:

@@ -88,6 +88,19 @@ def test_a_cyclic_ring_needs_an_integer_modulus(modulus):
         Coefficients("zmod", modulus)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Coefficients("reals"), CoefficientError, "unknown coefficient kind 'reals'"),
+    (lambda: Coefficients("z", 3), CoefficientError, "only z/M takes a modulus"),
+    (lambda: AbelianGroup(-1), ValueError, "negative free rank"),
+    (lambda: homology(circle()).presentations[1].reduce((1, 2, 3)), MatrixError,
+     "cycle has length 3, basis has 1"),
+], ids=["coefficient kind", "modulus on z", "negative rank", "cycle length"])
+def test_refusals_name_their_fault(make, error, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_invariant_chain_merges_coprime_orders():
     assert invariant_chain([2, 3]) == (6,)
     assert invariant_chain([2, 2, 4]) == (2, 2, 4)

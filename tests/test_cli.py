@@ -146,8 +146,11 @@ def test_modulus_that_int_cannot_read_is_a_usage_error(capsys, modulus):
     assert out.startswith("error: bad modulus in ")
 
 
-def test_bad_max_carrier_is_a_usage_error(capsys):
-    assert run(capsys, "laws", "--max-carrier", "9")[0] == 2
+@pytest.mark.parametrize("bound", ["-1", "4", "9"])
+def test_bad_max_carrier_is_a_usage_error(capsys, bound):
+    assert laws.MAX_CARRIER == 3
+    assert run(capsys, "laws", "--max-carrier", bound) == (
+        2, "error: --max-carrier must be between 0 and 3\n")
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -335,6 +338,8 @@ def test_env_var_caps_the_depth(capsys, monkeypatch):
     assert run(capsys, "bm-homology", "line")[0] == 4
     monkeypatch.setenv("CTLHOM_MAX_DEPTH", "banana")
     assert run(capsys, "bm-homology", "line")[0] == 2
+    monkeypatch.setenv("CTLHOM_MAX_DEPTH", "0")
+    assert run(capsys, "bm-homology", "line") == (2, "error: CTLHOM_MAX_DEPTH must be at least 1\n")
 
 
 def test_explicit_depth_beats_the_env(capsys, monkeypatch):

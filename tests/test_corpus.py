@@ -201,7 +201,7 @@ def test_loader_refusals_name_the_fault(space, edit, message):
     assert type(err.value) is SpaceFormatError and str(err.value) == message
 
 
-def test_builders_and_the_writer_refuse_what_they_cannot_make():
+def test_builders_and_the_writer_refuse_what_they_cannot_make(tmp_path):
     with pytest.raises(UnknownSpaceError) as err:
         sphere(-1)
     assert type(err.value) is UnknownSpaceError
@@ -209,6 +209,10 @@ def test_builders_and_the_writer_refuse_what_they_cannot_make():
     with pytest.raises(SpaceFormatError) as err:
         space_to_json(torus().cells(0))
     assert type(err.value) is SpaceFormatError and str(err.value) == "cannot serialize tuple"
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_space(torus(), str(tmp_path / "taken"))
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file is left
 
 
 def test_loader_refuses_what_is_not_a_space_file(tmp_path):

@@ -49,6 +49,11 @@ def test_min_and_max_differ_on_the_naturals():
     assert not same_controlled_sets(min_ctl(N), max_ctl(N))
 
 
+def test_presentations_on_different_carriers_differ():
+    assert not same_controlled_sets(max_ctl(ABC), max_ctl(finite_carrier(["a", "b"])))
+    assert not same_controlled_sets(max_ctl(ABC), max_ctl(N))
+
+
 def test_structure_axioms_hold_for_builtins():
     for X in (min_ctl(ABC), max_ctl(ABC), min_ctl(N), max_ctl(N),
               generated_ctl(ABC, [["a", "b"]])):

@@ -152,3 +152,20 @@ def test_every_constructor_of_a_monotone_map_checks_it(fields, message):
                   lambda: identity(1)._replace(**replaced)):
         with pytest.raises(DeltaError, match=f"^{re.escape(message)}$"):
             build()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: coface(1, 3), "coface index 3 outside 0..2"),
+    (lambda: codegeneracy(1, 2), "codegeneracy index 2 outside 0..1"),
+    (lambda: codegeneracy_word(coface(0, 0)), "codegeneracy word requires a surjection"),
+    (lambda: coface_word(codegeneracy(0, 0)), "coface word requires an injection"),
+    (lambda: from_codegeneracy_word((2,), 2), "codegeneracy index outside 0..1"),
+    (lambda: from_coface_word((1, 1), 1), "repeated coface index in (1, 1)"),
+    (lambda: from_coface_word((5,), 1), "coface index outside 0..2"),
+], ids=["coface index", "codegeneracy index", "codegeneracy word of an injection",
+        "coface word of a surjection", "codegeneracy word index", "repeated coface index",
+        "coface word index"])
+def test_operators_and_words_refuse_what_is_out_of_range(make, message):
+    with pytest.raises(DeltaError) as err:
+        make()
+    assert type(err.value) is DeltaError and str(err.value) == message

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ctlhom import delta, laws
+from ctlhom import ctlset, delta, laws
 from ctlhom.ctlset import (
     AdjunctionReport,
     ConstantAssignment,
@@ -14,6 +14,9 @@ from ctlhom.ctlset import (
     ShiftAssignment,
     StructureReport,
     TableAssignment,
+    adjunction_check,
+    finite_carrier,
+    min_ctl,
 )
 from ctlhom.delta import MonotoneMap
 from ctlhom.sset import all_simplices
@@ -355,3 +358,31 @@ def test_the_runner_counts_every_case_up_to_the_first_counterexample():
     r = laws._law("demo", iter([None, None]), note="two cases")
     assert _verdict(r) == (True, 2, None) and r.note == "two cases"
     assert _verdict(laws._law("demo", iter([]))) == (True, 0, None)
+
+
+def test_the_adjunction_check_records_a_rejected_table(monkeypatch):
+    # the swap of a 2-element carrier is declared not controlled
+    _plant(monkeypatch, ctlset, "validate_map", lambda real: lambda f: (
+        MapReport(ok=False, violations=["planted"])
+        if f.assignment.mapping == {0: 1, 1: 0} else real(f)))
+    failure = "set map {0: 1, 1: 0} fails to be controlled: ['planted']"
+    two = finite_carrier(range(2))
+    report = adjunction_check(two, min_ctl(two))
+    assert (report.ok, report.set_map_count, report.controlled_map_count, report.failures) == (
+        False, 4, 3, [failure])
+    assert _verdict(laws.min_forget_adjunction()) == (
+        False, 75, f"|S|=2, X=ControlledSet(Carrier([0, 1]), min): {[failure]}")
+
+
+_BOUNDED_LAWS = [laws.generated_structure_axioms, laws.category_identity,
+                 laws.category_associativity, laws.homset_structure_independence,
+                 laws.min_forget_adjunction, laws.run_all]
+
+
+@pytest.mark.parametrize("law", _BOUNDED_LAWS, ids=lambda law: law.__name__)
+@pytest.mark.parametrize("bound", [-1, laws.MAX_CARRIER + 1, 5, 2.5, True, None])
+def test_a_carrier_bound_outside_the_library_range_is_refused(law, bound):
+    message = f"max_carrier must be an integer in 0..{laws.MAX_CARRIER}, not {bound!r}"
+    with pytest.raises(ValueError) as err:
+        law(bound)
+    assert type(err.value) is ValueError and str(err.value) == message

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctlhom.chainalg import boundary_matrix
 from ctlhom.corpus import SPACES, sphere, standard_simplex, torus
-from ctlhom.snf import (TRANSFORMS, IntMatrix, MatrixError, _Worker, invariant_factors,
-                        smith_normal_form)
+from ctlhom.snf import (TRANSFORMS, IntMatrix, MatrixError, SmithDecomposition, _Worker,
+                        invariant_factors, smith_normal_form)
 from ctlhom.sset import FiniteSimplicialSet
 
 GOLDEN = json.loads((Path(__file__).parent / "snf_golden.json").read_text())
@@ -244,6 +245,39 @@ def test_partial_reductions_refuse_verification_and_unknown_names():
         smith_normal_form(m, ("u", "v")).verify()
     with pytest.raises(MatrixError, match="unknown transforms"):
         smith_normal_form(m, ("w",))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: IntMatrix(-1, 0, []), "negative matrix shape"),
+    (lambda: IntMatrix(1, 2, [[1]]), "data shape does not match 1x2"),
+    (lambda: IntMatrix.from_entries(2, 2, [{}]), "1 rows do not fit 2x2"),
+    (lambda: IntMatrix.identity(2).apply((1,)), "vector length 1 != 2 columns"),
+], ids=["negative shape", "ragged data", "too few entry rows", "vector length"])
+def test_matrices_refuse_what_does_not_fit(make, message):
+    with pytest.raises(MatrixError) as err:
+        make()
+    assert type(err.value) is MatrixError and str(err.value) == message
+
+
+def _bumped(m: IntMatrix) -> IntMatrix:
+    """m with 1 added to its top left entry."""
+    return IntMatrix(m.rows, m.cols, [[x + (i == j == 0) for j, x in enumerate(row)]
+                                      for i, row in enumerate(m.data)])
+
+
+@pytest.mark.parametrize("transform", ["u", "u_inv", "v_inv"])
+def test_verify_refuses_a_perturbed_transform(transform):
+    dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    assert dec.verify()
+    assert not replace(dec, **{transform: _bumped(getattr(dec, transform))}).verify()
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [0, 1]], [[2, 0], [0, 3]], [[0, 0], [0, 1]]],
+                         ids=["off the diagonal", "2 does not divide 3", "zero before nonzero"])
+def test_verify_refuses_a_diagonal_out_of_smith_form(rows):
+    """U = V = I and D = M, so only the shape of D can fail."""
+    m, eye = IntMatrix.from_rows(rows), IntMatrix.identity(2)
+    assert not SmithDecomposition(m, m, eye, eye, eye, eye).verify()
 
 
 def _golden_input(name, case):

@@ -553,8 +553,8 @@ def _check_copies(space):
     rebuilt = FiniteSimplicialSet({n: [c.id for c in K.cells(n)] for n in K.dims()}, faces)
     assert list(rebuilt.all_cells()) == list(K.all_cells())
     assert all(rebuilt.face(c, i) == fv for c, fs in faces.items() for i, fv in enumerate(fs))
-    assert {d for _, d in stage.translations} == set(range(1, 9))
-    for trans in stage.translations.values():
+    assert {d for _, d in space.translations} == set(range(1, 9))
+    for trans in space.translations.values():
         for c in space.slab.all_cells():
             if c.dim:
                 assert faces[trans[c]] == tuple(Simplex(fv.word, trans[fv.core])
@@ -592,7 +592,9 @@ def _probed_local_finiteness(X, probe_depth):
     for i in range(probe_depth + 1):
         after = stages[i + 2]
         gained = {}
-        for c in after.added:
+        for c in after.complex.all_cells():
+            if stages[i + 1].complex.has_cell(c):
+                continue
             for v in after.complex.vertices_of(c):
                 gained.setdefault(v, []).append(c.id)
         for v in stages[i].complex.cells(0):
@@ -719,7 +721,7 @@ def _check_gluings(space):
     last = space.longest + 3
     turns = max((len(b) for g in space.gluings for b in g.cycles.values()), default=1)
     stages = [space.truncate(d) for d in range(last + turns)]
-    first = {c: stage.depth for stage in stages for c in stage.added}
+    first = {c: stage.depth for stage in reversed(stages) for c in stage.complex.all_cells()}
     named = lambda X, ids: tuple(next(c for c in X.all_cells() if c.id == i) for i in ids)
     assert [(g.base, g.into, g.out) for g in space.gluings] == [
         (named(space.base, att.base_ids), named(space.slab, att.slab_in_ids),
@@ -727,11 +729,11 @@ def _check_gluings(space):
     for a, g in enumerate(space.gluings):
         assert g.added == tuple(c for c in space.slab.all_cells() if c not in g.into)
         for d in range(1, last + 1):
-            trans = stages[d].translations[(a, d)]
+            trans = space._translation(a, d)
             assert [trans[c] for c in g.added] == [Cell(c.dim, f"a{a}c{d}.{c.id}") for c in g.added]
             assert all(first[trans[c]] == d for c in g.added)
             for c, base in g.cycles.items():
-                turn = [stages[d + i].translations[(a, d + i)][c] for i in range(len(base))]
+                turn = [space._translation(a, d + i)[c] for i in range(len(base))]
                 assert trans[c] in base and sorted(turn) == sorted(base), (a, d, c)
             for c in g.into:
                 if c not in g.cycles:
@@ -796,7 +798,8 @@ def test_star_index_matches_the_definition_on_stages(space):
 
 def test_a_stage_refuses_the_star_of_a_vertex_glued_after_it():
     space = ray()
-    vertex = next(c for c in space.truncate(2).added if c.dim == 0)
+    vertex = next(c for c in space.truncate(2).complex.cells(0)
+                  if not space.truncate(1).complex.has_cell(c))
     assert space.truncate(2).complex.star(vertex)
     with pytest.raises(SimplicialError, match="unknown cell"):
         space.truncate(1).complex.star(vertex)
@@ -1009,6 +1012,14 @@ def _tail_collapse(**given) -> PeriodicMap:
     (lambda: _tail_collapse(p=_v("0")),
      "slab rule 0 sends Cell(0, 'p') in copy 3 to Simplex('0'), "
      "but it is glued to Cell(0, 'a0c1.r'), which goes to Simplex('1')"),
+    (lambda: maps.pairing(maps.Cochain(_D1, 0, {}), maps.Chain(_D1, 1, {})),
+     "pairing needs a cochain and chain of the same degree"),
+    (lambda: maps.pushforward(identity_simplicial_map(_D1), maps.Chain(D2, 0, {})),
+     "chain does not live on the map's source"),
+    (lambda: maps.pullback(identity_simplicial_map(_D1), maps.Cochain(D2, 0, {})),
+     "cochain does not live on the map's target"),
+    (lambda: maps.pullback_periodic(identity_simplicial_map(_D1), maps.Cochain(_D1, 0, {}), 0),
+     "pullback_periodic needs a periodic map"),
 ], ids=["missing value", "image dimension", "rule count", "missing slab value",
         "family kind", "chain past the target's", "negative chain", "bool chain",
         "chain not an int", "chain of a finite target", "periodic image off the slab",
@@ -1016,7 +1027,9 @@ def _tail_collapse(**given) -> PeriodicMap:
         "collapse image dimension", "empty base map", "base map off the base",
         "base map off a finite target", "in-boundary value not a simplex",
         "in-boundary value off its glued cell", "in-boundary value off in copy 2",
-        "collapsed in-boundary value off in copy 2", "collapsed in-boundary value off in copy 3"])
+        "collapsed in-boundary value off in copy 2", "collapsed in-boundary value off in copy 3",
+        "pairing across degrees", "pushforward off the source", "pullback off the target",
+        "periodic pullback of a finite map"])
 def test_maps_and_families_refuse_an_incomplete_description(build, message):
     with pytest.raises(SimplicialError) as err:
         build()

@@ -43,6 +43,14 @@ def _simplex(x) -> list:
     return [list(x.word), _cell(x.core)]
 
 
+def _frontier_chains(space, depth: int) -> list:
+    """Where copy depth+1 attaches, per chain: the base boundary at depth 0,
+    else copy depth's out-boundary."""
+    if depth == 0:
+        return [list(g.base) for g in space.gluings]
+    return [[space._translation(a, depth)[c] for c in g.out] for a, g in enumerate(space.gluings)]
+
+
 def stage(space, depth: int) -> dict:
     t = space.truncate(depth)
     K = t.complex
@@ -51,10 +59,10 @@ def stage(space, depth: int) -> dict:
         "cells": {str(n): [c.id for c in K.cells(n)] for n in K.dims()},
         "faces": {_cell(c): [_simplex(K.face(c, i)) for i in range(c.dim + 1)]
                   for n in K.dims() if n > 0 for c in K.cells(n)},
-        "frontier_chains": [[_cell(c) for c in chain] for chain in t.frontier_chains],
+        "frontier_chains": [[_cell(c) for c in chain] for chain in _frontier_chains(space, depth)],
         "frontier": [_cell(c) for c in t.frontier],
-        "translations": {f"{a} {c}": [[_cell(s), _cell(x)] for s, x in trans.items()]
-                         for (a, c), trans in t.translations.items()},
+        "translations": {f"{a} {c}": [[_cell(s), _cell(x)] for s, x in space._translation(a, c).items()]
+                         for c in range(1, depth + 1) for a in range(len(space.gluings))},
     }
 
 
@@ -114,7 +122,7 @@ def test_shallow_stages_refuse_later_cells():
     space = ray()
     shallow = space.truncate(1).complex
     later = Cell(1, "a0c3.seg")
-    assert later in space.truncate(3).added
+    assert not space.truncate(2).complex.has_cell(later)
     assert space.truncate(3).complex.has_cell(later)
     assert not shallow.has_cell(later)
     assert not shallow.has_cell(Cell(0, "a0c3.pout"))
