@@ -357,13 +357,14 @@ class StageComplex:
     """One truncation's chain data: the stage complex and the cells left out
     of its basis (the frontier, for a relative stage).  Its columns are the
     complex's ``boundary_columns``, rows at the cells' positions there; its
-    matrices re-index them to the basis, and their invariant factors are
-    kept."""
+    matrices re-index them to the basis, and their invariant factors and its
+    presentations are kept."""
 
     complex: FiniteSimplicialSet
     excluded: frozenset
     _matrices: dict = field(default_factory=dict)
     _factors: dict = field(default_factory=dict)
+    _presented: dict = field(default_factory=dict)
 
     def basis(self, n: int) -> tuple:
         cells = self.complex.cells(n)
@@ -388,6 +389,19 @@ class StageComplex:
         if n not in self._factors:
             self._factors[n] = invariant_factors(self.boundary(n, transposed))
         return self._factors[n]
+
+    def present(self, degrees, dual: bool) -> dict:
+        """The presentations in the given degrees, of the chains or, when
+        ``dual``, of the cochains: the coboundary out of degree n is the
+        transpose of the boundary into it.  Each is made once, and their
+        groups share the stage's invariant factors."""
+        step, shift = (-1, 1) if dual else (1, 0)  # boundary_in(n) is boundary n + shift
+        for n in degrees:
+            if (n, dual) not in self._presented:
+                self._presented[n, dual] = present_homology(
+                    self.boundary(n + shift, dual), self.boundary(n + step + shift, dual),
+                    (self.factors(n + shift, dual), self.factors(n + step + shift, dual)))
+        return {n: self._presented[n, dual] for n in degrees}
 
 
 def _cell_map(source: tuple, target: tuple) -> tuple:
@@ -434,27 +448,8 @@ class TheoryResult:
         return self.groups.get(n, TRIVIAL_GROUP)
 
 
-def _present_degrees(stage: StageComplex, degrees, dual: bool) -> dict:
-    """The stage's presentations in the given degrees, of its chains or,
-    when ``dual``, of its cochains: the coboundary out of degree n is the
-    transpose of the boundary into it.  Their groups share the stage's
-    invariant factors."""
-    step = -1 if dual else 1
-    shift = 1 if dual else 0  # boundary_in(n) is boundary n + shift, or its transpose
-    return {n: present_homology(stage.boundary(n + shift, dual),
-                                stage.boundary(n + step + shift, dual),
-                                (stage.factors(n + shift, dual),
-                                 stage.factors(n + step + shift, dual)))
-            for n in degrees if n >= 0}
-
-
 # --------------------------------------------------------------------------
 # the four theories
-
-def _stage_for(space, depth: int, relative: bool) -> StageComplex:
-    trunc = space.truncate(depth)
-    return StageComplex(trunc.complex, frozenset(trunc.frontier if relative else ()))
-
 
 def _slab_certified_from(space, relative: bool):
     """The stage from which excision on the slab proves every transition an
@@ -477,7 +472,7 @@ def _slab_certified_from(space, relative: bool):
     boundaries = dict.fromkeys(frozenset(g.out if relative else g.into) for g in space.gluings)
     for boundary in boundaries:
         slab = StageComplex(space.slab, boundary)
-        presented = _present_degrees(slab, range(space.slab.top_dim + 1), dual=False)
+        presented = slab.present(range(space.slab.top_dim + 1), dual=False)
         if not all(p.group.is_trivial for p in presented.values()):
             return None
     return 1 if relative else 0
@@ -485,34 +480,30 @@ def _slab_certified_from(space, relative: bool):
 
 class _StageSystem:
     """The stages of one run over an exhaustion, absolute or ``relative`` to
-    the frontier, with their presentations and the slab certificate, behind
-    the local-finiteness gate.  Stages, and presentations per stage and
-    variance, are each made once per system; the pairing runs both of its
-    theories on one system.  The space keeps nothing of a run."""
+    the frontier, and the slab certificate, behind the local-finiteness
+    gate.  Each stage is made once per system and keeps its presentations;
+    the pairing runs both of its theories on one system.  The space keeps
+    nothing of a run."""
 
     def __init__(self, space, relative: bool):
         report = is_locally_finite(space)
         if not report.ok:
             raise SimplicialError(f"space is not locally finite: {report.witness}")
-        self.space, self.relative = space, relative
-        self._stages, self._presented = {}, {}
+        self.space, self.relative, self._stages = space, relative, {}
         self.certified = _slab_certified_from(space, relative)
 
     def stage(self, i: int) -> StageComplex:
         if i not in self._stages:
-            self._stages[i] = _stage_for(self.space, i, self.relative)
+            trunc = self.space.truncate(i)
+            self._stages[i] = StageComplex(trunc.complex,
+                                           frozenset(trunc.frontier if self.relative else ()))
         return self._stages[i]
 
     def present(self, i: int, dual: bool, degrees) -> dict:
         """Stage i's presentations in the given degrees; from the certified
         stage on, those of that stage, whose groups every later stage has."""
-        if self.certified is not None:
-            i = min(i, self.certified)
-        have = self._presented.setdefault((i, dual), {})
-        wanted = [n for n in degrees if n not in have]
-        if wanted:
-            have.update(_present_degrees(self.stage(i), wanted, dual))
-        return {n: have[n] for n in degrees}
+        return self.stage(i if self.certified is None else min(i, self.certified)).present(
+            degrees, dual)
 
     def transition_is_iso(self, i: int, n: int, dual: bool) -> bool:
         """Whether the degree-n transition between stages i and i+1 is an
@@ -527,54 +518,55 @@ class _StageSystem:
         size = len(self.stage(b).basis(n))
         return is_transition_isomorphism(source, target, lambda v: _push(cells, size, v))
 
+    def run(self, theory, degrees, window, max_depth, dual):
+        """The shared limit/colimit engine over the stages.
 
-def _run_system(system, theory, degrees, window, max_depth, dual):
-    """Shared limit/colimit engine over the stages of ``system``.
+        A relative system uses stage-relative complexes (chains mod
+        frontier), whose chain maps project stage i+1 onto stage i; otherwise
+        stage i includes into stage i+1.  ``dual`` presents cohomology of the
+        stage (co)chain complexes, which reverses the map on classes.  So the
+        classes move from stage i to i+1 (a colimit) exactly when
+        ``relative == dual``.
 
-    A relative system uses stage-relative complexes (chains mod frontier),
-    whose chain maps project stage i+1 onto stage i; otherwise stage i
-    includes into stage i+1.  ``dual`` presents cohomology of the stage
-    (co)chain complexes, which reverses the map on classes.  So the classes
-    move from stage i to i+1 (a colimit) exactly when ``relative == dual``.
+        The transitions are chain maps by construction
+        (``Exhaustion.truncate``).  A degree is presented until it
+        stabilizes, and at ``depth_used``.
 
-    The transitions are chain maps by construction (``Exhaustion.truncate``).
-    A degree is presented until it stabilizes, and at ``depth_used``.
-
-    Returns the degrees' stabilization depths, ``depth_used`` and the
-    caveats; the system keeps the presentations at ``depth_used``.
-    """
-    stabilized = {}
-    quiet = {n: 0 for n in degrees}
-    history = {n: [] for n in degrees}
-    depth = 0
-    for n, p in system.present(0, dual, degrees).items():
-        history[n].append(p.group)
-    while len(stabilized) < len(degrees):
-        unsettled = [n for n in degrees if n not in stabilized]
-        if depth + 1 > max_depth:
-            worst = unsettled[0]
-            raise NonStabilizationError(
-                f"{theory} degree {worst} did not stabilize within depth {max_depth} (window "
-                f"{window}); groups so far: " + ", ".join(map(render_group, history[worst])),
-                theory=theory, degree=worst,
-                history=[(n, [render_group(g) for g in history[n]]) for n in unsettled])
-        for n, p in system.present(depth + 1, dual, unsettled).items():
+        Returns the degrees' stabilization depths, ``depth_used`` and the
+        caveats; the stages keep the presentations at ``depth_used``.
+        """
+        stabilized = {}
+        quiet = {n: 0 for n in degrees}
+        history = {n: [] for n in degrees}
+        depth = 0
+        for n, p in self.present(0, dual, degrees).items():
             history[n].append(p.group)
-            if system.transition_is_iso(depth, n, dual):
-                quiet[n] += 1
-                if quiet[n] >= window:
-                    stabilized[n] = depth + 1 - window
-            else:
-                quiet[n] = 0
-        depth += 1
-    depth_used = max(stabilized.values(), default=0)
-    caveats = ["transition maps verified to be isomorphisms for "
-               f"{window} consecutive stages; the periodic presentation is assumed "
-               "to keep them isomorphisms beyond the probed depth"]
-    if system.relative != dual:
-        caveats.append("limit computed as the stable value; the derived limit vanishes "
-                       "because the probed transitions are isomorphisms (Mittag-Leffler)")
-    return stabilized, depth_used, caveats
+        while len(stabilized) < len(degrees):
+            unsettled = [n for n in degrees if n not in stabilized]
+            if depth + 1 > max_depth:
+                worst = unsettled[0]
+                raise NonStabilizationError(
+                    f"{theory} degree {worst} did not stabilize within depth {max_depth} (window "
+                    f"{window}); groups so far: " + ", ".join(map(render_group, history[worst])),
+                    theory=theory, degree=worst,
+                    history=[(n, [render_group(g) for g in history[n]]) for n in unsettled])
+            for n, p in self.present(depth + 1, dual, unsettled).items():
+                history[n].append(p.group)
+                if self.transition_is_iso(depth, n, dual):
+                    quiet[n] += 1
+                    if quiet[n] >= window:
+                        stabilized[n] = depth + 1 - window
+                else:
+                    quiet[n] = 0
+            depth += 1
+        depth_used = max(stabilized.values(), default=0)
+        caveats = ["transition maps verified to be isomorphisms for "
+                   f"{window} consecutive stages; the periodic presentation is assumed "
+                   "to keep them isomorphisms beyond the probed depth"]
+        if self.relative != dual:
+            caveats.append("limit computed as the stable value; the derived limit vanishes "
+                           "because the probed transitions are isomorphisms (Mittag-Leffler)")
+        return stabilized, depth_used, caveats
 
 
 # tag -> (relative, dual, caveat on a finite complex)
@@ -607,12 +599,12 @@ def _theory(tag, space, coeff, max_degree, window, max_depth) -> TheoryResult:
     # cohomology under z/M also presents the degree above, which its Tor term reads
     degrees = range(max_degree + (2 if dual and coeff.kind == "zmod" else 1))
     if finite:
-        final = _present_degrees(StageComplex(space, frozenset()), degrees, dual)
+        final = StageComplex(space, frozenset()).present(degrees, dual)
         stabilized = window = depth_used = None
         caveats = []
     else:
         system = _StageSystem(space, relative)
-        stabilized, depth_used, caveats = _run_system(system, tag, degrees, window, max_depth, dual)
+        stabilized, depth_used, caveats = system.run(tag, degrees, window, max_depth, dual)
         final = system.present(depth_used, dual, degrees)
     step = 1 if dual else -1  # the Tor term reads the degree above for cohomology
     integral = {n: p.group for n, p in final.items()}
@@ -697,10 +689,10 @@ def pairing_matrix(space, degree: int, window: int = 3,
     _check_arguments(degree=degree, window=window, max_depth=max_depth)
     if isinstance(space, FiniteSimplicialSet):
         depth, stage = None, StageComplex(space, frozenset())
-        pres, dual_pres = (_present_degrees(stage, [degree], dual)[degree] for dual in (False, True))
+        pres, dual_pres = (stage.present([degree], dual)[degree] for dual in (False, True))
     else:
         system = _StageSystem(space, True)
-        depth = max(_run_system(system, tag, range(degree + 1), window, max_depth, dual)[1]
+        depth = max(system.run(tag, range(degree + 1), window, max_depth, dual)[1]
                     for tag, dual in (("H_BM", False), ("H_c", True)))
         pres, dual_pres = (system.present(depth, dual, [degree])[degree] for dual in (False, True))
     matrix = tuple(tuple(sum(a * b for a, b in zip(phi, c)) for c in pres.generators)

@@ -157,6 +157,8 @@ def check_cosimplicial_identities(max_dim: int) -> list[str]:
 
     Returns a list of human-readable violations (empty when everything holds).
     """
+    if not isinstance(max_dim, int) or isinstance(max_dim, bool) or max_dim < 0:
+        raise DeltaError(f"max_dim must be a non-negative integer, not {max_dim!r}")
     return [label for label, lhs, rhs in _cosimplicial_equations(max_dim) if lhs != rhs]
 
 

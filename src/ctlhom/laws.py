@@ -258,12 +258,12 @@ def min_forget_adjunction(max_carrier: int = 3) -> LawResult:
     return _law("min-forget-adjunction", cases())
 
 
-def cosimplicial_identities(max_dim: int = 6) -> LawResult:
-    """The generator identities of the cosimplicial category; every
-    identity ``delta.check_cosimplicial_identities`` checks is one case."""
+def cosimplicial_identities() -> LawResult:
+    """The generator identities of the cosimplicial category up to dimension
+    6; every identity ``delta.check_cosimplicial_identities`` checks is one case."""
     return _law("cosimplicial-identities", (
         None if lhs == rhs else label
-        for label, lhs, rhs in delta._cosimplicial_equations(max_dim)
+        for label, lhs, rhs in delta._cosimplicial_equations(6)
     ))
 
 
@@ -280,15 +280,16 @@ def _factorization_table(n: int, m: int) -> dict:
     return table
 
 
-def epi_mono_factorization(max_dim: int = 4) -> LawResult:
-    """Every ordinal map factors as a surjection followed by an injection in
-    exactly one way, and it is the computed factorization.
+def epi_mono_factorization() -> LawResult:
+    """Every ordinal map between dimensions <= 4 factors as a surjection
+    followed by an injection in exactly one way, and it is the computed
+    factorization.
 
     The brute-force list of all factorizations is built once per (n, m);
     ``delta.epi_mono_factor`` is still called on every map.
     """
     def cases():
-        for n, m in product(range(max_dim + 1), repeat=2):
+        for n, m in product(range(5), repeat=2):
             factorizations = _factorization_table(n, m)
             for f in delta.all_monotone_maps(n, m):
                 epi, mono = delta.epi_mono_factor(f)
@@ -312,23 +313,21 @@ def epi_mono_factorization(max_dim: int = 4) -> LawResult:
 _ADJACENCY_SPACES = ("point", "circle", "delta(2)", "sphere(1)", "rp2")
 
 
-def adjacency_vertex_reduction(max_dim: int = 3) -> LawResult:
+def adjacency_vertex_reduction() -> LawResult:
     """Sharing any common simplex under ordinal-map actions is the same as
     sharing a 0-simplex.
 
-    For each pair of simplices the full result sets {X(f)(x)} over all
-    ordinal maps into dimensions <= max_dim are intersected and compared
-    with ``sset.adjacent``, the vertex-set intersection.
+    For each pair of simplices of dimension <= 3 the full result sets
+    {X(f)(x)} over all ordinal maps into dimensions <= 3 are intersected and
+    compared with ``sset.adjacent``, the vertex-set intersection.
     """
-    maps_into = {
-        n: [f for k in range(max_dim + 1) for f in delta.all_monotone_maps(k, n)]
-        for n in range(max_dim + 1)
-    }
+    dims = range(4)
+    maps_into = {n: [f for k in dims for f in delta.all_monotone_maps(k, n)] for n in dims}
 
     def cases():
         for name in _ADJACENCY_SPACES:
             X = corpus.build(name)
-            simplices = [x for n in range(max_dim + 1) for x in all_simplices(X, n)]
+            simplices = [x for n in dims for x in all_simplices(X, n)]
             # each result simplex is numbered once, so the pairwise
             # intersections compare small integers rather than simplices
             numbers = {}

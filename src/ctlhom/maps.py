@@ -498,11 +498,10 @@ def induced_on_homology(f: SimplicialMap, degree: int):
     """The matrix of H_degree(f) between the normalized presentations,
     returned as (source_presentation, target_presentation, image_coords).
     A cell onto a degenerate simplex maps to zero.  Loads ``chainalg``."""
-    from .chainalg import StageComplex, _cell_map, _push, present_homology
+    from .chainalg import StageComplex, _cell_map, _push
 
     src, tgt = StageComplex(f.source, frozenset()), StageComplex(f.target, frozenset())
-    ps = present_homology(src.boundary(degree), src.boundary(degree + 1))
-    pt = present_homology(tgt.boundary(degree), tgt.boundary(degree + 1))
+    ps, pt = (stage.present([degree], False)[degree] for stage in (src, tgt))
     images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))
     cells = _cell_map([img.core if img.is_nondegenerate else None for img in images],
                       tgt.basis(degree))

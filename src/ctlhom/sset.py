@@ -110,11 +110,18 @@ class FiniteSimplicialSet:
     """
 
     def __init__(self, cells, faces, name=None):
+        for n in cells:
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise PresentationError(f"cell dimension {n!r} is not an integer")
         ids = {n: tuple(cells[n]) for n in sorted(cells)}
         for n, ns in ids.items():
             if len(set(ns)) != len(ns):
                 raise PresentationError(f"duplicate cell ids in dimension {n}")
-        self._begin(name)
+        self.name = name
+        self._cells, self._faces = {}, {}
+        self._position = {}  # each cell's index among the cells of its dimension
+        self._vertex_closure = {}
+        self._boundary_columns = {}  # per degree, as ``boundary_columns`` assembles them
         self._glue(dict.fromkeys((Cell(n, i) for n, ns in ids.items() for i in ns), ()))
         for cell in self.all_cells():
             if cell.dim:
@@ -122,15 +129,6 @@ class FiniteSimplicialSet:
         problems = self.identity_violations()
         if problems:
             raise PresentationError("; ".join(problems[:5]))
-
-    def _begin(self, name):
-        """The empty complex, which ``_glue`` grows."""
-        self.name = name
-        self._cells = {}
-        self._faces = {}
-        self._position = {}  # each cell's index among the cells of its dimension
-        self._vertex_closure = {}
-        self._boundary_columns = {}  # per degree, as ``boundary_columns`` assembles them
 
     def _glue(self, added: dict):
         """Add cells in place, after the cells already here in each
@@ -497,8 +495,8 @@ class Exhaustion:
     Stage 0 is the base; stage i+1 glues one more copy of the slab onto each
     attachment chain, identifying the copy's in-boundary with the previous
     out-boundary (the base boundary for the first copy).  The copies glue
-    into one complex that grows in place, and every stage is a prefix of it
-    (``truncate``); construction glues stage 0 and nothing more.
+    into one complex grown in place from the empty one; every stage is a
+    prefix of it (``truncate``), and construction glues stage 0 alone.
     ``translations`` maps (a, c) to the slab-to-copy cell map of every copy
     read so far (``_translation``); ``gluings`` resolves each chain once
     (``_gluing``).
@@ -531,8 +529,7 @@ class Exhaustion:
                 raise PresentationError(f"base cell id {cell.id!r} is taken by copy {copy[1]} of "
                                         f"slab cell {copy[2]!r} on attachment {copy[0]}")
         self.translations = {}
-        self._complex = object.__new__(FiniteSimplicialSet)
-        self._complex._begin(name)
+        self._complex = FiniteSimplicialSet({}, {}, name)
         self._stages = []
         self.truncate(0)
 

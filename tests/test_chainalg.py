@@ -237,11 +237,11 @@ def test_shared_reductions_give_the_unshared_presentations(dual):
     matrices; every presentation, with its basis read, is the one its degree
     gets when presented alone."""
     for X in (point(), circle(), torus(), rp2(), sphere(3), standard_simplex(2)):
-        stage = StageComplex(X, frozenset())
         degrees = range(X.top_dim + 2)
-        together = chainalg._present_degrees(stage, degrees, dual)
+        together = StageComplex(X, frozenset()).present(degrees, dual)
         together = {n: _fields(p) for n, p in together.items()}
-        alone = {n: _fields(chainalg._present_degrees(stage, [n], dual)[n])
+        # each alone on a fresh stage, which has presented nothing yet
+        alone = {n: _fields(StageComplex(X, frozenset()).present([n], dual)[n])
                  for n in degrees}
         assert list(together) == list(degrees)
         for n in degrees:
@@ -269,6 +269,29 @@ def _spy_reductions(monkeypatch) -> tuple:
     return tracked, factored
 
 
+def _relative_stage(space, depth: int) -> StageComplex:
+    trunc = space.truncate(depth)
+    return StageComplex(trunc.complex, frozenset(trunc.frontier))
+
+
+@pytest.mark.parametrize("stage", [
+    lambda: StageComplex(rp2(), frozenset()), lambda: _relative_stage(cylinder(), 2),
+], ids=["rp2", "cylinder[2] relative"])
+def test_a_stage_presents_each_degree_and_variance_once(monkeypatch, stage):
+    """Presented again, a stage's degrees are the same objects, made with no
+    Smith reduction; its chains and cochains keep apart entries."""
+    stage = stage()
+    degrees = range(stage.complex.top_dim + 2)
+    first = {dual: stage.present(degrees, dual) for dual in (False, True)}
+    tracked, factored = _spy_reductions(monkeypatch)
+    for dual in (False, True):
+        again = stage.present(degrees, dual)
+        assert all(again[n] is first[dual][n] for n in degrees)
+    assert tracked == [] and factored == []
+    assert all(first[False][n] is not first[True][n] for n in degrees)
+    assert set(stage._presented) == {(n, dual) for n in degrees for dual in (False, True)}
+
+
 def test_finite_groups_track_no_transform(monkeypatch):
     """The theories read groups only: they take invariant factors, their
     reductions build no transform until a basis is read, and reading one
@@ -284,8 +307,7 @@ def test_finite_groups_track_no_transform(monkeypatch):
         assert all("generators" not in vars(p) for p in result.presentations.values())
         read = {n: _fields(p) for n, p in result.presentations.items()}
         assert any(t != () for t in tracked)
-        direct = chainalg._present_degrees(StageComplex(sphere(6), frozenset()), list(read),
-                                           dual)
+        direct = StageComplex(sphere(6), frozenset()).present(list(read), dual)
         assert read == {n: _fields(p) for n, p in direct.items()}
 
 

@@ -35,8 +35,7 @@ def spaces() -> dict:
 def _unchecked(cells: dict, name: str) -> FiniteSimplicialSet:
     """A complex glued cell by cell, without the identity check that the
     constructor would refuse it by: ``cells`` maps each Cell to its faces."""
-    X = object.__new__(FiniteSimplicialSet)
-    X._begin(name)
+    X = FiniteSimplicialSet({}, {}, name)
     X._glue(cells)
     return X
 

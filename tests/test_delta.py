@@ -162,9 +162,18 @@ def test_every_constructor_of_a_monotone_map_checks_it(fields, message):
     (lambda: from_codegeneracy_word((2,), 2), "codegeneracy index outside 0..1"),
     (lambda: from_coface_word((1, 1), 1), "repeated coface index in (1, 1)"),
     (lambda: from_coface_word((5,), 1), "coface index outside 0..2"),
+    (lambda: check_cosimplicial_identities(-1),
+     "max_dim must be a non-negative integer, not -1"),
+    (lambda: check_cosimplicial_identities(True),
+     "max_dim must be a non-negative integer, not True"),
+    (lambda: check_cosimplicial_identities(2.0),
+     "max_dim must be a non-negative integer, not 2.0"),
+    (lambda: check_cosimplicial_identities("3"),
+     "max_dim must be a non-negative integer, not '3'"),
 ], ids=["coface index", "codegeneracy index", "codegeneracy word of an injection",
         "coface word of a surjection", "codegeneracy word index", "repeated coface index",
-        "coface word index"])
+        "coface word index", "negative identity bound", "bool identity bound",
+        "float identity bound", "str identity bound"])
 def test_operators_and_words_refuse_what_is_out_of_range(make, message):
     with pytest.raises(DeltaError) as err:
         make()

@@ -230,7 +230,7 @@ def test_associativity_composes_both_sides_of_every_case(monkeypatch):
 def test_adjacency_law_calls_the_action_and_adjacent_on_every_case(monkeypatch):
     actions = _counting(monkeypatch, "apply_ordinal_map")
     pairs = _counting(monkeypatch, "adjacent")
-    r = laws.adjacency_vertex_reduction(3)
+    r = laws.adjacency_vertex_reduction()
     assert r.ok and r.cases == 25888
     assert len(pairs) == r.cases
     # the action once per (simplex, map into its dimension), on every space
@@ -372,6 +372,14 @@ def test_the_adjunction_check_records_a_rejected_table(monkeypatch):
         False, 4, 3, [failure])
     assert _verdict(laws.min_forget_adjunction()) == (
         False, 75, f"|S|=2, X=ControlledSet(Carrier([0, 1]), min): {[failure]}")
+
+
+@pytest.mark.parametrize("law", [laws.cosimplicial_identities, laws.epi_mono_factorization,
+                                 laws.adjacency_vertex_reduction], ids=lambda law: law.__name__)
+def test_the_fixed_size_laws_take_no_bound(law):
+    """Their sizes are fixed, so no bound can empty them into a vacuous pass."""
+    with pytest.raises(TypeError):
+        law(-1)
 
 
 _BOUNDED_LAWS = [laws.generated_structure_axioms, laws.category_identity,

@@ -8,11 +8,10 @@ from ctlhom import chainalg
 from ctlhom.chainalg import (
     THEORY_DRIVERS,
     _THEORIES,
+    StageComplex,
     _cell_map,
-    _present_degrees,
     _pull,
     _push,
-    _stage_for,
     bm_homology,
     cohomology,
     is_transition_isomorphism,
@@ -40,13 +39,18 @@ CERTIFIED_FROM = {
 }
 
 
+def _stage(space, depth: int, relative: bool) -> StageComplex:
+    trunc = space.truncate(depth)
+    return StageComplex(trunc.complex, frozenset(trunc.frontier if relative else ()))
+
+
 def _transition_is_iso(space, relative, dual, i, n) -> bool:
     """The degree-n transition between stages i and i+1, presented and
     tested directly."""
     a, b = (i + 1, i) if relative else (i, i + 1)
-    source, target = _stage_for(space, a, relative), _stage_for(space, b, relative)
-    p_source = _present_degrees(source, [n], dual)[n]
-    p_target = _present_degrees(target, [n], dual)[n]
+    source, target = _stage(space, a, relative), _stage(space, b, relative)
+    p_source = source.present([n], dual)[n]
+    p_target = target.present([n], dual)[n]
     cells = _cell_map(source.basis(n), target.basis(n))
     if dual:
         return is_transition_isomorphism(p_target, p_source, lambda v: _pull(cells, v))
@@ -90,13 +94,13 @@ def _presented_depths(monkeypatch, space, run) -> set:
     """The stages of ``space`` that ``run`` presents, by depth; the slab's
     own presentation for the certificate is left out."""
     presented = []
-    real = chainalg._present_degrees
+    real = StageComplex.present
 
     def spy(stage, degrees, dual):
         presented.append(stage.complex)
         return real(stage, degrees, dual)
 
-    monkeypatch.setattr(chainalg, "_present_degrees", spy)
+    monkeypatch.setattr(StageComplex, "present", spy)
     run(space)
     monkeypatch.undo()
     depth_of = {space.truncate(d).complex: d for d in range(DEEPEST + 1)}

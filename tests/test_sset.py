@@ -376,7 +376,11 @@ _V, _W = Simplex((), Cell(0, "v")), Simplex((), Cell(0, "w"))
     ({0: ["v"], 1: ["e"]}, {(1, "e"): (_V,)}, "1-cell 'e' needs 2 faces, got 1"),
     ({0: ["v"], 1: ["e"]}, {(1, "e"): (_V, _W)},
      "face 1 of 'e' references unknown cell Cell(0, 'w')"),
-], ids=["duplicate id", "face count", "unknown face"])
+    ({0: ["v"], True: ["e"]}, {}, "cell dimension True is not an integer"),
+    ({0: ["v"], 1.0: ["e"]}, {}, "cell dimension 1.0 is not an integer"),
+    ({0: ["v"], "1": ["e"]}, {}, "cell dimension '1' is not an integer"),
+], ids=["duplicate id", "face count", "unknown face", "bool dimension", "float dimension",
+        "str dimension"])
 def test_a_complex_refuses_a_bad_presentation(cells, faces, message):
     with pytest.raises(PresentationError) as err:
         FiniteSimplicialSet(cells, faces)
@@ -817,10 +821,17 @@ def test_star_index_matches_the_definition_on_finite_complexes():
 
 # ------------------------------------------------------- stage transitions
 
+def _stage(space, depth: int, relative: bool) -> chainalg.StageComplex:
+    """A new stage complex of ``space`` at ``depth``, relative to its
+    frontier or not, which has presented nothing yet."""
+    trunc = space.truncate(depth)
+    return chainalg.StageComplex(trunc.complex, frozenset(trunc.frontier if relative else ()))
+
+
 def _chain_data(space, depth: int, relative: bool, top: int) -> list:
     """Stage ``depth``'s basis and boundary matrix (rows: the basis a degree
     below) in degrees 0..top, as the theories present them."""
-    stage = chainalg._stage_for(space, depth, relative)
+    stage = _stage(space, depth, relative)
     return [(stage.basis(n), stage.boundary(n)) for n in range(top + 1)]
 
 
@@ -908,6 +919,70 @@ def test_planted_faults_fail_the_transition_oracle(plant, depth, relative, faili
     seen = {(a, b): _noncommuting_degrees(stages[a], stages[b]) for a, b in pairs}
     assert {pair for pair, degrees in seen.items() if degrees} == failing
     assert all(degrees in ([], [1]) for degrees in seen.values())
+
+
+# ------------------------------------------------ universal coefficients
+
+def _uct_mismatches(make_stage) -> list:
+    """The degrees n where H^n, presented on one new stage from
+    ``make_stage``, is not Z^rank(H_n) + tors(H_{n-1}), with H presented on
+    another: the universal coefficient theorem over Z, checked up to one
+    degree past the top."""
+    degrees = range(make_stage().complex.top_dim + 2)
+    chains = make_stage().present(degrees, False)
+    cochains = make_stage().present(degrees, True)
+    return [n for n in degrees if cochains[n].group != AbelianGroup(
+        chains[n].group.free_rank, chains[n - 1].group.torsion if n else ())]
+
+
+def _moore_z3() -> FiniteSimplicialSet:
+    """One vertex, two loops e and x and two triangles with boundaries
+    2e - x and e + x, so H_1 = Z/3 and H^2 = Z/3."""
+    v = Simplex((), Cell(0, "v"))
+    e, x = Simplex((), Cell(1, "e")), Simplex((), Cell(1, "x"))
+    return FiniteSimplicialSet(
+        {0: ["v"], 1: ["e", "x"], 2: ["s", "t"]},
+        {(1, "e"): (v, v), (1, "x"): (v, v),
+         (2, "s"): (e, x, e), (2, "t"): (e, Simplex((0,), Cell(0, "v")), x)},
+        name="moore(Z/3)")
+
+
+_FINITE = [point, circle, torus, rp2, lambda: sphere(3), lambda: standard_simplex(3), _moore_z3]
+_FINITE_IDS = ["point", "circle", "torus", "rp2", "sphere(3)", "delta(3)", "moore(Z/3)"]
+
+
+@pytest.mark.parametrize("build", _FINITE, ids=_FINITE_IDS)
+def test_cochains_obey_universal_coefficients_on_finite_complexes(build):
+    X = build()
+    assert _uct_mismatches(lambda: chainalg.StageComplex(X, frozenset())) == []
+
+
+def _check_uct_on_stages(space, deepest: int):
+    for depth in range(deepest + 1):
+        for relative in (False, True):
+            assert _uct_mismatches(lambda: _stage(space, depth, relative)) == [], \
+                (depth, relative)
+
+
+@every_exhaustion
+def test_stage_cochains_obey_universal_coefficients(build):
+    _check_uct_on_stages(build(), 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gluings())
+def test_stage_cochains_obey_universal_coefficients_on_random_gluings(space):
+    _check_uct_on_stages(space, 3)
+
+
+@pytest.mark.parametrize("build", _FINITE, ids=_FINITE_IDS)
+def test_a_shifted_dual_presentation_fails_the_universal_coefficient_check(monkeypatch, build):
+    """Cochains presented one degree up, as if H^n were H^{n+1}, are seen."""
+    real = chainalg.StageComplex.present
+    monkeypatch.setattr(chainalg.StageComplex, "present", lambda stage, degrees, dual: {
+        n: real(stage, [n + 1], True)[n + 1] for n in degrees} if dual else real(stage, degrees, dual))
+    X = build()
+    assert _uct_mismatches(lambda: chainalg.StageComplex(X, frozenset())) != []
 
 
 # ------------------------------------------------------------ simplicial maps
