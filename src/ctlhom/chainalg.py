@@ -357,13 +357,14 @@ class StageComplex:
     """One truncation's chain data: the stage complex and the cells left out
     of its basis (the frontier, for a relative stage).  Its columns are the
     complex's ``boundary_columns``, rows at the cells' positions there; its
-    matrices re-index them to the basis, and their invariant factors and its
-    presentations are kept."""
+    matrices re-index them to the basis, and their invariant factors, the
+    rows of their unit pivots and its presentations are kept."""
 
     complex: FiniteSimplicialSet
     excluded: frozenset
     _matrices: dict = field(default_factory=dict)
     _factors: dict = field(default_factory=dict)
+    _pivots: dict = field(default_factory=dict)
     _presented: dict = field(default_factory=dict)
 
     def basis(self, n: int) -> tuple:
@@ -385,18 +386,27 @@ class StageComplex:
         return self._matrices[n, transposed]
 
     def factors(self, n: int, transposed: bool = False) -> tuple:
-        """The invariant factors of ``boundary(n)``, and of its transpose."""
+        """The invariant factors of ``boundary(n)``, and of its transpose, less
+        the columns at the unit-pivot rows of the map into its source if this
+        variance reduced that first.  A unit pivot of ∂_{n+1} at (σ, τ) gives
+        0 = ∂_n ∂_{n+1} τ = ±∂_n σ + Σ_{ρ≠σ} a_ρ ∂_n ρ: column σ of ∂_n is in the ℤ-span
+        of the others, and dropping it keeps the image lattice, so every nonzero
+        factor.  A Schur complement is again a complex; transposed alike."""
         if n not in self._factors:
-            self._factors[n] = invariant_factors(self.boundary(n, transposed))
+            above = self._pivots.get((n - 1 if transposed else n + 1, transposed), ())
+            pivots = self._pivots[n, transposed] = set()
+            self._factors[n] = invariant_factors(self.boundary(n, transposed), above, pivots)
         return self._factors[n]
 
     def present(self, degrees, dual: bool) -> dict:
         """The presentations in the given degrees, of the chains or, when
         ``dual``, of the cochains: the coboundary out of degree n is the
         transpose of the boundary into it.  Each is made once, and their
-        groups share the stage's invariant factors."""
+        groups share the stage's invariant factors.  Chains go in descending
+        degree and cochains ascending, so the map into a degree is reduced
+        before the map out of it, which ``factors`` then reduces smaller."""
         step, shift = (-1, 1) if dual else (1, 0)  # boundary_in(n) is boundary n + shift
-        for n in degrees:
+        for n in sorted(degrees, reverse=not dual):
             if (n, dual) not in self._presented:
                 self._presented[n, dual] = present_homology(
                     self.boundary(n + shift, dual), self.boundary(n + step + shift, dual),

@@ -498,8 +498,9 @@ def induced_on_homology(f: SimplicialMap, degree: int):
     """The matrix of H_degree(f) between the normalized presentations,
     returned as (source_presentation, target_presentation, image_coords).
     A cell onto a degenerate simplex maps to zero.  Loads ``chainalg``."""
-    from .chainalg import StageComplex, _cell_map, _push
+    from .chainalg import StageComplex, _cell_map, _check_arguments, _push
 
+    _check_arguments(degree=degree)
     src, tgt = StageComplex(f.source, frozenset()), StageComplex(f.target, frozenset())
     ps, pt = (stage.present([degree], False)[degree] for stage in (src, tgt))
     images = (f.eval(f.source.simplex(c)) for c in src.basis(degree))

@@ -254,12 +254,13 @@ class _Worker:
     """Sparse workspace: the matrix kept both by rows and by columns, each
     side carrying the transforms its operations update, U and U^-1 for
     rows, V and V^-1 for columns.  Only the transforms in ``track`` are
-    built."""
+    built; the columns in ``skip`` are left empty."""
 
     __slots__ = ("rows", "cols")
 
-    def __init__(self, m: IntMatrix, track):
-        rows = [dict(r) for r in m.entries]
+    def __init__(self, m: IntMatrix, track, skip=()):
+        rows = ([{j: x for j, x in r.items() if j not in skip} for r in m.entries] if skip
+                else [dict(r) for r in m.entries])
         cols = [{} for _ in range(m.cols)]
         for i, row in enumerate(rows):
             for j, x in row.items():
@@ -341,7 +342,7 @@ def smith_normal_form(m: IntMatrix, track=TRANSFORMS) -> SmithDecomposition:
     )
 
 
-def invariant_factors(m: IntMatrix) -> tuple:
+def invariant_factors(m: IntMatrix, skip=(), pivot_rows=None) -> tuple:
     """The invariant factors of ``m``, without transforms.
 
     Invariant factors do not depend on the pivots, so this picks its own:
@@ -350,8 +351,12 @@ def invariant_factors(m: IntMatrix) -> tuple:
     matrix by the Schur complement of that pivot, which contributes a 1.
     ``smith_normal_form`` reduces what is left.  See Mrozek and Batko,
     "Coreduction homology algorithm" (2009).
+
+    The columns in ``skip`` are left out, which is exact only where they lie
+    in the span of the others (``chainalg.StageComplex.factors``).  When
+    ``pivot_rows`` is a set, the row of each unit pivot is added to it.
     """
-    w = _Worker(m, ())
+    w = _Worker(m, (), skip)
     rows, cols = w.rows.lines, w.cols.lines
     # (nonzeros, column), pushed again whenever the column changes
     heap = [(len(col), j) for j, col in enumerate(cols) if col]
@@ -373,6 +378,8 @@ def invariant_factors(m: IntMatrix) -> tuple:
                 heapq.heappush(heap, (len(cols[c]), c))
         rows[p] = {}
         eliminated += 1
+        if pivot_rows is not None:
+            pivot_rows.add(p)
     # zero rows and columns change no invariant factor
     live = [row for row in rows if row]
     if not live:

@@ -113,6 +113,8 @@ class FiniteSimplicialSet:
         for n in cells:
             if not isinstance(n, int) or isinstance(n, bool):
                 raise PresentationError(f"cell dimension {n!r} is not an integer")
+            if n < 0:
+                raise PresentationError(f"cell dimension {n} is negative")
         ids = {n: tuple(cells[n]) for n in sorted(cells)}
         for n, ns in ids.items():
             if len(set(ns)) != len(ns):
@@ -134,7 +136,8 @@ class FiniteSimplicialSet:
         """Add cells in place, after the cells already here in each
         dimension: ``added`` maps each new Cell, in order, to its faces.
         Nothing is checked here: the constructor checks the faces it is
-        given, and an exhaustion glues translations of its checked slab."""
+        given, an exhaustion glues translations of its checked slab, and
+        ``facet_complex`` glues faces that hold by construction."""
         by_dim = {}
         for cell in added:
             by_dim.setdefault(cell.dim, []).append(cell)
@@ -370,9 +373,10 @@ def adjacent(X, x: Simplex, y: Simplex) -> bool:
 def facet_complex(facets, name=None) -> FiniteSimplicialSet:
     """The simplicial complex generated by facets (iterables of vertex
     labels).  Cells are all nonempty subsets, ordered by the sort of their
-    labels; ids join the labels with dots.  Each cell is made once, as one
-    nondegenerate Simplex keyed by its vertices, and that same Simplex is
-    every face that names the cell."""
+    labels; ids join the labels with dots, so they can clash, as for ("1.2", "3")
+    and ("1", "2.3"), and only they are checked.  Each cell is made once, as one
+    Simplex that every face naming it is, and glued unchecked, as slab
+    copies are: d_i d_j and d_{j-1} d_i of a sorted tuple both drop i and j."""
     by_dim = {}
     for f in facets:
         f = tuple(sorted(set(f)))
@@ -380,17 +384,18 @@ def facet_complex(facets, name=None) -> FiniteSimplicialSet:
             raise PresentationError("empty facet")
         for k in range(1, len(f) + 1):
             by_dim.setdefault(k - 1, set()).update(combinations(f, k))
-    cells, faces, simplex = {}, {}, {}
+    faces, simplex = {}, {}
     for dim in sorted(by_dim):
-        ids = cells[dim] = []
         for verts in sorted(by_dim[dim]):
-            cid = ".".join(map(str, verts))
-            ids.append(cid)
-            simplex[verts] = Simplex((), Cell(dim, cid))
-            if dim:
-                # combinations drop the last vertex first, so reverse: d_0 .. d_dim
-                faces[(dim, cid)] = tuple(map(simplex.__getitem__, combinations(verts, dim)))[::-1]
-    return FiniteSimplicialSet(cells, faces, name=name)
+            cell = Cell(dim, ".".join(map(str, verts)))
+            simplex[verts] = Simplex((), cell)
+            # combinations drop the last vertex first, so reverse: d_0 .. d_dim
+            faces[cell] = tuple(map(simplex.__getitem__, combinations(verts, dim)))[::-1] if dim else ()
+        if len(faces) != len(simplex):
+            raise PresentationError(f"duplicate cell ids in dimension {dim}")
+    X = FiniteSimplicialSet({}, {}, name)
+    X._glue(faces)
+    return X
 
 
 def standard_simplex(n: int) -> FiniteSimplicialSet:

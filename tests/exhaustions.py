@@ -1,9 +1,11 @@
 """Exhaustions and periodic maps the tests build that the corpus does not
-register."""
+register, and strategies that draw random ones and random facet lists."""
+
+from hypothesis import strategies as st
 
 from ctlhom.corpus import infinite_star, ray
 from ctlhom.maps import PeriodicMap, SlabRule, identity_periodic_map
-from ctlhom.sset import Attachment, Cell, Exhaustion, FiniteSimplicialSet, Simplex
+from ctlhom.sset import Attachment, Cell, Exhaustion, FiniteSimplicialSet, Simplex, facet_complex
 
 
 def _v(name) -> Simplex:
@@ -127,3 +129,29 @@ def ray_beside_a_star() -> PeriodicMap:
             Cell(1, "seg"): Simplex((), Cell(1, "seg"))})],
         name="ray-beside-a-star",
     )
+
+
+@st.composite
+def gluings(draw):
+    """A random slab on at most five vertices, glued along one or two
+    chains of at most four vertices each onto a discrete base."""
+    slab_vertices = [str(v) for v in range(draw(st.integers(2, 5)))]
+    facets = draw(st.lists(st.lists(st.sampled_from(slab_vertices), min_size=2, max_size=3,
+                                    unique=True), max_size=4))
+    slab = facet_complex(facets + [[v] for v in slab_vertices], name="slab")
+    base_ids = [f"b{i}" for i in range(draw(st.integers(1, 4)))]
+    base = FiniteSimplicialSet({0: base_ids}, {}, name="base")
+    attachments = []
+    for _ in range(draw(st.integers(1, 2))):
+        size = draw(st.integers(0, min(4, len(base_ids), len(slab_vertices))))
+        attachments.append(Attachment(
+            base_ids=draw(st.permutations(base_ids))[:size],
+            slab_in_ids=draw(st.permutations(slab_vertices))[:size],
+            slab_out_ids=draw(st.permutations(slab_vertices))[:size],
+        ))
+    return Exhaustion(base, slab, attachments, name="random")
+
+
+def facet_lists(labels=st.integers(0, 5)):
+    """Up to five facets of one to four distinct labels each."""
+    return st.lists(st.lists(labels, min_size=1, max_size=4, unique=True), max_size=5)

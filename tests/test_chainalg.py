@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctlhom import chainalg, cli, snf, sset
+from ctlhom import chainalg, cli, corpus, snf, sset
 from ctlhom.chainalg import (
     INTEGER,
     RATIONAL,
@@ -52,6 +52,7 @@ from ctlhom.maps import (
     SimplicialMap,
     boundary,
     coboundary,
+    identity_simplicial_map,
     induced_on_homology,
     pairing,
     pullback,
@@ -63,10 +64,21 @@ from ctlhom.sset import (
     FiniteSimplicialSet,
     Simplex,
     SimplicialError,
+    facet_complex,
     standard_simplex,
 )
 from ctlhom.snf import IntMatrix, MatrixError
-from exhaustions import dots_into_tail, relay
+from exhaustions import (
+    bead_string,
+    dots_into_tail,
+    facet_lists,
+    gluings,
+    long_tail,
+    ray_beside_a_star,
+    ray_onto_beads,
+    relay,
+    star_identity,
+)
 
 
 # ------------------------------------------------------------- coefficients
@@ -259,9 +271,9 @@ def _spy_reductions(monkeypatch) -> tuple:
         tracked.append(tuple(track))
         return real(m, track)
 
-    def factors_spy(m):
+    def factors_spy(m, *dropped_and_pivots):
         factored.append((m.rows, m.cols))
-        return real_factors(m)
+        return real_factors(m, *dropped_and_pivots)
 
     for module in (snf, chainalg):
         monkeypatch.setattr(module, "smith_normal_form", spy)
@@ -334,6 +346,91 @@ def test_a_non_composing_pair_is_refused_before_any_basis_is_read(monkeypatch):
     assert tracked == []
     with pytest.raises(MatrixError, match="boundary shapes disagree"):
         present_homology(d1, IntMatrix.identity(d1.rows))
+
+
+# ------------------------------------------------- dropped pivot columns
+
+def _factor_spaces() -> dict:
+    """Builders by name: every corpus complex and exhaustion, and every
+    exhaustion of ``tests/exhaustions.py``, the maps' sources and targets
+    included."""
+    out = {name: build for name, (build, _) in {**corpus.SPACES, **corpus.FIXTURES}.items()}
+    out.update({f"sphere({n})": lambda n=n: sphere(n) for n in range(6)})
+    out.update({f"delta({n})": lambda n=n: standard_simplex(n) for n in range(6)})
+    out.update({f.__name__: f for f in (relay, long_tail, bead_string)})
+    for f in (ray_onto_beads, dots_into_tail, star_identity, ray_beside_a_star):
+        out[f"{f.__name__} source"] = lambda f=f: f().source
+        out[f"{f.__name__} target"] = lambda f=f: f().target
+    return out
+
+
+def _stages_of(space) -> list:
+    """(complex, excluded) for a finite complex, or for the absolute and
+    relative stages at depth 3 or less of an exhaustion."""
+    if isinstance(space, FiniteSimplicialSet):
+        return [(space, frozenset())]
+    return [(t.complex, excluded) for t in map(space.truncate, range(4))
+            for excluded in (frozenset(), frozenset(t.frontier))]
+
+
+def _full_group(stage: StageComplex, n: int, dual: bool) -> AbelianGroup:
+    """Degree n presented from the invariant factors of both whole matrices."""
+    if dual:
+        return present_homology(stage.boundary(n + 1, True), stage.boundary(n, True)).group
+    return present_homology(stage.boundary(n), stage.boundary(n + 1)).group
+
+
+def _check_factors(stage: StageComplex, top: int):
+    """Every factor the stage keeps, or gives, is that of the whole matrix."""
+    for n in range(top + 1):
+        for dual in (False, True):
+            assert stage.factors(n, dual) == snf.invariant_factors(stage.boundary(n, dual)), (n, dual)
+
+
+FACTOR_SPACES = _factor_spaces()
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_SPACES))
+def test_dropped_pivot_columns_change_no_factor(name):
+    """Presenting degrees ascending, descending or one at a time gives the
+    groups of the whole matrices, and every factor is the whole matrix's;
+    so does presenting one degree in the other variance first."""
+    for X, excluded in _stages_of(FACTOR_SPACES[name]()):
+        degrees = list(range(X.top_dim + 2))
+        for dual in (False, True):
+            for other, order in [((), degrees), ((), degrees[::-1]), ((), None)] + [
+                    ([m], degrees) for m in degrees]:
+                stage = StageComplex(X, excluded)
+                stage.present(other, not dual)
+                groups = ({n: stage.present(order, dual)[n].group for n in degrees} if order
+                          else {n: stage.present([n], dual)[n].group for n in degrees})
+                assert groups == {n: _full_group(stage, n, dual) for n in degrees}, (X, dual, order)
+                _check_factors(stage, X.top_dim + 2)
+
+
+@st.composite
+def factor_stages(draw):
+    """A stage of a ``gluings`` draw at depth 3 or less, absolute or
+    relative, or a random facet complex."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_stages_of(draw(gluings()))))
+    return facet_complex(draw(facet_lists(st.integers(0, 6)))), frozenset()
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_stages(), st.data())
+def test_mixed_requests_on_one_stage_change_no_factor(stage_spec, data):
+    """Chains and cochains asked for in any degrees, in any order, on one
+    stage: a variance reads no pivots that the other one recorded."""
+    X, excluded = stage_spec
+    stage, top = StageComplex(X, excluded), max(X.top_dim, 0) + 1
+    requests = data.draw(st.lists(st.tuples(
+        st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True), st.booleans()),
+        min_size=1, max_size=6))
+    for degrees, dual in requests:
+        got = stage.present(degrees, dual)
+        assert {n: got[n].group for n in degrees} == {n: _full_group(stage, n, dual) for n in degrees}
+    _check_factors(stage, top + 1)
 
 
 # -------------------------------------------------------- finite homology
@@ -824,3 +921,19 @@ def test_an_edge_onto_a_degenerate_simplex_drops_out_of_the_induced_map():
     source, target, images = induced_on_homology(pinch, 1)
     assert source.group == target.group == AbelianGroup(1)
     assert images in ([(1,)], [(-1,)])
+
+
+@pytest.mark.parametrize("degree, message", [
+    (1.5, "degree must be an integer, not 1.5"),
+    (-1, "degree must be at least 0"),
+    (True, "degree must be an integer, not True"),
+], ids=["float", "negative", "bool"])
+def test_an_induced_map_refuses_a_bad_degree_before_presenting(monkeypatch, degree, message):
+    """The drivers' refusal, made before either complex is presented."""
+    def present(*_):
+        raise AssertionError("a stage was presented")
+
+    monkeypatch.setattr(StageComplex, "present", present)
+    with pytest.raises(ValueError) as err:
+        induced_on_homology(identity_simplicial_map(circle()), degree)
+    assert type(err.value) is ValueError and str(err.value) == message

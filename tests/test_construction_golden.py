@@ -7,16 +7,22 @@ its cells.  A change to how complexes are built must leave the space file of
 every built complex as it is, and the check must report the same failures,
 in the same order, on complexes with planted faults: some only through
 nondegenerate faces, some through degenerate ones.  ``snapshot`` gives the
-current values in the file's shape.
+current values in the file's shape.  ``facet_complex`` glues its cells
+without that check, so on random facet lists it must build what the checked
+constructor builds from the same cells and faces.
 """
 
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctlhom import corpus
-from ctlhom.sset import Cell, FiniteSimplicialSet, Simplex, standard_simplex
+from ctlhom.sset import (Cell, FiniteSimplicialSet, PresentationError, Simplex, facet_complex,
+                         standard_simplex)
+from exhaustions import facet_lists
 
 GOLDEN = json.loads((Path(__file__).parent / "construction_golden.json").read_text())
 
@@ -128,3 +134,49 @@ def test_planted_faults_reach_every_pair_and_both_face_kinds():
                            for m in messages), (i, j, n)
     assert GOLDEN["identity_violations"]["pinched e e s0v"] == []
     assert GOLDEN["identity_violations"]["pinched s0v e e"]
+
+
+def _checked_facet_complex(facets, name) -> FiniteSimplicialSet:
+    """The complex of the facets' nonempty vertex subsets, in the order and
+    with the ids and faces ``facet_complex`` documents, built independently
+    of it through the checked constructor."""
+    subsets = sorted({s for f in facets for k in range(1, len(f) + 1)
+                      for s in combinations(sorted(f), k)}, key=lambda s: (len(s), s))
+    label = lambda s: ".".join(map(str, s))
+    cells, faces = {}, {}
+    for s in subsets:
+        n = len(s) - 1
+        cells.setdefault(n, []).append(label(s))
+        if n:
+            faces[Cell(n, label(s))] = tuple(Simplex((), Cell(n - 1, label(s[:k] + s[k + 1:])))
+                                             for k in range(n + 1))
+    return FiniteSimplicialSet(cells, faces, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(facet_lists(st.integers(0, 5)),
+                 facet_lists(st.sampled_from(["1", "2", "3", "1.2", "2.3"]))))
+def test_facet_complexes_are_what_the_checked_constructor_builds(facets):
+    """Cell for cell, face for face, position for position and column for
+    column; where dotted labels collide, both refuse with the same message."""
+    try:
+        want = _checked_facet_complex(facets, "random")
+    except PresentationError as refusal:
+        assert str(refusal).startswith("duplicate cell ids in dimension ")
+        with pytest.raises(PresentationError) as err:
+            facet_complex(facets, "random")
+        assert type(err.value) is PresentationError and str(err.value) == str(refusal)
+        return
+    got = facet_complex(facets, "random")
+    assert list(got.all_cells()) == list(want.all_cells())
+    assert (got.name, got._faces, got._position) == (want.name, want._faces, want._position)
+    assert all(got.boundary_columns(n) == want.boundary_columns(n) for n in range(-1, 5))
+    assert got.identity_violations() == []
+
+
+def test_colliding_dotted_labels_are_refused():
+    """("1.2", "3") and ("1", "2.3") both name the edge 1.2.3."""
+    with pytest.raises(PresentationError) as err:
+        facet_complex([("1.2", "3"), ("1", "2.3")])
+    assert type(err.value) is PresentationError
+    assert str(err.value) == "duplicate cell ids in dimension 1"

@@ -62,6 +62,7 @@ from ctlhom.snf import IntMatrix
 from exhaustions import (
     bead_string,
     dots_into_tail,
+    gluings,
     long_tail,
     ray_beside_a_star,
     ray_onto_beads,
@@ -379,8 +380,9 @@ _V, _W = Simplex((), Cell(0, "v")), Simplex((), Cell(0, "w"))
     ({0: ["v"], True: ["e"]}, {}, "cell dimension True is not an integer"),
     ({0: ["v"], 1.0: ["e"]}, {}, "cell dimension 1.0 is not an integer"),
     ({0: ["v"], "1": ["e"]}, {}, "cell dimension '1' is not an integer"),
+    ({0: ["v"], -1: ["x"]}, {}, "cell dimension -1 is negative"),
 ], ids=["duplicate id", "face count", "unknown face", "bool dimension", "float dimension",
-        "str dimension"])
+        "str dimension", "negative dimension"])
 def test_a_complex_refuses_a_bad_presentation(cells, faces, message):
     with pytest.raises(PresentationError) as err:
         FiniteSimplicialSet(cells, faces)
@@ -660,27 +662,6 @@ def _stars(K, vertices) -> dict:
     """Star sizes by definition: the cells whose vertex closure holds v."""
     counts = Counter(v for x in K.all_cells() for v in K.vertices_of(x))
     return {v: counts[v] for v in vertices}
-
-
-@st.composite
-def gluings(draw):
-    """A random slab on at most five vertices, glued along one or two
-    chains of at most four vertices each onto a discrete base."""
-    slab_vertices = [str(v) for v in range(draw(st.integers(2, 5)))]
-    facets = draw(st.lists(st.lists(st.sampled_from(slab_vertices), min_size=2, max_size=3,
-                                    unique=True), max_size=4))
-    slab = facet_complex(facets + [[v] for v in slab_vertices], name="slab")
-    base_ids = [f"b{i}" for i in range(draw(st.integers(1, 4)))]
-    base = FiniteSimplicialSet({0: base_ids}, {}, name="base")
-    attachments = []
-    for _ in range(draw(st.integers(1, 2))):
-        size = draw(st.integers(0, min(4, len(base_ids), len(slab_vertices))))
-        attachments.append(Attachment(
-            base_ids=draw(st.permutations(base_ids))[:size],
-            slab_in_ids=draw(st.permutations(slab_vertices))[:size],
-            slab_out_ids=draw(st.permutations(slab_vertices))[:size],
-        ))
-    return Exhaustion(base, slab, attachments, name="random")
 
 
 @settings(max_examples=200, deadline=None)
