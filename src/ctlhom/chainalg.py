@@ -17,12 +17,12 @@ complexes:
 
 Stabilization is certified by watching transition maps become isomorphisms
 for a window of consecutive stages; a system that keeps moving raises
-NonStabilizationError with its history attached.  Where the slab's chains
-relative to one of its boundaries are acyclic, excision proves the later
-transitions isomorphisms without presenting their stages.  Boundary columns,
-cell positions and the resolved chains (``Exhaustion.gluings``) are ``sset``'s;
-chains, cochains and the maps they are pushed and pulled along are in ``maps``,
-whose ``boundary`` reads those columns and whose ``coboundary`` does not.
+NonStabilizationError with its history attached.  Excision and the exact
+sequence of a pair decide most transitions from the slab without bases
+(``_StageSystem``).  Boundary columns, cell positions and the resolved chains
+(``Exhaustion.gluings``) are ``sset``'s; chains, cochains and the maps they
+are pushed and pulled along are in ``maps``, whose ``boundary`` reads those
+columns and whose ``coboundary`` does not.
 """
 
 from __future__ import annotations
@@ -366,10 +366,12 @@ class StageComplex:
     _factors: dict = field(default_factory=dict)
     _pivots: dict = field(default_factory=dict)
     _presented: dict = field(default_factory=dict)
+    _bases: dict = field(default_factory=dict)
 
     def basis(self, n: int) -> tuple:
-        cells = self.complex.cells(n)
-        return tuple(c for c in cells if c not in self.excluded) if self.excluded else cells
+        if n not in self._bases:
+            self._bases[n] = tuple(c for c in self.complex.cells(n) if c not in self.excluded)
+        return self._bases[n]
 
     def boundary(self, n: int, transposed: bool = False) -> IntMatrix:
         """The boundary out of degree n on the basis, by rows; ``transposed``,
@@ -461,46 +463,53 @@ class TheoryResult:
 # --------------------------------------------------------------------------
 # the four theories
 
-def _slab_certified_from(space, relative: bool):
-    """The stage from which excision on the slab proves every transition an
-    isomorphism in every degree, or None.
-
-    Stage i+1 adds one copy of the slab per attachment chain a, glued along
-    its in-boundary in_a, so C(K_{i+1}, K_i) is the direct sum of the
-    C(slab, in_a): when those are acyclic, every inclusion from stage 0 on
-    is an isomorphism on homology.  A projection of stage-relative
-    complexes has kernel the direct sum of the C(slab, out_a) once the
-    chains' frontiers are disjoint, which needs in_a and out_a disjoint and
-    holds only from stage 1 on (at stage 0 the chains may share base cells,
-    as the line's two chains share its origin).  A finite free acyclic
-    complex is contractible, so its dual is acyclic too and the same stages
-    serve the cochain theories.
-    """
+def _slab_obstructions(space, relative: bool):
+    """The (degree, dual) pairs where the slab's homology, or when ``dual``
+    its cohomology, relative to some chain's in-boundary (out-boundary when
+    ``relative``) is not zero, or None where a chain's boundaries meet.  H^k
+    vanishes iff H_k has no free part and H_{k-1} no torsion."""
     if relative and any(set(g.into) & set(g.out) for g in space.gluings):
         return None
-    # chains glued along the same cells share one relative slab complex
-    boundaries = dict.fromkeys(frozenset(g.out if relative else g.into) for g in space.gluings)
-    for boundary in boundaries:
+    found = set()
+    for boundary in dict.fromkeys(frozenset(g.out if relative else g.into) for g in space.gluings):
         slab = StageComplex(space.slab, boundary)
-        presented = slab.present(range(space.slab.top_dim + 1), dual=False)
-        if not all(p.group.is_trivial for p in presented.values()):
-            return None
-    return 1 if relative else 0
+        for k, p in slab.present(range(space.slab.top_dim + 1), dual=False).items():
+            found |= {(k, False), (k, True)} if p.group.free_rank else set()
+            found |= {(k, False), (k + 1, True)} if p.group.torsion else set()
+    return found
 
 
 class _StageSystem:
     """The stages of one run over an exhaustion, absolute or ``relative`` to
-    the frontier, and the slab certificate, behind the local-finiteness
-    gate.  Each stage is made once per system and keeps its presentations;
-    the pairing runs both of its theories on one system.  The space keeps
-    nothing of a run."""
+    the frontier, behind the local-finiteness gate.  Each stage is made once
+    per system and keeps its presentations, and each verdict is kept; the
+    pairing runs both of its theories on one system.  The space keeps
+    nothing of a run.
+
+    Stage i+1 adds one slab copy per chain a, glued along its in-boundary
+    in_a, so C(K_{i+1})/C(K_i) is the sum Q of the C(slab, in_a) from stage 0
+    on; a projection of stage-relative complexes has kernel Q, the sum of the
+    C(slab, out_a), from stage 1 on if in_a and out_a are disjoint (at stage 0
+    the chains may share base cells, as the line's share its origin).  In the
+    long exact sequence of either pair, or its dual, where the neighbouring
+    degree (n-1 for chains, n+1 for cochains; one outside 0..top is) is
+    injective, the cokernel in degree n is H_n(Q) for inclusions, H_{n-1}(Q)
+    for projections, H^{n+1}(Q) for restrictions and H^n(Q) for extensions by
+    zero.  A surjection between isomorphic finitely generated abelian groups
+    is injective, so degree n is an isomorphism iff its groups are equal and
+    that group is zero.  Where Q is acyclic, every transition from stage 0
+    (or 1) on is one (``certified``: a finite free acyclic complex is
+    contractible, so its dual is acyclic too), and no later stage is
+    presented."""
 
     def __init__(self, space, relative: bool):
         report = is_locally_finite(space)
         if not report.ok:
             raise SimplicialError(f"space is not locally finite: {report.witness}")
-        self.space, self.relative, self._stages = space, relative, {}
-        self.certified = _slab_certified_from(space, relative)
+        self.space, self.relative, self._stages, self._verdicts = space, relative, {}, {}
+        self.top = max(space.base.top_dim, space.slab.top_dim)
+        self.obstructions = _slab_obstructions(space, relative)
+        self.certified = None if self.obstructions != set() else int(relative)
 
     def stage(self, i: int) -> StageComplex:
         if i not in self._stages:
@@ -517,12 +526,23 @@ class _StageSystem:
 
     def transition_is_iso(self, i: int, n: int, dual: bool) -> bool:
         """Whether the degree-n transition between stages i and i+1 is an
-        isomorphism on classes; from the certified stage on, it is."""
+        isomorphism on classes, from the slab where the neighbouring degree
+        is one and the rule covers stage i, and elsewhere from bases."""
+        if (i, n, dual) not in self._verdicts:
+            self._verdicts[i, n, dual] = self._decide(i, n, dual)
+        return self._verdicts[i, n, dual]
+
+    def _decide(self, i: int, n: int, dual: bool) -> bool:
         if self.certified is not None and i >= self.certified:
             return True
         a, b = (i + 1, i) if self.relative else (i, i + 1)  # chain-level direction
-        cells = _cell_map(self.stage(a).basis(n), self.stage(b).basis(n))
         source, target = self.present(a, dual, [n])[n], self.present(b, dual, [n])[n]
+        m = n + 1 if dual else n - 1
+        if self.obstructions is not None and i >= self.relative and (
+                not 0 <= m <= self.top or self.transition_is_iso(i, m, dual)):
+            return source.group == target.group and (n + dual - self.relative, dual) \
+                not in self.obstructions
+        cells = _cell_map(self.stage(a).basis(n), self.stage(b).basis(n))
         if dual:
             return is_transition_isomorphism(target, source, lambda v: _pull(cells, v))
         size = len(self.stage(b).basis(n))

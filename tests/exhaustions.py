@@ -64,6 +64,52 @@ def bead_string() -> Exhaustion:
     return Exhaustion(base, slab, [attachment], name="bead_string")
 
 
+def lollipops() -> Exhaustion:
+    """The relay with the out-loop filled instead of the in-loop: each copy
+    adds a stick from the last loop and a filled loop at its end.  Relative
+    to its frontier, the last loop, every stage has H_1 = Z, the base
+    circle, which every projection keeps, and H_2 = Z, the last disc, which
+    every projection sends to zero."""
+    o = Simplex((), Cell(0, "o"))
+    pin, pout = Simplex((), Cell(0, "pin")), Simplex((), Cell(0, "pout"))
+    flat = Simplex((0,), Cell(0, "pout"))
+    base = FiniteSimplicialSet({0: ["o"], 1: ["l0"]}, {(1, "l0"): (o, o)}, name="circle-base")
+    slab = FiniteSimplicialSet(
+        {0: ["pin", "pout"], 1: ["lin", "lout", "seg"], 2: ["fill"]},
+        {(1, "lin"): (pin, pin), (1, "lout"): (pout, pout), (1, "seg"): (pout, pin),
+         (2, "fill"): (flat, Simplex((), Cell(1, "lout")), flat)},
+        name="lollipop-slab",
+    )
+    attachment = Attachment(base_ids=("o", "l0"), slab_in_ids=("pin", "lin"),
+                            slab_out_ids=("pout", "lout"))
+    return Exhaustion(base, slab, [attachment], name="lollipops")
+
+
+def telescope() -> Exhaustion:
+    """The mapping telescope of the degree-3 map of the circle: each copy
+    joins the last loop to a new one that the triangles T1..T4 wind three
+    times round it.  Every stage has H_1 = Z and H^1 = Z, and each
+    inclusion multiplies H_1 by 3: the slab relative to its in-boundary has
+    H_1 = Z/3, so H^2 = Z/3."""
+    o, pin, pout = (Simplex((), Cell(0, v)) for v in ("o", "pin", "pout"))
+    edge = {e: Simplex((), Cell(1, e)) for e in ("lin", "lout", "seg", "e1", "e2", "e3")}
+    base = FiniteSimplicialSet({0: ["o"], 1: ["l0"]}, {(1, "l0"): (o, o)}, name="circle-base")
+    slab = FiniteSimplicialSet(
+        {0: ["pin", "pout"], 1: list(edge), 2: ["T1", "T2", "T3", "T4"]},
+        {(1, "lin"): (pin, pin), (1, "lout"): (pout, pout),
+         **{(1, e): (pout, pin) for e in ("seg", "e1", "e2", "e3")},
+         # faces (d0, d1, d2): d1 is homotopic to d2 followed by d0
+         (2, "T1"): (edge["seg"], edge["e1"], edge["lin"]),
+         (2, "T2"): (edge["lout"], edge["e2"], edge["seg"]),
+         (2, "T3"): (edge["lout"], edge["e3"], edge["e2"]),
+         (2, "T4"): (edge["lout"], edge["e1"], edge["e3"])},
+        name="telescope-slab",
+    )
+    attachment = Attachment(base_ids=("o", "l0"), slab_in_ids=("pin", "lin"),
+                            slab_out_ids=("pout", "lout"))
+    return Exhaustion(base, slab, [attachment], name="telescope")
+
+
 def ray_onto_beads() -> PeriodicMap:
     """Not proper, into a locally finite target: copy c of the ray lands on
     the in-boundary vertex of copy c of ``bead_string``, which is o in every

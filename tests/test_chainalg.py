@@ -837,6 +837,31 @@ def test_torus_pairing_in_top_degree():
     assert result.matrix in (((1,),), ((-1,),))
 
 
+# manifold fixtures: dimension, builder and coefficients (rp2 is not
+# orientable, so its duality holds over Z/2 and its pairing is not checked)
+_MANIFOLDS = {"line": (1, line, INTEGER), "plane": (2, plane, INTEGER),
+              "cylinder": (2, cylinder, INTEGER), "torus": (2, torus, INTEGER),
+              "sphere(2)": (2, lambda: sphere(2), INTEGER),
+              "rp2": (2, rp2, parse_coefficients("z/2"))}
+
+
+@pytest.mark.parametrize("name", sorted(_MANIFOLDS))
+def test_poincare_duality_on_the_manifold_fixtures(name):
+    """H_BM_n = H^{d-n} and H_c^n = H_{d-n} in every degree, and over the
+    integers the pairing of H_c^n with H_BM_n is unimodular."""
+    d, build, coeff = _MANIFOLDS[name]
+    groups = {tag: driver(build(), coeff).groups for tag, driver in THEORY_DRIVERS.items()}
+    assert sorted(groups["H"]) == list(range(d + 1))
+    for n in range(d + 1):
+        assert groups["H_BM"][n] == groups["H_co"][d - n], n
+        assert groups["H_c"][n] == groups["H"][d - n], n
+    for n in range(d + 1) if coeff is INTEGER else ():
+        result = pairing_matrix(build(), n)
+        k = result.bm_group.free_rank
+        assert result.bm_group == result.cc_group == AbelianGroup(k), n
+        assert snf.invariant_factors(IntMatrix(k, k, result.matrix)) == (1,) * k, n
+
+
 @pytest.mark.parametrize("space", [torus, line], ids=["torus", "line"])
 def test_pairing_refuses_a_negative_degree(space):
     with pytest.raises(ValueError, match="degree must be at least 0"):

@@ -1,24 +1,33 @@
-"""The slab certificate: where the slab's chains relative to one of its
-boundaries are acyclic, every later transition is an isomorphism, so the
-engine presents no stage past the one the certificate names."""
+"""The slab certificate and the slab's exact sequence: where the slab's
+chains relative to one of its boundaries are acyclic, every later transition
+is an isomorphism, so the engine presents no stage past the one the
+certificate names; elsewhere a transition whose neighbouring degree is an
+isomorphism is decided from the slab's relative homology, without bases."""
+
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from ctlhom import chainalg
 from ctlhom.chainalg import (
     THEORY_DRIVERS,
     _THEORIES,
+    NonStabilizationError,
     StageComplex,
+    _StageSystem,
     _cell_map,
     _pull,
     _push,
     bm_homology,
     cohomology,
+    homology,
     is_transition_isomorphism,
 )
 from ctlhom.corpus import balloon_ray, cylinder, infinite_star, line, plane, ray
 from ctlhom.sset import SimplicialError
-from exhaustions import relay
+from exhaustions import gluings, lollipops, relay, telescope
+from test_sset import every_exhaustion
 
 SPACES = {"ray": ray, "line": line, "plane": plane, "cylinder": cylinder,
           "relay": relay, "balloon_ray": balloon_ray, "infinite_star": infinite_star}
@@ -39,16 +48,21 @@ CERTIFIED_FROM = {
 }
 
 
-def _stage(space, depth: int, relative: bool) -> StageComplex:
-    trunc = space.truncate(depth)
-    return StageComplex(trunc.complex, frozenset(trunc.frontier if relative else ()))
+def _stage(space, depth: int, relative: bool, stages=None) -> StageComplex:
+    """A stage made afresh, or kept in ``stages`` when it is given."""
+    stages = {} if stages is None else stages
+    if (depth, relative) not in stages:
+        trunc = space.truncate(depth)
+        stages[depth, relative] = StageComplex(
+            trunc.complex, frozenset(trunc.frontier if relative else ()))
+    return stages[depth, relative]
 
 
-def _transition_is_iso(space, relative, dual, i, n) -> bool:
+def _transition_is_iso(space, relative, dual, i, n, stages=None) -> bool:
     """The degree-n transition between stages i and i+1, presented and
     tested directly."""
     a, b = (i + 1, i) if relative else (i, i + 1)
-    source, target = _stage(space, a, relative), _stage(space, b, relative)
+    source, target = _stage(space, a, relative, stages), _stage(space, b, relative, stages)
     p_source = source.present([n], dual)[n]
     p_target = target.present([n], dual)[n]
     cells = _cell_map(source.basis(n), target.basis(n))
@@ -60,9 +74,11 @@ def _transition_is_iso(space, relative, dual, i, n) -> bool:
 
 @pytest.mark.parametrize("space,theory", sorted(CERTIFIED_FROM))
 def test_the_certificate_holds_where_the_slab_is_acyclic(space, theory):
+    """The certificate is the obstruction table with nothing in it; the
+    table is read without the local-finiteness gate."""
     relative = _THEORIES[theory][0]
-    assert chainalg._slab_certified_from(SPACES[space](), relative) \
-        == CERTIFIED_FROM[space, theory]
+    obstructions = chainalg._slab_obstructions(SPACES[space](), relative)
+    assert (None if obstructions != set() else int(relative)) == CERTIFIED_FROM[space, theory]
 
 
 @pytest.mark.parametrize("space,theory", sorted(
@@ -119,3 +135,98 @@ def test_an_uncertified_theory_presents_every_stage_it_tests(monkeypatch):
                              lambda s: pytest.raises(chainalg.NonStabilizationError,
                                                      cohomology, s, max_depth=DEEPEST)) \
         == set(range(DEEPEST + 1))
+
+
+# ------------------------------------------------ the slab's exact sequence
+
+def _system(space, relative: bool) -> _StageSystem:
+    """A stage system past the local-finiteness gate: the rule reads only
+    finite stages, so it holds on any exhaustion."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chainalg, "is_locally_finite", lambda space: SimpleNamespace(ok=True))
+        return _StageSystem(space, relative)
+
+
+def _check_rule(space, transitions: int) -> int:
+    """Every theory's verdicts from one stage system, on the transitions
+    below ``transitions`` in every degree up to one past the top, against
+    the basis test on stages presented afresh; returns how many verdicts
+    neither the certificate nor a basis test gave."""
+    top = max(space.base.top_dim, space.slab.top_dim)
+    stages, ruled = {}, 0
+    for tag, (relative, dual, _) in _THEORIES.items():
+        system, tested = _system(space, relative), []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chainalg, "is_transition_isomorphism",
+                          lambda *args: tested.append(args) or is_transition_isomorphism(*args))
+            for i in range(transitions):
+                for n in range(top + 2):
+                    assert system.transition_is_iso(i, n, dual) == _transition_is_iso(
+                        space, relative, dual, i, n, stages), (tag, i, n)
+        certified = 0 if system.certified is None else max(transitions - system.certified, 0)
+        ruled += (transitions - certified) * (top + 2) - len(tested)
+    return ruled
+
+
+@every_exhaustion
+def test_every_transition_verdict_is_the_basis_test(build):
+    """Where the rule covers a variance past its certificate, it decides
+    some verdict."""
+    space = build()
+    covered = any(s.certified is None and s.obstructions is not None
+                  for s in (_system(space, False), _system(space, True)))
+    assert (_check_rule(space, 6) > 0) == covered
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluings())
+def test_every_transition_verdict_is_the_basis_test_on_random_gluings(space):
+    _check_rule(space, 4)
+
+
+def test_a_projection_reads_the_slab_a_degree_below():
+    """Relative to the frontier, each lollipop stage has H_1 = Z, the base
+    circle, kept by every projection, though the slab relative to its
+    out-boundary has H_1 = Z, the in-loop: the cokernel is H_0(slab, out)
+    = 0.  Reading the degree itself would refuse the isomorphism."""
+    space = lollipops()
+    assert chainalg._slab_obstructions(space, True) == {(1, False), (1, True), (2, False), (2, True)}
+    assert _check_rule(space, 6) > 0
+    system = _system(space, True)
+    assert [system.present(i, False, [1])[1].group.free_rank for i in range(1, 7)] == [1] * 6
+    assert all(system.transition_is_iso(i, 1, False) for i in range(1, 6))
+
+
+def test_a_restriction_reads_torsion_a_degree_above():
+    """Each telescope stage has H^1 = Z, and restriction multiplies it by 3:
+    its cokernel is H^2(slab, in) = Ext(H_1(slab, in)) = Z/3, while
+    H^1(slab, in) = 0.  Reading the torsion in its own degree would call
+    the restriction an isomorphism."""
+    space = telescope()
+    assert chainalg._slab_obstructions(space, False) == {(1, False), (2, True)}
+    assert _check_rule(space, 6) > 0
+    system = _system(space, False)
+    assert [system.present(i, True, [1])[1].group.free_rank for i in range(7)] == [1] * 7
+    assert not any(system.transition_is_iso(i, 1, True) for i in range(6))
+
+
+def test_the_relay_reads_bases_only_for_cohomology_in_degree_0(monkeypatch):
+    """Homology's degree 1 follows from degree 0 and H_1(slab, in) = Z, and
+    cohomology's from degree 2 and H^2(slab, in) = Z; the refusals and
+    histories are unchanged."""
+    systems, built = [], []
+    real_init, real_basis = _StageSystem.__init__, chainalg._basis
+    monkeypatch.setattr(_StageSystem, "__init__",
+                        lambda self, *args: systems.append(self) or real_init(self, *args))
+    monkeypatch.setattr(chainalg, "_basis", lambda *args: built.append(args) or real_basis(*args))
+    for driver, tag, based in ((homology, "H", set()),
+                               (cohomology, "H_co", {(i, 0) for i in range(4)})):
+        built.clear()
+        with pytest.raises(NonStabilizationError) as refusal:
+            driver(relay(), max_depth=8)
+        assert str(refusal.value) == (f"{tag} degree 1 did not stabilize within depth 8 "
+                                      "(window 3); groups so far: " + ", ".join(["Z"] * 9))
+        assert refusal.value.history == [(1, ["Z"] * 9)]
+        assert {(i, n) for i, stage in systems[-1]._stages.items()
+                for (n, _), p in stage._presented.items() if "orders" in vars(p)} == based
+        assert len(built) == len(based)
